@@ -1,5 +1,7 @@
 //! Set-associative cache model.
 
+use std::collections::hash_map::{Entry, HashMap};
+
 /// Geometry of one cache (Table 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -96,6 +98,59 @@ impl CacheStats {
     }
 }
 
+/// "No slot" marker in the recency lists.
+const NIL: u32 = u32::MAX;
+
+/// One cache line frame: the line it holds and its neighbours in its
+/// set's recency list (`prev` is more recent, `next` less recent).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    line: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// One set's recency list: most- and least-recently used slots, and how
+/// many of the set's slots are filled.
+#[derive(Clone, Copy, Debug)]
+struct SetList {
+    head: u32,
+    tail: u32,
+    filled: u32,
+}
+
+impl SetList {
+    const EMPTY: SetList = SetList {
+        head: NIL,
+        tail: NIL,
+        filled: 0,
+    };
+
+    /// Detaches `slot` from this list.
+    fn unlink(&mut self, slots: &mut [Slot], slot: u32) {
+        let Slot { prev, next, .. } = slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Makes `slot` the most recently used entry.
+    fn push_front(&mut self, slots: &mut [Slot], slot: u32) {
+        slots[slot as usize].prev = NIL;
+        slots[slot as usize].next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            h => slots[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+}
+
 /// An LRU set-associative cache over byte addresses.
 ///
 /// # Examples
@@ -111,11 +166,14 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per set: line tag → last-use time. Hits are O(1); the LRU scan only
-    /// runs on evictions, keeping the 512-way fully-associative baseline L1
-    /// fast at paper scale.
-    sets: Vec<std::collections::HashMap<u64, u64>>,
-    clock: u64,
+    /// Line frames in fill order; a full set reuses its own LRU slot.
+    slots: Vec<Slot>,
+    /// Per set: an intrusive doubly-linked recency list over its slots,
+    /// so a hit moves to the head and an eviction takes the tail, both
+    /// O(1) even for the 512-way fully-associative baseline L1.
+    sets: Vec<SetList>,
+    /// Resident line → its slot.
+    index: HashMap<u64, u32>,
     stats: CacheStats,
 }
 
@@ -127,10 +185,13 @@ impl Cache {
     /// Panics when the geometry is invalid.
     pub fn new(config: CacheConfig) -> Self {
         config.validate().expect("invalid cache configuration");
+        let lines = config.sets() * config.effective_ways();
+        assert!(lines < NIL as usize, "cache has too many lines");
         Cache {
             config,
-            sets: vec![std::collections::HashMap::new(); config.sets()],
-            clock: 0,
+            slots: Vec::with_capacity(lines),
+            sets: vec![SetList::EMPTY; config.sets()],
+            index: HashMap::with_capacity(lines),
             stats: CacheStats::default(),
         }
     }
@@ -148,27 +209,46 @@ impl Cache {
     /// Accesses a byte address; returns `true` on hit. Misses fill the
     /// line, evicting LRU.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         self.stats.accesses += 1;
         let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let ways = self.config.effective_ways();
-        let set = &mut self.sets[set_idx];
-        if let Some(last_use) = set.get_mut(&line) {
-            *last_use = self.clock;
-            self.stats.hits += 1;
-            return true;
+        // The set count is a power of two.
+        let set_mask = self.sets.len() as u64 - 1;
+        let set = &mut self.sets[(line & set_mask) as usize];
+        match self.index.entry(line) {
+            Entry::Occupied(hit) => {
+                let slot = *hit.get();
+                if set.head != slot {
+                    set.unlink(&mut self.slots, slot);
+                    set.push_front(&mut self.slots, slot);
+                }
+                self.stats.hits += 1;
+                true
+            }
+            Entry::Vacant(miss) => {
+                let (slot, evicted) = if (set.filled as usize) < self.config.effective_ways() {
+                    set.filled += 1;
+                    self.slots.push(Slot {
+                        line,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    (self.slots.len() as u32 - 1, None)
+                } else {
+                    let victim = set.tail;
+                    set.unlink(&mut self.slots, victim);
+                    (victim, Some(self.slots[victim as usize].line))
+                };
+                // Filling through the entry reuses the lookup's hash, so a
+                // miss hashes twice at most (lookup, victim removal).
+                miss.insert(slot);
+                if let Some(old) = evicted {
+                    self.index.remove(&old);
+                }
+                self.slots[slot as usize].line = line;
+                set.push_front(&mut self.slots, slot);
+                false
+            }
         }
-        if set.len() >= ways {
-            let victim = set
-                .iter()
-                .min_by_key(|(_, &used)| used)
-                .map(|(&tag, _)| tag)
-                .expect("set has ways");
-            set.remove(&victim);
-        }
-        set.insert(line, self.clock);
-        false
     }
 
     /// Looks up `addr` without recording an access: no statistics, no
@@ -177,22 +257,172 @@ impl Cache {
     /// change at epoch barriers, where the authoritative [`Cache::access`]
     /// replays the merged traffic.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        self.sets[set_idx].contains_key(&line)
+        self.index
+            .contains_key(&(addr / self.config.line_bytes as u64))
     }
 
     /// Empties the cache, keeping statistics.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.sets.fill(SetList::EMPTY);
+        self.slots.clear();
+        self.index.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The previous timestamp-scan model, kept as the oracle the O(1) list
+    /// must match access for access: per set a line → last-use map, with
+    /// the victim found by scanning the whole set for the oldest use.
+    struct ReferenceLru {
+        config: CacheConfig,
+        sets: Vec<HashMap<u64, u64>>,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl ReferenceLru {
+        fn new(config: CacheConfig) -> Self {
+            config.validate().expect("invalid cache configuration");
+            ReferenceLru {
+                config,
+                sets: vec![HashMap::new(); config.sets()],
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let line = addr / self.config.line_bytes as u64;
+            let set_idx = (line % self.sets.len() as u64) as usize;
+            let ways = self.config.effective_ways();
+            let set = &mut self.sets[set_idx];
+            if let Some(last_use) = set.get_mut(&line) {
+                *last_use = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            if set.len() >= ways {
+                let victim = set
+                    .iter()
+                    .min_by_key(|(_, &used)| used)
+                    .map(|(&tag, _)| tag)
+                    .expect("set has ways");
+                set.remove(&victim);
+            }
+            set.insert(line, self.clock);
+            false
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let line = addr / self.config.line_bytes as u64;
+            let set_idx = (line % self.sets.len() as u64) as usize;
+            self.sets[set_idx].contains_key(&line)
+        }
+
+        fn clear(&mut self) {
+            for set in &mut self.sets {
+                set.clear();
+            }
+        }
+    }
+
+    /// Geometries the experiments build: the Figure 1/16 L1 sweep and the
+    /// Figure 16 RT caches (16 and 32 KB), all fully associative; the 2
+    /// and 4 KB L1s of the simulator tests; and the baseline L2.
+    const EXPERIMENT_GEOMETRIES: [(usize, usize); 11] = [
+        (16 * 1024, usize::MAX),
+        (32 * 1024, usize::MAX),
+        (64 * 1024, usize::MAX),
+        (128 * 1024, usize::MAX),
+        (256 * 1024, usize::MAX),
+        (384 * 1024, usize::MAX),
+        (512 * 1024, usize::MAX),
+        (1024 * 1024, usize::MAX),
+        (2 * 1024, usize::MAX),
+        (4 * 1024, usize::MAX),
+        (1024 * 1024, 16),
+    ];
+
+    /// Runs one seeded trace of interleaved accesses, probes and clears
+    /// through both models; every return value, the final statistics and
+    /// the final contents must agree.
+    fn check_against_reference(config: CacheConfig, seed: u64, span_per_mille: u64) {
+        let mut fast = Cache::new(config);
+        let mut oracle = ReferenceLru::new(config);
+        let capacity = (config.sets() * config.effective_ways()) as u64;
+        let span = (capacity * span_per_mille / 1000).max(2);
+        let line = config.line_bytes as u64;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let steps = 3 * capacity + 64;
+        for step in 0..steps {
+            let addr = rng.gen_range(0..span) * line + rng.gen_range(0..line);
+            match rng.gen_range(0..64u32) {
+                0 => {
+                    fast.clear();
+                    oracle.clear();
+                }
+                1..=8 => assert_eq!(
+                    fast.probe(addr),
+                    oracle.probe(addr),
+                    "{config:?} step {step}: probe({addr})"
+                ),
+                _ => assert_eq!(
+                    fast.access(addr),
+                    oracle.access(addr),
+                    "{config:?} step {step}: access({addr})"
+                ),
+            }
+        }
+        assert_eq!(fast.stats(), oracle.stats, "{config:?}");
+        for l in 0..span {
+            assert_eq!(
+                fast.probe(l * line),
+                oracle.probe(l * line),
+                "{config:?} line {l}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Direct-mapped, 2-, 4- and 16-way caches of 1–64 sets, and
+        /// fully-associative caches of 4–512 lines.
+        #[test]
+        fn matches_reference_lru_on_random_geometries(
+            ways_ix in 0usize..5,
+            sets_log2 in 0u32..7,
+            fa_lines in 4usize..513,
+            seed in any::<u64>(),
+            span_per_mille in 250u64..4000,
+        ) {
+            let config = match [1, 2, 4, 16, usize::MAX][ways_ix] {
+                usize::MAX => CacheConfig { size_bytes: fa_lines * 128, line_bytes: 128, ways: usize::MAX },
+                ways => CacheConfig { size_bytes: (ways << sets_log2) * 128, line_bytes: 128, ways },
+            };
+            check_against_reference(config, seed, span_per_mille);
+        }
+
+        /// The RT-cache, L1-sweep and L2 geometries the experiments use.
+        #[test]
+        fn matches_reference_lru_on_experiment_geometries(
+            geometry_ix in 0usize..EXPERIMENT_GEOMETRIES.len(),
+            seed in any::<u64>(),
+            span_per_mille in 500u64..2500,
+        ) {
+            let (size_bytes, ways) = EXPERIMENT_GEOMETRIES[geometry_ix];
+            let config = CacheConfig { size_bytes, line_bytes: 128, ways };
+            check_against_reference(config, seed, span_per_mille);
+        }
+    }
 
     fn tiny(ways: usize) -> Cache {
         Cache::new(CacheConfig {

@@ -236,7 +236,8 @@ struct SmEngine<'a> {
     repacked_queue: VecDeque<Vec<u32>>,
     /// Pending collector-timeout event (time it was scheduled for).
     collector_event: Option<u64>,
-    /// MSHR: line address → in-flight fill completion time.
+    /// MSHR: line address → in-flight fill completion time (entries that
+    /// can no longer merge are dropped at each epoch start).
     mshr: HashMap<u64, u64>,
     rt_cache: Option<Cache>,
     l1: Cache,
@@ -310,6 +311,10 @@ impl<'a> SmEngine<'a> {
     fn run_epoch(&mut self, epoch_end: u64, shared: &SharedMemory) -> Vec<LoggedRequest> {
         self.local_dram = shared.dram.clone();
         self.epoch_lines.clear();
+        // Every later request issues at or after `issue_free_at`, so a fill
+        // that completes by then can never be merged into again.
+        let issue_floor = self.sm.issue_free_at;
+        self.mshr.retain(|_, fill| *fill > issue_floor);
         while let Some(&Reverse((t, _, _))) = self.events.peek() {
             if t >= epoch_end {
                 break;
