@@ -6,9 +6,12 @@
 //! stdout tables byte-identical to an uninterrupted run.
 //!
 //! These tests drive the real binary (`CARGO_BIN_EXE_run_all`) at tiny
-//! scale with one scene, sharing one artifact cache across runs.
+//! scale with one scene. The tests run in parallel, so each one works on
+//! its own copy of the artifact cache the reference sweep warmed: one
+//! test flipping bits in its `.bvh` files must not race another rebuilding
+//! them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
@@ -22,13 +25,13 @@ fn temp_root() -> &'static PathBuf {
     })
 }
 
-/// Runs the `run_all` binary at tiny scale / 1 scene with a shared
-/// artifact cache, extra args, and extra environment.
-fn run_all(extra_args: &[&str], extra_env: &[(&str, &str)]) -> Output {
+/// Runs the `run_all` binary at tiny scale / 1 scene with the artifact
+/// cache in `cache_dir`, extra args, and extra environment.
+fn run_all(cache_dir: &Path, extra_args: &[&str], extra_env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.args(["--scale", "tiny", "--scenes", "1", "--jobs", "2"])
         .args(extra_args)
-        .env("RIP_CACHE_DIR", temp_root().join("artifacts"))
+        .env("RIP_CACHE_DIR", cache_dir)
         .env_remove("RIP_FAULT_INJECT")
         .env_remove("RIP_UNIT_TIMEOUT")
         .env_remove("RIP_JOURNAL");
@@ -42,11 +45,16 @@ fn stdout_of(output: &Output) -> String {
     String::from_utf8(output.stdout.clone()).expect("stdout is UTF-8")
 }
 
+/// The artifact cache the reference sweep populates; tests only copy it.
+fn reference_cache() -> PathBuf {
+    temp_root().join("reference-artifacts")
+}
+
 /// The uninterrupted reference sweep, run once and shared.
 fn reference_stdout() -> &'static str {
     static REFERENCE: OnceLock<String> = OnceLock::new();
     REFERENCE.get_or_init(|| {
-        let output = run_all(&[], &[]);
+        let output = run_all(&reference_cache(), &[], &[]);
         assert!(
             output.status.success(),
             "reference sweep must succeed: {}",
@@ -56,6 +64,28 @@ fn reference_stdout() -> &'static str {
     })
 }
 
+/// A private copy, named after the test, of the cache the reference
+/// sweep warmed.
+fn warm_cache(test: &str) -> PathBuf {
+    reference_stdout();
+    let dir = temp_root().join(format!("{test}-artifacts"));
+    copy_dir(&reference_cache(), &dir);
+    dir
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
 #[test]
 fn faulted_sweep_completes_reports_and_exits_nonzero() {
     let reference = reference_stdout();
@@ -63,7 +93,7 @@ fn faulted_sweep_completes_reports_and_exits_nonzero() {
     // Damage the on-disk cache for real (exercises quarantine+rebuild on
     // stderr) and inject one panicking unit plus one unrecoverable
     // corruption fault (both must be *named* in the failure report).
-    let cache_dir = temp_root().join("artifacts");
+    let cache_dir = warm_cache("faulted");
     let mut flipped = 0;
     for entry in std::fs::read_dir(&cache_dir).unwrap() {
         let path = entry.unwrap().path();
@@ -78,6 +108,7 @@ fn faulted_sweep_completes_reports_and_exits_nonzero() {
     assert!(flipped > 0, "reference run must have populated the cache");
 
     let output = run_all(
+        &cache_dir,
         &[],
         &[(
             "RIP_FAULT_INJECT",
@@ -143,12 +174,14 @@ fn faulted_sweep_completes_reports_and_exits_nonzero() {
 #[test]
 fn killed_sweep_resumes_from_the_journal_byte_identically() {
     let reference = reference_stdout();
+    let cache_dir = warm_cache("resume");
     let journal = temp_root().join("resume.journal");
     let journal_arg = journal.to_str().unwrap();
 
     // Phase 1: the sweep is killed (simulated `kill -9` via the fault
     // injection hook) when fig15_repacking starts.
     let killed = run_all(
+        &cache_dir,
         &["--journal", journal_arg],
         &[("RIP_FAULT_INJECT", "kill:fig15_repacking")],
     );
@@ -162,7 +195,7 @@ fn killed_sweep_resumes_from_the_journal_byte_identically() {
 
     // Phase 2: resume. Only the remaining units run; completed units are
     // restored from the journal.
-    let resumed = run_all(&["--journal", journal_arg, "--resume"], &[]);
+    let resumed = run_all(&cache_dir, &["--journal", journal_arg, "--resume"], &[]);
     assert!(
         resumed.status.success(),
         "resume must complete cleanly; stderr:\n{}",
@@ -182,7 +215,7 @@ fn killed_sweep_resumes_from_the_journal_byte_identically() {
 
 #[test]
 fn resume_refuses_a_journal_from_another_configuration() {
-    reference_stdout(); // warm the artifact cache
+    let cache_dir = warm_cache("mismatch");
     let journal = temp_root().join("mismatch.journal");
     let journal_arg = journal.to_str().unwrap();
     std::fs::write(
@@ -190,7 +223,7 @@ fn resume_refuses_a_journal_from_another_configuration() {
         "rip-journal v1 run_all scale=Paper scenes=SB schedule=x formats=s1b1\n",
     )
     .unwrap();
-    let output = run_all(&["--journal", journal_arg, "--resume"], &[]);
+    let output = run_all(&cache_dir, &["--journal", journal_arg, "--resume"], &[]);
     assert!(
         output.status.success(),
         "a mismatched journal restarts the sweep instead of failing"

@@ -129,10 +129,9 @@ pub(crate) struct LeafOutcome {
 /// `leaf_for` maps a hit triangle to the leaf id reported in [`Hit`]; it
 /// is only invoked on an actual intersection (the wide kernel resolves the
 /// binary leaf lazily). `tested` optionally records every triangle index
-/// fetched, in order, for the steppable traversal's [`StepEvent`]
-/// reporting.
+/// fetched, in order, for the caller's buffer in [`Traversal::step`].
 ///
-/// [`StepEvent`]: crate::StepEvent
+/// [`Traversal::step`]: crate::Traversal::step
 pub(crate) fn test_leaf_triangles<'t>(
     tris: impl Iterator<Item = (u32, &'t Triangle)>,
     leaf_for: &mut dyn FnMut(u32) -> NodeId,

@@ -58,5 +58,5 @@ pub use node::{BvhNode, CompressedWideNode, NodeId, NodeKind, QuantFrame, EMPTY_
 pub use stack::{ShortStack, TraversalStack, HW_STACK_CAPACITY, SHORT_STACK_CAPACITY};
 pub use stats::TraversalStats;
 pub use stream::{RayBatch, StreamPermutation};
-pub use traversal::{Hit, LeanStep, StepEvent, Traversal, TraversalKind, TraversalResult};
+pub use traversal::{Hit, LeanStep, Traversal, TraversalKind, TraversalResult};
 pub use wide::{WideBvh, WideResult, WIDE_ARITY};

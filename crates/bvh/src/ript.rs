@@ -32,7 +32,7 @@ use crate::kernel::{TraversalKernel, WhileWhileKernel};
 use crate::node::{NodeId, NodeKind};
 use crate::stack::TraversalStack;
 use crate::stream::RayBatch;
-use crate::traversal::{Hit, StepEvent, TraversalKind, TraversalResult};
+use crate::traversal::{Hit, LeanStep, TraversalKind, TraversalResult};
 use crate::TraversalStats;
 use rip_math::Ray;
 use rip_pod::ripa::{RipaFile, RipaWriter};
@@ -578,10 +578,10 @@ impl RayTraceSet {
 /// `is_done` / `best_hit` / `stats`) so the cycle-level simulator can
 /// drive recorded and live rays through the same warp machinery.
 ///
-/// The synthesized [`StepEvent`]s carry everything the timing model
-/// consumes — the node id and the tested-triangle indices (reconstructed
-/// as a leaf-order prefix). `child_hits` is not recorded and is reported
-/// as 0.
+/// The synthesized steps carry everything the timing model consumes —
+/// the node id, the tested-triangle count and (appended to the caller's
+/// buffer) the tested-triangle indices, reconstructed as a leaf-order
+/// prefix. `child_hits` is not recorded and is reported as 0.
 #[derive(Clone, Debug)]
 pub struct ReplayCursor {
     set: Arc<RayTraceSet>,
@@ -648,10 +648,13 @@ impl ReplayCursor {
         self.stats
     }
 
-    /// Consumes the next recorded step, synthesizing its [`StepEvent`].
-    pub fn step(&mut self, bvh: &Bvh) -> StepEvent {
+    /// Consumes the next recorded step, appending a leaf's tested
+    /// triangle indices to `tested` exactly as [`Traversal::step`] would.
+    ///
+    /// [`Traversal::step`]: crate::Traversal::step
+    pub fn step(&mut self, bvh: &Bvh, tested: &mut Vec<u32>) -> LeanStep {
         if self.pos >= self.step_count {
-            return StepEvent::Finished;
+            return LeanStep::Finished;
         }
         let node = NodeId::new(self.set.nodes.as_slice()[self.step_offset + self.pos]);
         self.pos += 1;
@@ -659,27 +662,26 @@ impl ReplayCursor {
             NodeKind::Interior { .. } => {
                 self.stats.interior_fetches += 1;
                 self.stats.box_tests += 2;
-                StepEvent::Interior {
+                LeanStep::Interior {
                     node,
                     child_hits: 0,
                 }
             }
             NodeKind::Leaf { .. } => {
-                let count =
-                    self.set.leaf_counts.as_slice()[self.leaf_offset + self.leaf_pos] as usize;
+                let count = self.set.leaf_counts.as_slice()[self.leaf_offset + self.leaf_pos];
                 self.leaf_pos += 1;
                 self.stats.leaf_fetches += 1;
-                self.stats.tri_fetches += count as u64;
-                self.stats.tri_tests += count as u64;
-                let tris_tested: Vec<u32> = bvh
-                    .leaf_triangles(node)
-                    .take(count)
-                    .map(|(t, _)| t)
-                    .collect();
+                self.stats.tri_fetches += u64::from(count);
+                self.stats.tri_tests += u64::from(count);
+                tested.extend(
+                    bvh.leaf_triangles(node)
+                        .take(count as usize)
+                        .map(|(t, _)| t),
+                );
                 let found = self.best_hit().filter(|h| h.leaf == node);
-                StepEvent::Leaf {
+                LeanStep::Leaf {
                     node,
-                    tris_tested,
+                    tris_tested: count,
                     found,
                 }
             }
@@ -802,6 +804,7 @@ mod tests {
     fn cursor_steps_like_a_live_traversal() {
         let (bvh, batch) = occluded_scene();
         let set = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
+        let (mut live_tested, mut replay_tested) = (Vec::new(), Vec::new());
         for i in 0..batch.len() {
             let ray = batch.ray(i);
             let mut live = Traversal::new(TraversalKind::AnyHit);
@@ -812,31 +815,33 @@ mod tests {
                 if live.is_done() {
                     break;
                 }
-                let live_event = live.step(&bvh, &ray);
-                let replay_event = cursor.step(&bvh);
+                live_tested.clear();
+                replay_tested.clear();
+                let live_step = live.step(&bvh, &ray, &mut live_tested);
+                let replay_step = cursor.step(&bvh, &mut replay_tested);
                 // Everything the timing model consumes must agree; only
                 // child_hits (unrecorded) and mid-leaf `found` hits may
                 // differ.
-                match (&live_event, &replay_event) {
-                    (StepEvent::Interior { node: a, .. }, StepEvent::Interior { node: b, .. }) => {
+                match (live_step, replay_step) {
+                    (LeanStep::Interior { node: a, .. }, LeanStep::Interior { node: b, .. }) => {
                         assert_eq!(a, b)
                     }
                     (
-                        StepEvent::Leaf {
+                        LeanStep::Leaf {
                             node: a,
-                            tris_tested: ta,
+                            tris_tested: ca,
                             ..
                         },
-                        StepEvent::Leaf {
+                        LeanStep::Leaf {
                             node: b,
-                            tris_tested: tb,
+                            tris_tested: cb,
                             ..
                         },
                     ) => {
-                        assert_eq!(a, b);
-                        assert_eq!(ta, tb);
+                        assert_eq!((a, ca), (b, cb));
+                        assert_eq!(live_tested, replay_tested);
                     }
-                    other => panic!("event shape diverged: {other:?}"),
+                    other => panic!("step shape diverged: {other:?}"),
                 }
             }
             assert_eq!(cursor.best_hit(), live.best_hit(), "ray {i}");

@@ -60,36 +60,11 @@ pub struct TraversalResult {
     pub stats: TraversalStats,
 }
 
-/// What one traversal step did.
-#[derive(Clone, Debug, PartialEq)]
-pub enum StepEvent {
-    /// Fetched an interior node and ray-box-tested both children.
-    Interior {
-        /// The fetched node.
-        node: NodeId,
-        /// How many of the two children the ray's interval overlaps (0–2).
-        child_hits: u8,
-    },
-    /// Fetched a leaf node and tested triangles until a hit (any-hit) or
-    /// exhaustion.
-    Leaf {
-        /// The fetched node.
-        node: NodeId,
-        /// Original indices of the triangles actually fetched and tested.
-        tris_tested: Vec<u32>,
-        /// Intersection found in this leaf, if any.
-        found: Option<Hit>,
-    },
-    /// The traversal had already finished; no work was done.
-    Finished,
-}
-
-/// What one [`Traversal::step_lean`] did — the allocation-free sibling of
-/// [`StepEvent`], reporting only *how many* triangles a leaf tested
-/// instead of materializing their indices. Callers that need the count
-/// (RIPT trace capture) or nothing at all ([`Traversal::run`]) use this;
-/// callers that need the tested indices (cycle-level first-touch
-/// classification) pay for [`Traversal::step`].
+/// What one traversal step did. A leaf step reports *how many*
+/// triangles it tested; callers that also need their indices (the cycle
+/// simulator's triangle fetches, first-touch classification) pass a
+/// buffer to [`Traversal::step`], everyone else calls
+/// [`Traversal::step_lean`]. Neither allocates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LeanStep {
     /// Fetched an interior node and ray-box-tested both children.
@@ -124,9 +99,11 @@ pub enum LeanStep {
 /// let bvh = Bvh::build(&[Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y)]);
 /// let ray = Ray::new(Vec3::new(0.2, 0.2, -1.0), Vec3::Z);
 /// let mut tr = Traversal::new(TraversalKind::AnyHit);
+/// let mut tested = Vec::new();
 /// while let Some(_node) = tr.current_request() {
-///     tr.step(&bvh, &ray);
+///     tr.step(&bvh, &ray, &mut tested);
 /// }
+/// assert_eq!(tested, vec![0]);
 /// assert!(tr.best_hit().is_some());
 /// ```
 #[derive(Clone, Debug)]
@@ -202,23 +179,16 @@ impl Traversal {
     }
 
     /// Processes the current node (its record is assumed to have arrived
-    /// from memory) and advances to the next one.
-    pub fn step(&mut self, bvh: &Bvh, ray: &Ray) -> StepEvent {
-        let mut tris_tested = Vec::new();
-        match self.advance(bvh, ray, Some(&mut tris_tested)) {
-            LeanStep::Interior { node, child_hits } => StepEvent::Interior { node, child_hits },
-            LeanStep::Leaf { node, found, .. } => StepEvent::Leaf {
-                node,
-                tris_tested,
-                found,
-            },
-            LeanStep::Finished => StepEvent::Finished,
-        }
+    /// from memory) and advances to the next one. A leaf step appends the
+    /// original indices of the triangles it fetched and tested, in order,
+    /// to `tested`.
+    #[inline]
+    pub fn step(&mut self, bvh: &Bvh, ray: &Ray, tested: &mut Vec<u32>) -> LeanStep {
+        self.advance(bvh, ray, Some(tested))
     }
 
-    /// [`Traversal::step`] without materializing the tested-triangle
-    /// indices — identical state transitions, stats and hits, but the leaf
-    /// arm reports only a count and the hot loop stays allocation-free.
+    /// [`Traversal::step`] without recording the tested-triangle indices —
+    /// identical state transitions, stats and hits.
     #[inline]
     pub fn step_lean(&mut self, bvh: &Bvh, ray: &Ray) -> LeanStep {
         self.advance(bvh, ray, None)
@@ -385,72 +355,56 @@ mod tests {
     }
 
     #[test]
-    fn step_events_expose_tested_triangles() {
+    fn leaf_steps_append_tested_triangles() {
         let bvh = Bvh::build(&[Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y)]);
         let ray = Ray::new(Vec3::new(0.2, 0.2, -1.0), Vec3::Z);
         let mut tr = Traversal::new(TraversalKind::AnyHit);
-        match tr.step(&bvh, &ray) {
-            StepEvent::Leaf {
+        let mut tested = vec![7];
+        match tr.step(&bvh, &ray, &mut tested) {
+            LeanStep::Leaf {
                 tris_tested, found, ..
             } => {
-                assert_eq!(tris_tested, vec![0]);
+                assert_eq!(tris_tested, 1);
                 assert!(found.is_some());
             }
             other => panic!("expected leaf step, got {other:?}"),
         }
+        assert_eq!(tested, vec![7, 0], "indices are appended, not replaced");
         assert!(tr.is_done());
-        assert_eq!(tr.step(&bvh, &ray), StepEvent::Finished);
+        assert_eq!(tr.step(&bvh, &ray, &mut tested), LeanStep::Finished);
+        assert_eq!(tested, vec![7, 0]);
     }
 
     #[test]
     fn step_lean_matches_step_exactly() {
         let bvh = two_walls();
+        let mut tested = Vec::new();
         for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
             for (ox, oy) in [(0.5f32, 0.5), (2.2, 2.2), (3.7, 1.1), (5.0, 5.0)] {
                 let ray = Ray::new(Vec3::new(ox, oy, 0.0), Vec3::Z);
                 let mut fat = Traversal::new(kind);
                 let mut lean = Traversal::new(kind);
                 loop {
-                    let fe = fat.step(&bvh, &ray);
+                    tested.clear();
+                    let fe = fat.step(&bvh, &ray, &mut tested);
                     let le = lean.step_lean(&bvh, &ray);
-                    match (&fe, &le) {
-                        (
-                            StepEvent::Interior {
-                                node: a,
-                                child_hits: ha,
-                            },
-                            LeanStep::Interior {
-                                node: b,
-                                child_hits: hb,
-                            },
-                        ) => {
-                            assert_eq!((a, ha), (b, hb));
-                        }
-                        (
-                            StepEvent::Leaf {
-                                node: a,
-                                tris_tested,
-                                found: fa,
-                            },
-                            LeanStep::Leaf {
-                                node: b,
-                                tris_tested: count,
-                                found: fb,
-                            },
-                        ) => {
-                            assert_eq!((a, fa), (b, fb));
-                            assert_eq!(tris_tested.len() as u32, *count);
+                    assert_eq!(fe, le);
+                    match fe {
+                        LeanStep::Interior { .. } => assert!(tested.is_empty()),
+                        LeanStep::Leaf {
+                            node, tris_tested, ..
+                        } => {
+                            assert_eq!(tested.len() as u32, tris_tested);
                             // The count-only encoding assumes tested
                             // triangles are a prefix of the leaf order.
                             let prefix: Vec<u32> = bvh
-                                .leaf_triangles(*a)
-                                .take(tris_tested.len())
+                                .leaf_triangles(node)
+                                .take(tested.len())
                                 .map(|(t, _)| t)
                                 .collect();
-                            assert_eq!(tris_tested, &prefix);
+                            assert_eq!(tested, prefix);
                         }
-                        (StepEvent::Finished, LeanStep::Finished) => break,
-                        other => panic!("divergent steps: {other:?}"),
+                        LeanStep::Finished => break,
                     }
                 }
                 assert_eq!(fat.best_hit(), lean.best_hit());

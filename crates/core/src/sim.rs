@@ -366,6 +366,8 @@ impl FunctionalSim {
         } else {
             (Vec::new(), Vec::new())
         };
+        // Triangles a live leaf step tested, reused across steps.
+        let mut tested = Vec::new();
 
         for i in 0..batch.len() {
             let ray = &batch.ray(i);
@@ -449,24 +451,20 @@ impl FunctionalSim {
                 if self.options.classify_accesses {
                     while let Some(node_id) = traversal.current_request() {
                         let idx = node_id.index() as usize;
-                        let is_leaf = matches!(bvh.node(node_id).kind, NodeKind::Leaf { .. });
                         if node_seen[idx] {
                             report.repeated_node_fetches += 1;
                         } else {
                             node_seen[idx] = true;
                             report.first_touch_node_fetches += 1;
                         }
-                        let event = traversal.step(bvh, ray);
-                        if is_leaf {
-                            if let rip_bvh::StepEvent::Leaf { tris_tested, .. } = event {
-                                for t in tris_tested {
-                                    if tri_seen[t as usize] {
-                                        report.repeated_tri_fetches += 1;
-                                    } else {
-                                        tri_seen[t as usize] = true;
-                                        report.first_touch_tri_fetches += 1;
-                                    }
-                                }
+                        tested.clear();
+                        traversal.step(bvh, ray, &mut tested);
+                        for &t in &tested {
+                            if tri_seen[t as usize] {
+                                report.repeated_tri_fetches += 1;
+                            } else {
+                                tri_seen[t as usize] = true;
+                                report.first_touch_tri_fetches += 1;
                             }
                         }
                     }

@@ -1,6 +1,41 @@
 //! Set-associative cache model.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hashing for `u64` cache-line keys. Line numbers are
+/// dense simulator-generated integers, so SipHash's flooding resistance
+/// buys nothing; one 64×64→128-bit multiply by the golden-ratio constant,
+/// folded back to 64 bits, spreads them over both the bucket-index and
+/// the tag bits of the table.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write_u64(&mut self, line: u64) {
+        let product = u128::from(self.0 ^ line) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by cache line, hashed with [`LineHasher`].
+pub(crate) type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// A set of cache lines, hashed with [`LineHasher`].
+pub(crate) type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// Geometry of one cache (Table 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,7 +208,7 @@ pub struct Cache {
     /// O(1) even for the 512-way fully-associative baseline L1.
     sets: Vec<SetList>,
     /// Resident line → its slot.
-    index: HashMap<u64, u32>,
+    index: LineMap<u32>,
     stats: CacheStats,
 }
 
@@ -191,7 +226,7 @@ impl Cache {
             config,
             slots: Vec::with_capacity(lines),
             sets: vec![SetList::EMPTY; config.sets()],
-            index: HashMap::with_capacity(lines),
+            index: LineMap::with_capacity_and_hasher(lines, Default::default()),
             stats: CacheStats::default(),
         }
     }

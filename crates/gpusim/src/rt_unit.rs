@@ -2,7 +2,7 @@
 
 use crate::PartialWarpCollector;
 use rip_bvh::ript::{RayTraceSet, ReplayCursor};
-use rip_bvh::{Bvh, Hit, NodeId, StepEvent, Traversal, TraversalKind, TraversalStats};
+use rip_bvh::{Bvh, Hit, LeanStep, NodeId, Traversal, TraversalKind, TraversalStats};
 use rip_core::{Prediction, Predictor};
 use rip_math::Ray;
 use std::collections::VecDeque;
@@ -46,10 +46,12 @@ impl TraversalLeg {
         }
     }
 
-    pub fn step(&mut self, bvh: &Bvh, ray: &Ray) -> StepEvent {
+    /// Steps the leg once, appending a leaf's tested triangle indices to
+    /// `tested`.
+    pub fn step(&mut self, bvh: &Bvh, ray: &Ray, tested: &mut Vec<u32>) -> LeanStep {
         match self {
-            TraversalLeg::Live(t) => t.step(bvh, ray),
-            TraversalLeg::Replay(c) => c.step(bvh),
+            TraversalLeg::Live(t) => t.step(bvh, ray, tested),
+            TraversalLeg::Replay(c) => c.step(bvh, tested),
         }
     }
 
@@ -82,8 +84,6 @@ pub(crate) struct RayWork {
     pub traversal: TraversalLeg,
     pub phase: RayPhase,
     pub hash: u32,
-    /// SM currently servicing this ray.
-    pub sm: u32,
     /// Warp slot within the SM (updated on repacking).
     pub slot: u32,
     pub was_predicted: bool,
@@ -112,7 +112,6 @@ impl RayWork {
                 RayPhase::Full
             },
             hash: 0,
-            sm: 0,
             slot: 0,
             was_predicted: false,
             was_verified: false,
@@ -172,7 +171,7 @@ impl RayWork {
 /// gates dispatch and completion.
 #[derive(Clone, Debug)]
 pub(crate) struct WarpState {
-    /// Ray IDs (indices into the simulator's global ray array).
+    /// SM-local ray indices (into the owning SM's ray arena).
     pub rays: Vec<u32>,
     /// Rays not yet retired (warp completes at zero).
     pub active: u32,
@@ -185,7 +184,8 @@ pub(crate) struct WarpState {
 pub(crate) struct SmState {
     /// Active warp slots (base + extra-repack capacity).
     pub slots: Vec<Option<WarpState>>,
-    /// Warps not yet dispatched (original, non-repacked).
+    /// Warps not yet dispatched (original, non-repacked), as SM-local ray
+    /// indices.
     pub pending: VecDeque<Vec<u32>>,
     /// Per-SM predictor (None for the baseline RT unit).
     pub predictor: Option<Predictor>,

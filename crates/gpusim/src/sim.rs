@@ -39,18 +39,19 @@
 //! verification work) still run live because they start from
 //! predictor-supplied nodes that no trace records.
 
+use crate::cache::{LineMap, LineSet};
 use crate::rt_unit::{RayPhase, RayWork, SmState, WarpState};
 use crate::{
     ActivityCounts, Cache, Dram, GpuConfig, LatencyConfig, MemoryStats, PartialWarpCollector,
     SimReport,
 };
 use rip_bvh::ript::RayTraceSet;
-use rip_bvh::{Bvh, RayBatch, StepEvent, TraversalKind};
+use rip_bvh::{Bvh, LeanStep, RayBatch, TraversalKind};
 use rip_core::Predictor;
 use rip_exec::JobPool;
 use rip_math::Ray;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Event kinds, ordered inside the heap tuple after time.
@@ -224,13 +225,17 @@ impl SharedMemory {
 
 /// One SM's private discrete-event engine: its rays, warp slots,
 /// predictor, collector, MSHR, RT/L1 caches and event heap.
+///
+/// The event loop neither allocates nor hashes per ray: rays live in a
+/// dense arena addressed by SM-local index, and each warp iteration works
+/// in scratch buffers that are cleared and reused.
 struct SmEngine<'a> {
-    sm_id: usize,
     config: &'a GpuConfig,
     bvh: &'a Bvh,
-    /// Rays owned by this SM, keyed by global ray id (warps never
-    /// migrate between SMs).
-    rays: HashMap<u32, RayWork>,
+    /// The arena of rays this SM owns (warps never migrate between SMs),
+    /// in global ray order. Warps, the pending and repacked queues and
+    /// the collector all carry indices into it.
+    rays: Vec<RayWork>,
     sm: SmState,
     /// Repacked warps awaiting a free slot.
     repacked_queue: VecDeque<Vec<u32>>,
@@ -238,13 +243,13 @@ struct SmEngine<'a> {
     collector_event: Option<u64>,
     /// MSHR: line address → in-flight fill completion time (entries that
     /// can no longer merge are dropped at each epoch start).
-    mshr: HashMap<u64, u64>,
+    mshr: LineMap<u64>,
     rt_cache: Option<Cache>,
     l1: Cache,
     /// Lines this SM filled into the (frozen) shared L2 this epoch —
     /// treated as L2 hits by the local latency view, matching what the
     /// barrier replay will install.
-    epoch_lines: HashSet<u64>,
+    epoch_lines: LineSet,
     /// Local DRAM bank-timeline view, re-seeded from the authoritative
     /// state at each barrier; its statistics are discarded.
     local_dram: Dram,
@@ -256,16 +261,21 @@ struct SmEngine<'a> {
     events: BinaryHeap<Reverse<(u64, u8, u32)>>,
     /// Per-SM partial report; shared-level fields are filled at merge.
     report: SimReport,
+    /// Scratch: each active ray's node-data ready time, in thread order.
+    node_ready: Vec<(u32, u64)>,
+    /// Scratch: triangle indices one leaf step tested.
+    tested: Vec<u32>,
+    /// Scratch: the distinct triangle addresses one leaf step fetches.
+    tri_addrs: Vec<u64>,
 }
 
 impl<'a> SmEngine<'a> {
-    fn new(sm_id: usize, config: &'a GpuConfig, bvh: &'a Bvh) -> Self {
+    fn new(config: &'a GpuConfig, bvh: &'a Bvh) -> Self {
         let total_slots = config.max_warps_per_rt + config.repack.extra_warps() as usize;
         SmEngine {
-            sm_id,
             config,
             bvh,
-            rays: HashMap::new(),
+            rays: Vec::new(),
             sm: SmState {
                 slots: (0..total_slots).map(|_| None).collect(),
                 pending: VecDeque::new(),
@@ -282,16 +292,24 @@ impl<'a> SmEngine<'a> {
             },
             repacked_queue: VecDeque::new(),
             collector_event: None,
-            mshr: HashMap::new(),
+            mshr: LineMap::default(),
             rt_cache: config.rt_cache.map(Cache::new),
             l1: Cache::new(config.l1),
-            epoch_lines: HashSet::new(),
+            epoch_lines: LineSet::default(),
             local_dram: Dram::new(config.dram),
             shared_log: Vec::new(),
             seq: 0,
             events: BinaryHeap::new(),
             report: SimReport::default(),
+            node_ready: Vec::new(),
+            tested: Vec::new(),
+            tri_addrs: Vec::new(),
         }
+    }
+
+    /// The warp resident in `slot`.
+    fn warp_mut(&mut self, slot: usize) -> &mut WarpState {
+        self.sm.slots[slot].as_mut().expect("warp present")
     }
 
     /// Dispatches the initial warp list (excess warps queue as pending).
@@ -343,9 +361,7 @@ impl<'a> SmEngine<'a> {
         };
         let start = now + self.config.latency.queue;
         for &rid in &ray_ids {
-            let rw = self.rays.get_mut(&rid).expect("dispatched ray owned by SM");
-            rw.sm = self.sm_id as u32;
-            rw.slot = slot as u32;
+            self.rays[rid as usize].slot = slot as u32;
         }
         let needs_lookup = self.config.predictor.is_some() && !repacked;
         self.sm.slots[slot] = Some(WarpState {
@@ -371,10 +387,15 @@ impl<'a> SmEngine<'a> {
             return;
         };
         if let Some(warp) = collector.take_ready(now) {
-            self.report.activity.collector_ops += warp.len() as u64;
-            self.dispatch(warp, true, now);
+            self.dispatch_repacked(warp, now);
         }
         self.ensure_collector_event(now);
+    }
+
+    /// Dispatches a warp the collector released, counting its drain.
+    fn dispatch_repacked(&mut self, warp: Vec<u32>, now: u64) {
+        self.report.activity.collector_ops += warp.len() as u64;
+        self.dispatch(warp, true, now);
     }
 
     /// Guarantees a timeout event is pending whenever the collector holds
@@ -393,18 +414,13 @@ impl<'a> SmEngine<'a> {
     /// All rays of a freshly dispatched warp perform their predictor table
     /// lookup through the ported lookup queue (§4.1), then repack (§4.4).
     fn lookup_phase(&mut self, slot: usize, now: u64) {
-        let warp_rays = self.sm.slots[slot]
-            .as_ref()
-            .expect("warp present")
-            .rays
-            .clone();
+        let mut warp_rays = std::mem::take(&mut self.warp_mut(slot).rays);
         let ports = self.config.predictor_unit.ports;
         let ready = now
             + (warp_rays.len() as u64).div_ceil(ports)
             + self.config.predictor_unit.access_latency;
 
-        let mut remaining = Vec::with_capacity(warp_rays.len());
-        let mut predicted = Vec::new();
+        let mut predicted = 0;
         {
             let predictor = self
                 .sm
@@ -412,57 +428,55 @@ impl<'a> SmEngine<'a> {
                 .as_mut()
                 .expect("lookup phase requires predictor");
             for &rid in &warp_rays {
-                let rw = self.rays.get_mut(&rid).expect("warp ray owned by SM");
+                let rw = &mut self.rays[rid as usize];
                 predictor.begin_ray();
                 let hash = predictor.hash_ray(&rw.ray);
                 let pred = predictor.lookup(&rw.ray);
                 self.report.activity.predictor_lookups += 1;
                 rw.apply_lookup(hash, pred);
-                if rw.was_predicted {
-                    predicted.push(rid);
-                } else {
-                    remaining.push(rid);
-                }
+                predicted += u32::from(rw.was_predicted);
             }
         }
 
-        if self.config.repack.repacks() && !predicted.is_empty() {
+        if self.config.repack.repacks() && predicted > 0 {
             // Predicted rays leave for the collector; drain full warps as
             // they form (§4.4.1 overflow handling).
-            let removed = predicted.len() as u32;
-            let mut formed: Vec<Vec<u32>> = Vec::new();
-            {
-                let collector = self.sm.collector.as_mut().expect("repack has collector");
-                for rid in predicted {
-                    if collector.free_slots() == 0 {
-                        if let Some(w) = collector.take_ready(ready) {
-                            formed.push(w);
-                        }
-                    }
-                    collector.push(rid, ready);
-                    self.report.activity.collector_ops += 1;
+            for &rid in &warp_rays {
+                if !self.rays[rid as usize].was_predicted {
+                    continue;
                 }
-                while collector.len() >= self.config.warp_size {
-                    match collector.take_ready(ready) {
-                        Some(w) => formed.push(w),
-                        None => break,
-                    }
+                let collector = self.sm.collector.as_mut().expect("repack has collector");
+                let overflow = if collector.free_slots() == 0 {
+                    collector.take_ready(ready)
+                } else {
+                    None
+                };
+                collector.push(rid, ready);
+                self.report.activity.collector_ops += 1;
+                if let Some(w) = overflow {
+                    self.dispatch_repacked(w, ready);
                 }
             }
-            for w in formed {
-                self.report.activity.collector_ops += w.len() as u64;
-                self.dispatch(w, true, ready);
+            while let Some(w) = self
+                .sm
+                .collector
+                .as_mut()
+                .filter(|c| c.len() >= self.config.warp_size)
+                .and_then(|c| c.take_ready(ready))
+            {
+                self.dispatch_repacked(w, ready);
             }
             self.ensure_collector_event(ready);
 
-            let warp = self.sm.slots[slot].as_mut().expect("warp present");
-            warp.active -= removed;
-            warp.rays = remaining.clone();
-            if remaining.is_empty() {
+            self.warp_mut(slot).active -= predicted;
+            let rays = &self.rays;
+            warp_rays.retain(|&rid| !rays[rid as usize].was_predicted);
+            if warp_rays.is_empty() {
                 self.retire_warp(slot, ready);
                 return;
             }
         }
+        self.warp_mut(slot).rays = warp_rays;
         // Without repacking, predicted and not-predicted rays stay together
         // (the "Default" configuration of Figure 15).
         self.events
@@ -523,18 +537,15 @@ impl<'a> SmEngine<'a> {
     /// leaf triangles, run the pipelined intersection tests, and advance
     /// the warp at the pace of its slowest thread.
     fn warp_iteration(&mut self, slot: usize, now: u64, shared: &SharedMemory) {
-        let warp_rays = self.sm.slots[slot]
-            .as_ref()
-            .expect("warp present")
-            .rays
-            .clone();
+        let warp_rays = std::mem::take(&mut self.warp_mut(slot).rays);
         let layout = *self.bvh.layout();
 
         // Node request round (thread order, one issue slot each; identical
         // in-flight lines share their fill via the MSHR).
-        let mut node_ready: Vec<(u32, u64)> = Vec::with_capacity(warp_rays.len());
+        let mut node_ready = std::mem::take(&mut self.node_ready);
+        node_ready.clear();
         for &rid in &warp_rays {
-            let rw = &self.rays[&rid];
+            let rw = &self.rays[rid as usize];
             if !rw.is_active() {
                 continue;
             }
@@ -546,73 +557,75 @@ impl<'a> SmEngine<'a> {
             self.report.activity.ray_buffer_accesses += 1;
             node_ready.push((rid, done));
         }
+        self.warp_mut(slot).rays = warp_rays;
         if node_ready.is_empty() {
+            self.node_ready = node_ready;
             self.retire_warp(slot, now);
             return;
         }
 
-        // Functional step per ray, collecting leaf triangle fetches.
+        // Functional step per ray, fetching leaf triangles once the node
+        // data arrives.
         let mut data_ready = now;
-        let mut retirements: Vec<u32> = Vec::new();
-        for (rid, ready) in node_ready {
+        let mut tested = std::mem::take(&mut self.tested);
+        let mut tri_addrs = std::mem::take(&mut self.tri_addrs);
+        for &(rid, ready) in &node_ready {
             data_ready = data_ready.max(ready);
-            let mut tri_addrs: Vec<u64> = Vec::new();
-            {
-                let rw = self.rays.get_mut(&rid).expect("warp ray owned by SM");
-                let event = rw.traversal.step(self.bvh, &rw.ray);
-                self.report.activity.stack_ops += 2;
-                if rw.phase == RayPhase::Predicted {
-                    rw.prediction_fetches += 1;
+            tested.clear();
+            let rw = &mut self.rays[rid as usize];
+            let step = rw.traversal.step(self.bvh, &rw.ray, &mut tested);
+            self.report.activity.stack_ops += 2;
+            if rw.phase == RayPhase::Predicted {
+                rw.prediction_fetches += 1;
+            }
+            match step {
+                LeanStep::Interior { .. } => self.report.activity.box_tests += 2,
+                LeanStep::Leaf { tris_tested, .. } => {
+                    self.report.activity.tri_tests += u64::from(tris_tested);
                 }
-                match &event {
-                    StepEvent::Interior { .. } => self.report.activity.box_tests += 2,
-                    StepEvent::Leaf { tris_tested, .. } => {
-                        self.report.activity.tri_tests += tris_tested.len() as u64;
-                        for &t in tris_tested {
-                            tri_addrs.push(layout.tri_address(t));
-                        }
-                    }
-                    StepEvent::Finished => {}
-                }
-                if rw.traversal.is_done() {
-                    rw.finished_stats += rw.traversal.stats();
-                    match rw.phase {
-                        RayPhase::Predicted => {
-                            if let Some(hit) = rw.traversal.best_hit() {
-                                rw.was_verified = true;
-                                rw.hit = Some(hit);
-                                rw.phase = RayPhase::Done;
-                                retirements.push(rid);
-                            } else {
-                                // Misprediction: restart from the root (§3).
-                                rw.phase = RayPhase::Full;
-                                rw.traversal = rw.fresh_full_leg();
-                            }
-                        }
-                        RayPhase::Full => {
-                            rw.hit = rw.traversal.best_hit();
+                LeanStep::Finished => {}
+            }
+            if rw.traversal.is_done() {
+                rw.finished_stats += rw.traversal.stats();
+                match rw.phase {
+                    RayPhase::Predicted => {
+                        if let Some(hit) = rw.traversal.best_hit() {
+                            rw.was_verified = true;
+                            rw.hit = Some(hit);
                             rw.phase = RayPhase::Done;
-                            retirements.push(rid);
+                        } else {
+                            // Misprediction: restart from the root (§3).
+                            rw.phase = RayPhase::Full;
+                            rw.traversal = rw.fresh_full_leg();
                         }
-                        RayPhase::AwaitingLookup | RayPhase::Done => unreachable!(),
                     }
+                    RayPhase::Full => {
+                        rw.hit = rw.traversal.best_hit();
+                        rw.phase = RayPhase::Done;
+                    }
+                    RayPhase::AwaitingLookup | RayPhase::Done => unreachable!(),
                 }
             }
-            // Leaf triangle records are fetched once the node data arrives.
+            tri_addrs.clear();
+            tri_addrs.extend(tested.iter().map(|&t| layout.tri_address(t)));
             tri_addrs.sort_unstable();
             tri_addrs.dedup();
-            for addr in tri_addrs {
+            for &addr in &tri_addrs {
                 data_ready = data_ready.max(self.request_line(addr, ready, shared));
             }
         }
+        self.tested = tested;
+        self.tri_addrs = tri_addrs;
 
+        // The rays this iteration finished are the stepped ones now done.
         let next = data_ready + self.config.latency.intersection;
         let mut warp_done = false;
-        for rid in retirements {
-            if self.retire_ray(rid, next) {
+        for &(rid, _) in &node_ready {
+            if !self.rays[rid as usize].is_active() && self.retire_ray(rid, next) {
                 warp_done = true;
             }
         }
+        self.node_ready = node_ready;
         if !warp_done {
             self.events.push(Reverse((next, EV_WARP_ITER, slot as u32)));
         }
@@ -622,7 +635,7 @@ impl<'a> SmEngine<'a> {
     /// report; retires the warp (returning `true`) when this was its last
     /// active ray.
     fn retire_ray(&mut self, rid: u32, now: u64) -> bool {
-        let rw = self.rays.get_mut(&rid).expect("retiring ray owned by SM");
+        let rw = &self.rays[rid as usize];
         self.report.completed_rays += 1;
         self.report.cycles = self.report.cycles.max(now);
         self.report.traversal += rw.finished_stats;
@@ -706,35 +719,28 @@ impl<'a> Engine<'a> {
         jobs: usize,
     ) -> Self {
         let needs_lookup = config.predictor.is_some();
-        let mut ray_works: Vec<Option<RayWork>> = rays
-            .enumerate()
-            .map(|(i, r)| {
-                let mut rw = RayWork::new(r, needs_lookup);
-                if let Some(set) = &trace {
-                    rw.attach_trace(Arc::clone(set), i);
-                }
-                Some(rw)
-            })
-            .collect();
-
         let mut engines: Vec<SmEngine<'a>> = (0..config.num_sms)
-            .map(|sm_id| SmEngine::new(sm_id, config, bvh))
+            .map(|_| SmEngine::new(config, bvh))
             .collect();
 
-        // Chunk rays into warps, distribute round-robin over SMs. Warps
-        // never migrate, so each SM takes ownership of its rays.
+        // Chunk rays into warps and deal the warps round-robin over the
+        // SMs. Warps never migrate, so each SM moves its rays into its own
+        // arena, in global order, and its warps carry arena indices.
         let mut warp_lists: Vec<VecDeque<Vec<u32>>> = vec![VecDeque::new(); config.num_sms];
-        for (w, chunk) in (0..ray_works.len() as u32)
-            .collect::<Vec<_>>()
-            .chunks(config.warp_size)
-            .enumerate()
-        {
-            let sm_id = w % config.num_sms;
-            for &rid in chunk {
-                let rw = ray_works[rid as usize].take().expect("ray assigned once");
-                engines[sm_id].rays.insert(rid, rw);
+        for (i, ray) in rays.enumerate() {
+            let sm_id = (i / config.warp_size) % config.num_sms;
+            let mut rw = RayWork::new(ray, needs_lookup);
+            if let Some(set) = &trace {
+                rw.attach_trace(Arc::clone(set), i);
             }
-            warp_lists[sm_id].push_back(chunk.to_vec());
+            let engine = &mut engines[sm_id];
+            let local = engine.rays.len() as u32;
+            engine.rays.push(rw);
+            let warps = &mut warp_lists[sm_id];
+            if i % config.warp_size == 0 {
+                warps.push_back(Vec::with_capacity(config.warp_size));
+            }
+            warps.back_mut().expect("warp started").push(local);
         }
         for (engine, list) in engines.iter_mut().zip(warp_lists) {
             engine.seed(list);
@@ -1106,6 +1112,54 @@ mod tests {
                 "replay diverged from live (predictor: {})",
                 config.predictor.is_some()
             );
+        }
+    }
+
+    /// The four engine shapes the golden test pins: baseline, predictor
+    /// with repacking, an RT cache in front of a small L1 with extra
+    /// repack warps, and a predictor run replaying a recorded trace.
+    fn golden_reports(jobs: usize) -> Vec<String> {
+        let bvh = occluder_bvh();
+        // 4000 rays = 125 warps: an odd warp count splits unevenly over
+        // the two SMs, and the density trains the predictor.
+        let rays = ao_rays(4000, 37);
+        let batch = RayBatch::from_rays(&rays);
+        let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
+        let mut rt_cached = GpuConfig::with_predictor();
+        rt_cached.rt_cache = Some(crate::CacheConfig {
+            size_bytes: 16 * 1024,
+            line_bytes: 128,
+            ways: 4,
+        });
+        rt_cached.l1 = rt_cached.l1.with_size(8 * 1024);
+        rt_cached.repack = RepackMode::WithExtraWarps(2);
+        let sims = [
+            Simulator::new(GpuConfig::baseline()),
+            Simulator::new(GpuConfig::with_predictor()),
+            Simulator::new(rt_cached),
+            Simulator::new(GpuConfig::with_predictor()).with_trace(trace),
+        ];
+        sims.into_iter()
+            .map(|sim| fingerprint(&sim.with_jobs(jobs).run_batch(&bvh, &batch)))
+            .collect()
+    }
+
+    /// `golden_reports` as the engine produced it before the SM-local ray
+    /// arena and allocation-free steps; any engine refactor must keep it
+    /// byte for byte.
+    const GOLDEN_REPORTS: [&str; 4] = [
+        "SimReport { cycles: 33925, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28748, hits: 28530 }, CacheStats { accesses: 28243, hits: 28022 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 215, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 439, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 2497 }, warps_executed: 125, repacked_warps: 0 }",
+        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
+        "SimReport { cycles: 36452, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44215, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88430, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2271, verified: 620, predicted_nodes_evaluated: 2271, prediction_eval_fetches: 6016 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28173, hits: 27203 }, CacheStats { accesses: 27978, hits: 27077 }], l1: [CacheStats { accesses: 970, hits: 223 }, CacheStats { accesses: 901, hits: 228 }], l2: CacheStats { accesses: 1420, hits: 1184 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59550, l2_accesses: 1420, dram_accesses: 236, box_tests: 88430, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48109, stack_ops: 96218, collector_ops: 4542, mshr_merges: 3399 }, warps_executed: 219, repacked_warps: 94 }",
+        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
+    ];
+
+    #[test]
+    fn reports_match_golden_at_one_and_two_jobs() {
+        for jobs in [1, 2] {
+            for (i, (got, want)) in golden_reports(jobs).iter().zip(GOLDEN_REPORTS).enumerate() {
+                assert_eq!(got, want, "golden report {i} diverged at --jobs {jobs}");
+            }
         }
     }
 
