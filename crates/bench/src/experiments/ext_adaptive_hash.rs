@@ -6,8 +6,9 @@
 //! saturating selector ([`rip_core::AdaptivePredictor`]).
 
 use crate::{fmt_pct, Context, Report, Table};
+use rip_bvh::TraversalKind;
 use rip_core::{
-    trace_occlusion, AdaptivePredictor, HashFunction, PredictionStats, Predictor, PredictorConfig,
+    trace, AdaptivePredictor, HashFunction, PredictionStats, Predictor, PredictorConfig,
 };
 
 /// Runs the tournament comparison on every selected scene.
@@ -33,7 +34,7 @@ pub fn run(ctx: &Context) -> Report {
             };
             let mut predictor = Predictor::new(config, case.bvh.bounds());
             for ray in batch.iter() {
-                trace_occlusion(&mut predictor, &case.bvh, &ray);
+                trace(&mut predictor, &case.bvh, &ray, TraversalKind::AnyHit);
             }
             predictor.stats()
         };

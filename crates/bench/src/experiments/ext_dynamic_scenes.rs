@@ -9,7 +9,8 @@
 //! persisted across frames.
 
 use crate::{fmt_pct, Context, Report, Table};
-use rip_core::{trace_occlusion, PredictionStats, Predictor, PredictorConfig};
+use rip_bvh::TraversalKind;
+use rip_core::{trace, PredictionStats, Predictor, PredictorConfig};
 use rip_render::{AnimatedScene, AoConfig, AoWorkload};
 
 /// Frames simulated per scene.
@@ -53,7 +54,7 @@ pub fn run(ctx: &Context) -> Report {
                     },
                 );
                 for ray in workload.batch().iter() {
-                    trace_occlusion(&mut predictor, animated.bvh(), &ray);
+                    trace(&mut predictor, animated.bvh(), &ray, TraversalKind::AnyHit);
                 }
                 per_frame_v.push(frame_verified_rate(&before, &predictor.stats()));
             }

@@ -7,16 +7,16 @@
 //! best-hit trimming) and repeating the leaf-test / tie-break / stats
 //! plumbing. This module hoists that shared code into one place and fronts
 //! every kernel with the [`TraversalKernel`] trait, whose batch entry
-//! points consume the SoA [`RayBatch`](crate::RayBatch) of
+//! points consume the SoA [`RayBatch`] of
 //! [`stream`](crate::stream):
 //!
-//! * [`effective_ray`] — the closest-hit `t_max` trim every loop applies,
-//! * [`fetch_interior`] — one binary interior-node fetch: stats charge plus
+//! * `effective_ray` — the closest-hit `t_max` trim every loop applies,
+//! * `fetch_interior` — one binary interior-node fetch: stats charge plus
 //!   both child slab tests,
-//! * [`test_leaf_triangles`] — the leaf loop: per-triangle fetch/test
+//! * `test_leaf_triangles` — the leaf loop: per-triangle fetch/test
 //!   accounting, inclusive re-trimming against the best hit so far, the
 //!   [`Hit::closer_than`] tie-break, and any-hit early termination,
-//! * [`run_while_while`] — a tight (non-steppable) transcription of
+//! * `run_while_while` — a tight (non-steppable) transcription of
 //!   Algorithm 1 used by [`WhileWhileKernel`]; it visits nodes in exactly
 //!   the order of [`Traversal::run`] and produces bit-identical hits and
 //!   statistics, but allocates nothing per step and reuses the batch's

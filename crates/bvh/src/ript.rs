@@ -2,7 +2,7 @@
 //!
 //! A trace stores, for every ray of a workload, the exact node-visit
 //! sequence of its **virgin full traversal** (a fresh
-//! [`Traversal::new`] run from the root). That sequence is
+//! [`Traversal::new`](crate::Traversal::new) run from the root). That sequence is
 //! configuration-independent — it depends only on the BVH and the ray —
 //! so one capture serves an entire parameter sweep: the cycle-level
 //! simulator replays the recorded per-warp ray work through the timing
@@ -246,12 +246,12 @@ pub struct RayTraceSet {
 impl RayTraceSet {
     /// Runs every ray's virgin full traversal and records it.
     ///
-    /// Leaf visits are stored as bare counts: [`Traversal`]'s leaf arm
-    /// always tests a *prefix* of the leaf's triangle order (any-hit
-    /// early-out is the only way to stop short), so the count alone
-    /// reconstructs the tested indices. [`ReplayCursor`] rebuilds them
-    /// from `Bvh::leaf_triangles`, and the capture/replay round-trip
-    /// tests pin the equivalence.
+    /// Leaf visits are stored as bare counts: the leaf arm of
+    /// [`Traversal`](crate::Traversal) always tests a *prefix* of the
+    /// leaf's triangle order (any-hit early-out is the only way to stop
+    /// short), so the count alone reconstructs the tested indices.
+    /// [`ReplayCursor`] rebuilds them from `Bvh::leaf_triangles`, and the
+    /// capture/replay round-trip tests pin the equivalence.
     pub fn capture(bvh: &Bvh, batch: &RayBatch, kind: TraversalKind) -> RayTraceSet {
         Self::capture_parallel(bvh, batch, kind, 1)
     }
@@ -574,8 +574,8 @@ impl RayTraceSet {
 }
 
 /// Steppable replay of one recorded full traversal, mirroring the
-/// [`Traversal`] driving surface (`current_request` / `step` /
-/// `is_done` / `best_hit` / `stats`) so the cycle-level simulator can
+/// [`Traversal`](crate::Traversal) driving surface (`current_request` /
+/// `step` / `is_done` / `best_hit` / `stats`) so the cycle-level simulator can
 /// drive recorded and live rays through the same warp machinery.
 ///
 /// The synthesized steps carry everything the timing model consumes —

@@ -1,6 +1,6 @@
 //! Four-lane `f32` arithmetic with a bit-identical portable fallback.
 //!
-//! The vectorized wide traversal ([`wide`](crate::wide)) tests the four
+//! The vectorized wide traversal (the `wide` module) tests the four
 //! child slabs of a compressed wide node — and four leaf triangles — in
 //! lockstep. This module provides the lane type it runs on:
 //!

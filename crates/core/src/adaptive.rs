@@ -12,8 +12,8 @@
 //! The total storage matches the baseline budget: two 512-entry tables
 //! cost the same 5.5 KB as the paper's single 1024-entry table.
 
-use crate::{trace_occlusion, PredictedTrace, Predictor, PredictorConfig, RayOutcome};
-use rip_bvh::Bvh;
+use crate::{trace, PredictedTrace, Predictor, PredictorConfig, RayOutcome};
+use rip_bvh::{Bvh, TraversalKind};
 use rip_math::{Aabb, Ray};
 
 /// Selector saturation bound (±).
@@ -34,7 +34,7 @@ const SELECTOR_MAX: i32 = 8;
 /// let trace = adaptive.trace_occlusion(&bvh, &ray);
 /// assert!(trace.hit.is_some());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AdaptivePredictor {
     grid: Predictor,
     two_point: Predictor,
@@ -100,24 +100,18 @@ impl AdaptivePredictor {
     /// misprediction weakens it.
     pub fn trace_occlusion(&mut self, bvh: &Bvh, ray: &Ray) -> PredictedTrace {
         let favored_grid = self.favors_grid();
-        let trace = if favored_grid {
-            let t = trace_occlusion(&mut self.grid, bvh, ray);
-            // Keep the loser learning: mirror the training (its own hash).
-            self.two_point.begin_ray();
-            if let Some(hit) = t.hit {
-                let hash = self.two_point.hash_ray(ray);
-                self.two_point.train(bvh, hash, hit.leaf);
-            }
-            t
+        let (favored, other) = if favored_grid {
+            (&mut self.grid, &mut self.two_point)
         } else {
-            let t = trace_occlusion(&mut self.two_point, bvh, ray);
-            self.grid.begin_ray();
-            if let Some(hit) = t.hit {
-                let hash = self.grid.hash_ray(ray);
-                self.grid.train(bvh, hash, hit.leaf);
-            }
-            t
+            (&mut self.two_point, &mut self.grid)
         };
+        let trace = trace(favored, bvh, ray, TraversalKind::AnyHit);
+        // Keep the loser learning: mirror the training (its own hash).
+        other.begin_ray();
+        if let Some(hit) = trace.hit {
+            let hash = other.hash_ray(ray);
+            other.train(bvh, hash, hit.leaf);
+        }
         let delta = match trace.outcome {
             RayOutcome::Verified => 1,
             RayOutcome::Mispredicted => -1,

@@ -16,9 +16,10 @@
 //!   configurable entries, ways, nodes-per-entry and node replacement
 //!   policies (§4.1, §6.1),
 //! * [`Predictor`] — table + hash + Go Up Level (§4.3) + training,
-//! * [`trace_occlusion`] / [`trace_closest`] — the full §3 prediction /
-//!   verification / fallback flow for occlusion and closest-hit (GI, §6.4)
-//!   rays, generic over the fallback kernel (`*_with` variants),
+//! * [`trace_with`] — the full §3 prediction / verification / fallback
+//!   flow for occlusion and closest-hit (GI, §6.4) rays, generic over the
+//!   fallback kernel and the probe evaluator; [`trace`] binds the
+//!   while-while fallback,
 //! * [`Predicted`] — the predictor as a composable wrapper kernel: wraps
 //!   any [`rip_bvh::TraversalKernel`] (while-while, stackless, wide) with
 //!   the prediction flow, itself implementing the kernel trait,
@@ -37,7 +38,7 @@
 //! let bvh = Bvh::build(&[Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y)]);
 //! let mut predictor = Predictor::new(PredictorConfig::paper_default(), bvh.bounds());
 //! let ray = Ray::new(Vec3::new(0.2, 0.2, -1.0), Vec3::Z);
-//! let outcome = rip_core::trace_occlusion(&mut predictor, &bvh, &ray);
+//! let outcome = rip_core::trace(&mut predictor, &bvh, &ray, rip_bvh::TraversalKind::AnyHit);
 //! assert!(outcome.hit.is_some());
 //! ```
 
@@ -47,6 +48,8 @@
 mod adaptive;
 mod config;
 mod eq1;
+#[cfg(test)]
+mod flow_golden;
 mod hash;
 mod oracle;
 mod policies;
@@ -66,12 +69,8 @@ pub use oracle::OracleMode;
 pub use policies::NodeReplacement;
 pub use predicted::Predicted;
 pub use predictor::{Prediction, Predictor};
-pub use shared::{ConcurrentPredictorTable, SharedTable};
+pub use shared::ConcurrentPredictorTable;
 pub use sim::{FunctionalReport, FunctionalSim, SimOptions};
 pub use stats::PredictionStats;
 pub use table::{NodeCandidates, PredictorTable, TableStats, INLINE_CANDIDATES};
-pub use traverse::{
-    eval_probe, trace_closest, trace_closest_with, trace_closest_with_hash,
-    trace_closest_with_probe, trace_occlusion, trace_occlusion_with, trace_occlusion_with_hash,
-    trace_occlusion_with_probe, PredictedTrace, RayOutcome,
-};
+pub use traverse::{eval_probe, trace, trace_with, PredictedTrace, RayOutcome};

@@ -15,8 +15,8 @@
 //! as the bare kernel, bit for bit) is enforced by `rip-testkit`'s
 //! invariants for all three BVH kernels.
 
-use crate::traverse::{trace_closest_with, trace_occlusion_with, PredictedTrace};
-use crate::{PredictionStats, Predictor, PredictorConfig};
+use crate::traverse::{eval_probe, trace_with, PredictedTrace};
+use crate::{ConcurrentPredictorTable, PredictionStats, Predictor, PredictorConfig};
 use rip_bvh::{Bvh, TraversalKernel, TraversalKind, TraversalResult};
 use rip_math::Ray;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// assert_eq!(cold[0].hit, warm[0].hit);
 /// assert!(warm[0].stats.node_fetches() <= cold[0].stats.node_fetches());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Predicted<'a, K> {
     bvh: &'a Bvh,
     predictor: Predictor,
@@ -60,14 +60,14 @@ impl<'a, K: TraversalKernel> Predicted<'a, K> {
     }
 
     /// Wraps `kernel` with a predictor that learns into `table`, a
-    /// [`SharedTable`](crate::SharedTable) concurrently driven by other
+    /// [`ConcurrentPredictorTable`] concurrently driven by other
     /// predictors — the `rip-serve` shape, where in-flight requests from
     /// different tenants train one sharded table and benefit from each
     /// other's ray locality.
     pub fn with_shared_table(
         bvh: &'a Bvh,
         config: PredictorConfig,
-        table: std::sync::Arc<dyn crate::SharedTable>,
+        table: Arc<ConcurrentPredictorTable>,
         kernel: K,
     ) -> Self {
         Predicted::with_predictor(
@@ -103,14 +103,17 @@ impl<'a, K: TraversalKernel> Predicted<'a, K> {
     /// [`PredictionStats`] are mirrored field-for-field into the
     /// attached [`Obs`](rip_obs::Obs) registry under `predictor.*`.
     pub fn trace_detailed(&mut self, ray: &Ray, kind: TraversalKind) -> PredictedTrace {
-        let trace = match kind {
-            TraversalKind::AnyHit => {
-                trace_occlusion_with(&mut self.predictor, self.bvh, &mut self.kernel, ray)
-            }
-            TraversalKind::ClosestHit => {
-                trace_closest_with(&mut self.predictor, self.bvh, &mut self.kernel, ray)
-            }
-        };
+        let hash = self.predictor.hash_ray(ray);
+        let bvh = self.bvh;
+        let trace = trace_with(
+            &mut self.predictor,
+            bvh,
+            &mut self.kernel,
+            ray,
+            kind,
+            hash,
+            &mut |nodes| eval_probe(bvh, ray, nodes),
+        );
         self.mirror_stats();
         trace
     }

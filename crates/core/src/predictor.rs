@@ -3,7 +3,7 @@
 #[cfg(test)]
 use crate::OracleMode;
 use crate::{
-    NodeCandidates, PredictionStats, PredictorConfig, PredictorTable, RayHasher, SharedTable,
+    ConcurrentPredictorTable, NodeCandidates, PredictionStats, PredictorConfig, RayHasher,
 };
 use rip_bvh::{Bvh, NodeId};
 use rip_math::{Aabb, Ray};
@@ -20,65 +20,17 @@ pub struct Prediction {
     pub nodes: NodeCandidates,
 }
 
-/// The table a predictor drives: its own single-owner [`PredictorTable`]
-/// (the simulator's per-SM shape) or a [`SharedTable`] learned into by
-/// many predictors at once (the service shape).
-#[derive(Clone, Debug)]
-enum TableBackend {
-    Owned(PredictorTable),
-    Shared(Arc<dyn SharedTable>),
-}
-
-impl TableBackend {
-    fn lookup(&mut self, hash: u32) -> Option<NodeCandidates> {
-        match self {
-            TableBackend::Owned(t) => t.lookup(hash),
-            TableBackend::Shared(t) => t.lookup(hash),
-        }
-    }
-
-    fn insert(&mut self, hash: u32, node: NodeId) {
-        match self {
-            TableBackend::Owned(t) => t.insert(hash, node),
-            TableBackend::Shared(t) => t.insert(hash, node),
-        }
-    }
-
-    fn reward(&mut self, hash: u32, node: NodeId) {
-        match self {
-            TableBackend::Owned(t) => t.reward(hash, node),
-            TableBackend::Shared(t) => t.reward(hash, node),
-        }
-    }
-
-    fn stats(&self) -> crate::TableStats {
-        match self {
-            TableBackend::Owned(t) => t.stats(),
-            TableBackend::Shared(t) => t.stats(),
-        }
-    }
-
-    fn stored_nodes(&self) -> Vec<NodeId> {
-        match self {
-            TableBackend::Owned(t) => t.stored_nodes().collect(),
-            TableBackend::Shared(t) => t.stored_nodes(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            TableBackend::Owned(t) => t.clear(),
-            TableBackend::Shared(t) => t.clear(),
-        }
-    }
-}
-
 /// The per-SM ray intersection predictor (§4).
 ///
 /// Owns the predictor table, the ray hasher, the Go Up Level policy and the
 /// training pipeline, including the in-flight update delay that models the
 /// latency between a ray issuing and its traversal result becoming
 /// available for training (removed by the OU oracle, §6.3).
+///
+/// The table is always a [`ConcurrentPredictorTable`]: one shard of its
+/// own (op-for-op identical to a [`PredictorTable`](crate::PredictorTable),
+/// the simulator's per-SM shape) or a sharded table shared with other
+/// predictors (the service shape).
 ///
 /// # Examples
 ///
@@ -90,13 +42,13 @@ impl TableBackend {
 /// let bvh = Bvh::build(&[Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y)]);
 /// let mut p = Predictor::new(PredictorConfig::paper_default(), bvh.bounds());
 /// let ray = Ray::new(Vec3::new(0.2, 0.2, -1.0), Vec3::Z);
-/// assert!(p.lookup(&ray).is_none(), "cold table has no predictions");
+/// assert!(p.lookup_hashed(p.hash_ray(&ray)).is_none(), "cold table has no predictions");
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Predictor {
     config: PredictorConfig,
     hasher: RayHasher,
-    table: TableBackend,
+    table: Arc<ConcurrentPredictorTable>,
     /// Unbounded training store for the OT/OU oracles.
     unbounded_store: HashSet<NodeId>,
     /// Delayed training updates: `(apply_at_ray, hash, node)`.
@@ -112,24 +64,15 @@ impl Predictor {
     ///
     /// Panics when the configuration is invalid.
     pub fn new(config: PredictorConfig, scene_bounds: Aabb) -> Self {
-        let hasher = RayHasher::new(config.hash, scene_bounds);
-        let table = TableBackend::Owned(PredictorTable::new(config));
-        Predictor {
-            config,
-            hasher,
-            table,
-            unbounded_store: HashSet::new(),
-            pending: VecDeque::new(),
-            ray_clock: 0,
-            stats: PredictionStats::default(),
-        }
+        let table = Arc::new(ConcurrentPredictorTable::new(config, 1));
+        Predictor::with_shared_table(config, scene_bounds, table)
     }
 
-    /// Creates a predictor whose table is a [`SharedTable`] learned into
-    /// by many predictors at once (the `rip-serve` shape). Per-ray state
-    /// — the training pipeline, in-flight update delay and outcome
-    /// statistics — stays local to this predictor; only table lookups,
-    /// insertions and rewards route through the shared backend.
+    /// Creates a predictor whose table is learned into by many predictors
+    /// at once (the `rip-serve` shape). Per-ray state — the training
+    /// pipeline, in-flight update delay and outcome statistics — stays
+    /// local to this predictor; only table lookups, insertions and
+    /// rewards route through the shared table.
     ///
     /// # Panics
     ///
@@ -137,14 +80,14 @@ impl Predictor {
     pub fn with_shared_table(
         config: PredictorConfig,
         scene_bounds: Aabb,
-        table: Arc<dyn SharedTable>,
+        table: Arc<ConcurrentPredictorTable>,
     ) -> Self {
         config.validate().expect("invalid predictor configuration");
         let hasher = RayHasher::new(config.hash, scene_bounds);
         Predictor {
             config,
             hasher,
-            table: TableBackend::Shared(table),
+            table,
             unbounded_store: HashSet::new(),
             pending: VecDeque::new(),
             ray_clock: 0,
@@ -179,7 +122,7 @@ impl Predictor {
     }
 
     /// Advances the per-ray clock and applies training updates whose delay
-    /// has elapsed. Call once per ray before [`Predictor::lookup`].
+    /// has elapsed. Call once per ray before [`Predictor::lookup_hashed`].
     pub fn begin_ray(&mut self) {
         self.ray_clock += 1;
         while let Some(&(due, hash, node)) = self.pending.front() {
@@ -204,19 +147,14 @@ impl Predictor {
         self.hasher.hash(ray)
     }
 
-    /// Performs the realistic (hashed) predictor lookup.
+    /// Performs the realistic predictor lookup for a ray hashed by
+    /// [`Predictor::hash_ray`]. The spherical hash costs real
+    /// trigonometry, so the per-ray flow hashes once and shares the value
+    /// between lookup and training — exactly as the hardware unit
+    /// computes it a single time per ray.
     ///
     /// Oracle modes do not use this path — see
     /// [`Predictor::oracle_lookup`].
-    pub fn lookup(&mut self, ray: &Ray) -> Option<Prediction> {
-        let hash = self.hash_ray(ray);
-        self.lookup_hashed(hash)
-    }
-
-    /// [`Predictor::lookup`] for an already-computed ray hash. The
-    /// spherical hash costs real trigonometry, so the per-ray flow
-    /// hashes once and shares the value between lookup and training —
-    /// exactly as the hardware unit computes it a single time per ray.
     pub fn lookup_hashed(&mut self, hash: u32) -> Option<Prediction> {
         self.table
             .lookup(hash)
@@ -321,7 +259,9 @@ mod tests {
         let leaf = bvh.leaf_of_triangle(0).unwrap();
         p.begin_ray();
         p.train(&bvh, hash, leaf);
-        let pred = p.lookup(&ray).expect("trained entry must be found");
+        let pred = p
+            .lookup_hashed(p.hash_ray(&ray))
+            .expect("trained entry must be found");
         assert_eq!(pred.hash, hash);
         assert_eq!(pred.nodes, vec![bvh.ancestor(leaf, 3)]);
     }
@@ -341,12 +281,15 @@ mod tests {
         p.train(&bvh, hash, leaf);
         for _ in 0..2 {
             p.begin_ray();
-            assert!(p.lookup(&ray).is_none(), "update visible too early");
+            assert!(
+                p.lookup_hashed(p.hash_ray(&ray)).is_none(),
+                "update visible too early"
+            );
         }
         p.begin_ray();
         p.begin_ray();
         assert!(
-            p.lookup(&ray).is_some(),
+            p.lookup_hashed(p.hash_ray(&ray)).is_some(),
             "update should be visible after the delay"
         );
     }
@@ -364,7 +307,7 @@ mod tests {
         let hash = p.hash_ray(&ray);
         let leaf = bvh.leaf_of_triangle(0).unwrap();
         p.train(&bvh, hash, leaf);
-        assert_eq!(p.lookup(&ray).unwrap().nodes, vec![leaf]);
+        assert_eq!(p.lookup_hashed(p.hash_ray(&ray)).unwrap().nodes, vec![leaf]);
     }
 
     #[test]
@@ -409,6 +352,8 @@ mod tests {
     fn cold_lookup_misses() {
         let bvh = test_bvh();
         let mut p = Predictor::new(immediate_config(), bvh.bounds());
-        assert!(p.lookup(&Ray::new(Vec3::ONE, Vec3::Z)).is_none());
+        assert!(p
+            .lookup_hashed(p.hash_ray(&Ray::new(Vec3::ONE, Vec3::Z)))
+            .is_none());
     }
 }

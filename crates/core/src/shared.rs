@@ -1,61 +1,22 @@
-//! Shared predictor tables for concurrent front-ends.
+//! The predictor table every [`Predictor`](crate::Predictor) drives.
 //!
 //! The per-SM [`PredictorTable`] is single-owner: every operation takes
 //! `&mut self`, which is the right shape for the paper's simulator but
 //! not for a service that traces many tenants' rays on a thread pool.
-//! This module adds:
-//!
-//! * [`SharedTable`] — the object-safe trait a predictor backend must
-//!   implement to be driven through a shared reference, and
-//! * [`ConcurrentPredictorTable`] — a lock-striped implementation that
-//!   splits one logical table into `shards` independent
-//!   [`PredictorTable`]s, each behind its own mutex, selected by a
-//!   multiplicative hash of the ray-hash tag.
+//! [`ConcurrentPredictorTable`] splits one logical table into `shards`
+//! independent [`PredictorTable`]s, each behind its own mutex, selected
+//! by a multiplicative hash of the ray-hash tag.
 //!
 //! With `shards == 1` the concurrent table is literally a mutex around
-//! today's table: the single shard receives every operation in program
-//! order, so its behaviour (stats, LRU aging, evictions) is
-//! bit-identical to the single-owner path. That equivalence is what the
-//! differential tests in `tests/concurrent_table.rs` pin down.
+//! the single-owner table: the single shard receives every operation in
+//! program order, so its behaviour (stats, LRU aging, evictions) is
+//! bit-identical to it. That equivalence is what the differential tests
+//! in `tests/concurrent_table.rs` pin down, and it is why a predictor of
+//! its own uses a one-shard table.
 
 use crate::{NodeCandidates, PredictorConfig, PredictorTable, TableStats};
 use rip_bvh::NodeId;
 use std::sync::Mutex;
-
-/// An object-safe predictor-table backend usable through `&self` from
-/// many threads at once.
-///
-/// Semantics mirror the single-owner [`PredictorTable`] methods of the
-/// same name; implementations supply their own interior mutability.
-pub trait SharedTable: Send + Sync + std::fmt::Debug {
-    /// Full lookup: accounts the access and returns the stored
-    /// candidates on a tag match (see [`PredictorTable::lookup`]).
-    fn lookup(&self, hash: u32) -> Option<NodeCandidates>;
-
-    /// Read-only probe that leaves statistics and aging untouched (see
-    /// [`PredictorTable::peek`]).
-    fn peek(&self, hash: u32) -> Option<NodeCandidates>;
-
-    /// Stores a trained `(hash, node)` pair (see
-    /// [`PredictorTable::insert`]).
-    fn insert(&self, hash: u32, node: NodeId);
-
-    /// Rewards a node that verified a prediction (see
-    /// [`PredictorTable::reward`]).
-    fn reward(&self, hash: u32, node: NodeId);
-
-    /// Aggregate statistics over the whole logical table.
-    fn stats(&self) -> TableStats;
-
-    /// Valid entries currently stored across the whole logical table.
-    fn occupancy(&self) -> usize;
-
-    /// Every node currently stored (order unspecified across shards).
-    fn stored_nodes(&self) -> Vec<NodeId>;
-
-    /// Removes all entries, keeping statistics.
-    fn clear(&self);
-}
 
 /// Golden-ratio multiplicative constant used to spread ray hashes over
 /// shards independently of the per-shard set-index bits.
@@ -75,7 +36,7 @@ const SHARD_MIX: u32 = 0x9E37_79B9;
 ///
 /// ```
 /// use rip_bvh::NodeId;
-/// use rip_core::{ConcurrentPredictorTable, PredictorConfig, SharedTable};
+/// use rip_core::{ConcurrentPredictorTable, PredictorConfig};
 ///
 /// let table = ConcurrentPredictorTable::new(PredictorConfig::paper_default(), 4);
 /// table.insert(0xBEEF, NodeId::new(7));
@@ -138,26 +99,33 @@ impl ConcurrentPredictorTable {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
     }
-}
 
-impl SharedTable for ConcurrentPredictorTable {
-    fn lookup(&self, hash: u32) -> Option<NodeCandidates> {
+    /// Full lookup: accounts the access and returns the stored
+    /// candidates on a tag match (see [`PredictorTable::lookup`]).
+    pub fn lookup(&self, hash: u32) -> Option<NodeCandidates> {
         self.shard(hash).lookup(hash)
     }
 
-    fn peek(&self, hash: u32) -> Option<NodeCandidates> {
+    /// Read-only probe that leaves statistics and aging untouched (see
+    /// [`PredictorTable::peek`]).
+    pub fn peek(&self, hash: u32) -> Option<NodeCandidates> {
         self.shard(hash).peek(hash)
     }
 
-    fn insert(&self, hash: u32, node: NodeId) {
+    /// Stores a trained `(hash, node)` pair (see
+    /// [`PredictorTable::insert`]).
+    pub fn insert(&self, hash: u32, node: NodeId) {
         self.shard(hash).insert(hash, node);
     }
 
-    fn reward(&self, hash: u32, node: NodeId) {
+    /// Rewards a node that verified a prediction (see
+    /// [`PredictorTable::reward`]).
+    pub fn reward(&self, hash: u32, node: NodeId) {
         self.shard(hash).reward(hash, node);
     }
 
-    fn stats(&self) -> TableStats {
+    /// Aggregate statistics over the whole logical table.
+    pub fn stats(&self) -> TableStats {
         let mut total = TableStats::default();
         for shard in &self.shards {
             let s = shard.lock().unwrap_or_else(|e| e.into_inner()).stats();
@@ -170,14 +138,16 @@ impl SharedTable for ConcurrentPredictorTable {
         total
     }
 
-    fn occupancy(&self) -> usize {
+    /// Valid entries currently stored across the whole logical table.
+    pub fn occupancy(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).occupancy())
             .sum()
     }
 
-    fn stored_nodes(&self) -> Vec<NodeId> {
+    /// Every node currently stored, shard by shard.
+    pub fn stored_nodes(&self) -> Vec<NodeId> {
         self.shards
             .iter()
             .flat_map(|s| {
@@ -189,7 +159,8 @@ impl SharedTable for ConcurrentPredictorTable {
             .collect()
     }
 
-    fn clear(&self) {
+    /// Removes all entries, keeping statistics.
+    pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }

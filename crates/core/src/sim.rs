@@ -7,8 +7,7 @@
 //! `rip-gpusim`.
 
 use crate::{
-    eval_probe, trace_closest_with_hash, trace_closest_with_probe, trace_occlusion_with_hash,
-    trace_occlusion_with_probe, Eq1Model, PredictionStats, Predictor, PredictorConfig, RayHasher,
+    eval_probe, trace_with, Eq1Model, PredictionStats, Predictor, PredictorConfig, RayHasher,
     RayOutcome,
 };
 use rip_bvh::ript::{RayTraceSet, RecordedKernel};
@@ -378,24 +377,16 @@ impl FunctionalSim {
                 Some(h) => h[i],
                 None => predictor.hash_ray(ray),
             };
-            let trace = match (kind, replay) {
-                (TraversalKind::AnyHit, None) => {
+            let trace = match replay {
+                None => {
                     let mut kernel = WhileWhileKernel::new(bvh);
-                    trace_occlusion_with_hash(predictor, bvh, &mut kernel, ray, hash)
-                }
-                (TraversalKind::ClosestHit, None) => {
-                    let mut kernel = WhileWhileKernel::new(bvh);
-                    trace_closest_with_hash(predictor, bvh, &mut kernel, ray, hash)
-                }
-                (TraversalKind::AnyHit, Some(set)) => {
-                    let mut kernel = RecordedKernel::new(bvh, set, i, ray);
-                    trace_occlusion_with_probe(predictor, bvh, &mut kernel, ray, hash, &mut |n| {
-                        memoized_probe(set, i, bvh, ray, n)
+                    trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |n| {
+                        eval_probe(bvh, ray, n)
                     })
                 }
-                (TraversalKind::ClosestHit, Some(set)) => {
+                Some(set) => {
                     let mut kernel = RecordedKernel::new(bvh, set, i, ray);
-                    trace_closest_with_probe(predictor, bvh, &mut kernel, ray, hash, &mut |n| {
+                    trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |n| {
                         memoized_probe(set, i, bvh, ray, n)
                     })
                 }
@@ -489,7 +480,7 @@ impl FunctionalSim {
 /// the same predicted node. Multi-node candidate sets evaluate directly.
 /// Either way the returned result is exactly [`eval_probe`]'s, so
 /// replayed reports stay byte-identical to live runs.
-fn memoized_probe(
+pub(crate) fn memoized_probe(
     set: &RayTraceSet,
     ray_index: usize,
     bvh: &Bvh,

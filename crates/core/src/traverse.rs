@@ -6,8 +6,8 @@
 //! nodes are pushed onto the ray's traversal stack, §3), while the full
 //! root traversal paid by not-predicted and mispredicted rays goes through
 //! whichever kernel the caller composes with — while-while, stackless or
-//! wide. [`trace_occlusion`] and [`trace_closest`] keep the historical
-//! while-while binding.
+//! wide. [`trace_with`] is the flow; [`trace`] binds the while-while
+//! fallback, the ray's own hash and the live probe.
 
 use crate::{OracleMode, Predictor};
 use rip_bvh::{
@@ -75,133 +75,85 @@ pub(crate) fn ancestor_chain(bvh: &Bvh, leaf: NodeId) -> Vec<NodeId> {
     chain
 }
 
-/// Traces one **occlusion ray** (ambient occlusion / shadow) through the
-/// predictor flow of Figure 4:
-///
-/// 1. hash + table lookup;
-/// 2. if predicted, traverse from the predicted nodes — an intersection
-///    verifies the ray and elides the interior traversal;
-/// 3. otherwise (or on a misprediction) run the full root traversal;
-/// 4. on any intersection, train the table with the hit leaf's Go-Up-Level
-///    ancestor.
-///
-/// Under an [`OracleMode`] other than `None` the lookup is idealized as
-/// described in §6.3 (the ground-truth traversal used to drive the oracle
-/// is not charged to the ray).
+/// Traces one ray through the predictor flow with the while-while
+/// fallback kernel, the ray's own hash and the live [`eval_probe`] —
+/// [`trace_with`] for a caller holding a bare [`Predictor`].
 ///
 /// # Examples
 ///
 /// ```
-/// use rip_bvh::Bvh;
-/// use rip_core::{trace_occlusion, Predictor, PredictorConfig, RayOutcome};
+/// use rip_bvh::{Bvh, TraversalKind};
+/// use rip_core::{trace, Predictor, PredictorConfig, RayOutcome};
 /// use rip_math::{Ray, Triangle, Vec3};
 ///
 /// let bvh = Bvh::build(&[Triangle::new(Vec3::ZERO, Vec3::X, Vec3::Y)]);
 /// let config = PredictorConfig { update_delay: 0, ..PredictorConfig::paper_default() };
 /// let mut p = Predictor::new(config, bvh.bounds());
 /// let ray = Ray::new(Vec3::new(0.2, 0.2, -1.0), Vec3::Z);
-/// let first = trace_occlusion(&mut p, &bvh, &ray);
+/// let first = trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
 /// assert_eq!(first.outcome, RayOutcome::NotPredicted);
-/// let second = trace_occlusion(&mut p, &bvh, &ray);
+/// let second = trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
 /// assert_eq!(second.outcome, RayOutcome::Verified);
 /// ```
-pub fn trace_occlusion(predictor: &mut Predictor, bvh: &Bvh, ray: &Ray) -> PredictedTrace {
-    trace_occlusion_with(predictor, bvh, &mut WhileWhileKernel::new(bvh), ray)
-}
-
-/// [`trace_occlusion`] with an explicit fallback kernel: the full root
-/// traversal of not-predicted and mispredicted rays runs through `kernel`
-/// instead of the default while-while loop. The prediction probe itself
-/// still uses the seeded stack traversal (the hardware mechanism of §3).
-pub fn trace_occlusion_with(
+pub fn trace(
     predictor: &mut Predictor,
     bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
     ray: &Ray,
+    kind: TraversalKind,
 ) -> PredictedTrace {
-    // One hash per ray, shared between lookup and training (the
-    // spherical hash pays real trigonometry).
     let hash = predictor.hash_ray(ray);
-    trace_occlusion_with_hash(predictor, bvh, kernel, ray, hash)
-}
-
-/// [`trace_occlusion_with`] for an already-computed ray hash. The hash is
-/// a pure function of the hasher configuration, the scene bounds and the
-/// ray, so batch drivers can compute a workload's hash stream once and
-/// share it across every configuration of a parameter sweep (the sweep
-/// varies table shape or SM count, not the hash function).
-pub fn trace_occlusion_with_hash(
-    predictor: &mut Predictor,
-    bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-    hash: u32,
-) -> PredictedTrace {
-    trace_occlusion_with_probe(predictor, bvh, kernel, ray, hash, &mut |nodes| {
+    let mut kernel = WhileWhileKernel::new(bvh);
+    trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |nodes| {
         eval_probe(bvh, ray, nodes)
     })
 }
 
-/// [`trace_occlusion_with_hash`] with an explicit probe evaluator. The
-/// evaluator must return exactly what [`eval_probe`] would — replay
-/// drivers pass a memoizing wrapper, which keeps reports byte-identical
-/// because the probe is pure.
-pub fn trace_occlusion_with_probe(
+/// Traces one ray through the predictor flow of Figure 4:
+///
+/// 1. table lookup under `hash`;
+/// 2. if predicted, `probe` the predicted nodes — an intersection
+///    verifies the ray. An occlusion ray (`AnyHit`) skips the interior
+///    traversal; a closest-hit ray (§6.4) instead *trims its maximum
+///    length* to the probe's hit before the full traversal, which then
+///    culls far subtrees;
+/// 3. otherwise (or on a misprediction) run the full root traversal
+///    through `kernel`;
+/// 4. on any intersection, train the table with the hit leaf's
+///    Go-Up-Level ancestor under `hash`.
+///
+/// `hash` must be [`Predictor::hash_ray`] of `ray`: it is pure in the
+/// hasher configuration, the scene bounds and the ray, so batch drivers
+/// compute a workload's hash stream once and share it across a sweep.
+/// `probe` must return exactly what [`eval_probe`] would; replay drivers
+/// pass a memoizing wrapper.
+///
+/// Under an [`OracleMode`] other than `None`, occlusion lookups are
+/// idealized as described in §6.3: the ground-truth traversal that drives
+/// the oracle is not charged to a verified ray, and a verified ray is not
+/// rewarded. Closest-hit rays always use the hashed lookup.
+pub fn trace_with(
     predictor: &mut Predictor,
     bvh: &Bvh,
     kernel: &mut dyn TraversalKernel,
     ray: &Ray,
+    kind: TraversalKind,
     hash: u32,
     probe: &mut dyn FnMut(&[NodeId]) -> TraversalResult,
 ) -> PredictedTrace {
     predictor.begin_ray();
-    let oracle = predictor.config().oracle;
-    let trace = if oracle == OracleMode::None {
-        trace_occlusion_real(predictor, bvh, kernel, ray, hash, probe)
-    } else {
-        trace_occlusion_oracle(predictor, bvh, kernel, ray)
+    // The oracle's ground truth is also the full traversal a
+    // not-predicted ray pays, so it runs on the composed kernel.
+    let truth = (kind == TraversalKind::AnyHit && predictor.config().oracle != OracleMode::None)
+        .then(|| kernel.trace(ray, kind));
+    let prediction = match &truth {
+        Some(truth) => truth
+            .hit
+            .and_then(|hit| predictor.oracle_lookup(ray, &ancestor_chain(bvh, hit.leaf))),
+        None => predictor.lookup_hashed(hash),
     };
-    record(predictor, &trace);
-    if let Some(hit) = trace.hit {
-        predictor.train(bvh, hash, hit.leaf);
-    }
-    trace
-}
-
-fn trace_occlusion_real(
-    predictor: &mut Predictor,
-    _bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-    hash: u32,
-    probe: &mut dyn FnMut(&[NodeId]) -> TraversalResult,
-) -> PredictedTrace {
-    match predictor.lookup_hashed(hash) {
-        Some(pred) => {
-            let k = pred.nodes.len() as u32;
-            let presult = probe(&pred.nodes);
-            if let Some(hit) = presult.hit {
-                predictor.reward(pred.hash, hit.leaf);
-                PredictedTrace {
-                    outcome: RayOutcome::Verified,
-                    hit: Some(hit),
-                    prediction_stats: presult.stats,
-                    fallback_stats: TraversalStats::default(),
-                    k,
-                }
-            } else {
-                let full = kernel.trace(ray, TraversalKind::AnyHit);
-                PredictedTrace {
-                    outcome: RayOutcome::Mispredicted,
-                    hit: full.hit,
-                    prediction_stats: presult.stats,
-                    fallback_stats: full.stats,
-                    k,
-                }
-            }
-        }
+    let trace = match prediction {
         None => {
-            let full = kernel.trace(ray, TraversalKind::AnyHit);
+            let full = truth.unwrap_or_else(|| kernel.trace(ray, kind));
             PredictedTrace {
                 outcome: RayOutcome::NotPredicted,
                 hit: full.hit,
@@ -210,123 +162,42 @@ fn trace_occlusion_real(
                 k: 0,
             }
         }
-    }
-}
-
-fn trace_occlusion_oracle(
-    predictor: &mut Predictor,
-    bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-) -> PredictedTrace {
-    // Ground truth (not charged to the ray when a prediction verifies —
-    // this is oracle knowledge — but it *is* the full traversal a
-    // not-predicted ray pays, so it runs on the composed kernel).
-    let truth = kernel.trace(ray, TraversalKind::AnyHit);
-    let prediction = truth
-        .hit
-        .and_then(|hit| predictor.oracle_lookup(ray, &ancestor_chain(bvh, hit.leaf)));
-    match prediction {
         Some(pred) => {
             let k = pred.nodes.len() as u32;
-            let mut ptrav = Traversal::from_nodes(TraversalKind::AnyHit, &pred.nodes);
-            let presult = ptrav.run(bvh, ray);
-            debug_assert!(presult.hit.is_some(), "oracle prediction must verify");
-            PredictedTrace {
-                outcome: RayOutcome::Verified,
-                hit: presult.hit.or(truth.hit),
-                prediction_stats: presult.stats,
-                fallback_stats: TraversalStats::default(),
-                k,
-            }
-        }
-        None => PredictedTrace {
-            outcome: RayOutcome::NotPredicted,
-            hit: truth.hit,
-            prediction_stats: TraversalStats::default(),
-            fallback_stats: truth.stats,
-            k: 0,
-        },
-    }
-}
-
-/// Traces one **closest-hit ray** (global illumination, §6.4). Predicted
-/// intersections *trim the ray's maximum length* before the full traversal
-/// rather than replacing it: the prediction supplies a conservative `t`
-/// bound that lets the full traversal cull far subtrees.
-pub fn trace_closest(predictor: &mut Predictor, bvh: &Bvh, ray: &Ray) -> PredictedTrace {
-    trace_closest_with(predictor, bvh, &mut WhileWhileKernel::new(bvh), ray)
-}
-
-/// [`trace_closest`] with an explicit fallback kernel (see
-/// [`trace_occlusion_with`]): the trimmed authoritative traversal runs
-/// through `kernel`; the conservative any-hit probe stays on the seeded
-/// stack traversal.
-pub fn trace_closest_with(
-    predictor: &mut Predictor,
-    bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-) -> PredictedTrace {
-    // One hash per ray, shared between lookup and training.
-    let hash = predictor.hash_ray(ray);
-    trace_closest_with_hash(predictor, bvh, kernel, ray, hash)
-}
-
-/// [`trace_closest_with`] for an already-computed ray hash (see
-/// [`trace_occlusion_with_hash`]).
-pub fn trace_closest_with_hash(
-    predictor: &mut Predictor,
-    bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-    hash: u32,
-) -> PredictedTrace {
-    trace_closest_with_probe(predictor, bvh, kernel, ray, hash, &mut |nodes| {
-        eval_probe(bvh, ray, nodes)
-    })
-}
-
-/// [`trace_closest_with_hash`] with an explicit probe evaluator (see
-/// [`trace_occlusion_with_probe`]).
-pub fn trace_closest_with_probe(
-    predictor: &mut Predictor,
-    bvh: &Bvh,
-    kernel: &mut dyn TraversalKernel,
-    ray: &Ray,
-    hash: u32,
-    probe: &mut dyn FnMut(&[NodeId]) -> TraversalResult,
-) -> PredictedTrace {
-    predictor.begin_ray();
-    let trace = match predictor.lookup_hashed(hash) {
-        Some(pred) => {
-            let k = pred.nodes.len() as u32;
-            // Cheap any-hit probe of the predicted subtree: any intersection
-            // at parameter t upper-bounds the closest hit, so it is a valid
-            // (conservative) trim for the authoritative traversal — the
-            // paper trims "the ray's maximum length before traversal rather
-            // than predicting the final hit point" (§6.4).
             let presult = probe(&pred.nodes);
+            debug_assert!(
+                truth.is_none() || presult.hit.is_some(),
+                "oracle prediction must verify"
+            );
             match presult.hit {
                 Some(phit) => {
-                    predictor.reward(pred.hash, phit.leaf);
-                    // Trim and run the authoritative traversal.
-                    let trimmed = ray.trimmed(phit.t * (1.0 + 1e-5));
-                    let full = kernel.trace(&trimmed, TraversalKind::ClosestHit);
-                    let best = match full.hit {
-                        Some(fhit) if fhit.t <= phit.t => Some(fhit),
-                        _ => Some(phit),
+                    if truth.is_none() {
+                        predictor.reward(pred.hash, phit.leaf);
+                    }
+                    let (hit, fallback_stats) = match kind {
+                        TraversalKind::AnyHit => (phit, TraversalStats::default()),
+                        // Any intersection at `t` upper-bounds the closest
+                        // hit, so it is a conservative trim for the
+                        // authoritative traversal.
+                        TraversalKind::ClosestHit => {
+                            let trimmed = ray.trimmed(phit.t * (1.0 + 1e-5));
+                            let full = kernel.trace(&trimmed, kind);
+                            match full.hit {
+                                Some(fhit) if fhit.t <= phit.t => (fhit, full.stats),
+                                _ => (phit, full.stats),
+                            }
+                        }
                     };
                     PredictedTrace {
                         outcome: RayOutcome::Verified,
-                        hit: best,
+                        hit: Some(hit),
                         prediction_stats: presult.stats,
-                        fallback_stats: full.stats,
+                        fallback_stats,
                         k,
                     }
                 }
                 None => {
-                    let full = kernel.trace(ray, TraversalKind::ClosestHit);
+                    let full = kernel.trace(ray, kind);
                     PredictedTrace {
                         outcome: RayOutcome::Mispredicted,
                         hit: full.hit,
@@ -335,16 +206,6 @@ pub fn trace_closest_with_probe(
                         k,
                     }
                 }
-            }
-        }
-        None => {
-            let full = kernel.trace(ray, TraversalKind::ClosestHit);
-            PredictedTrace {
-                outcome: RayOutcome::NotPredicted,
-                hit: full.hit,
-                prediction_stats: TraversalStats::default(),
-                fallback_stats: full.stats,
-                k: 0,
             }
         }
     };
@@ -409,10 +270,10 @@ mod tests {
         let bvh = floor_bvh();
         let mut p = Predictor::new(immediate(), bvh.bounds());
         let ray = Ray::new(Vec3::new(7.3, 2.0, 7.3), -Vec3::Y);
-        let first = trace_occlusion(&mut p, &bvh, &ray);
+        let first = trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
         assert_eq!(first.outcome, RayOutcome::NotPredicted);
         let n_full = first.fallback_stats.node_fetches();
-        let second = trace_occlusion(&mut p, &bvh, &ray);
+        let second = trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
         assert_eq!(second.outcome, RayOutcome::Verified);
         assert!(
             second.total_node_fetches() < n_full,
@@ -428,8 +289,8 @@ mod tests {
         let mut p = Predictor::new(immediate(), bvh.bounds());
         let a = Ray::new(Vec3::new(7.30, 2.0, 7.30), -Vec3::Y);
         let b = Ray::new(Vec3::new(7.35, 2.0, 7.32), -Vec3::Y);
-        trace_occlusion(&mut p, &bvh, &a);
-        let tb = trace_occlusion(&mut p, &bvh, &b);
+        trace(&mut p, &bvh, &a, TraversalKind::AnyHit);
+        let tb = trace(&mut p, &bvh, &b, TraversalKind::AnyHit);
         assert_eq!(
             tb.outcome,
             RayOutcome::Verified,
@@ -447,13 +308,13 @@ mod tests {
         // so instead query a *horizontal* ray above the floor from the same
         // cell after manually inserting its hash.
         let down = Ray::new(Vec3::new(7.3, 2.0, 7.3), -Vec3::Y);
-        let t = trace_occlusion(&mut p, &bvh, &down);
+        let t = trace(&mut p, &bvh, &down, TraversalKind::AnyHit);
         let leaf = t.hit.unwrap().leaf;
         // A ray that misses: same origin, pointing up and away.
         let up = Ray::new(Vec3::new(7.3, 2.0, 7.3), Vec3::Y);
         let hash_up = p.hash_ray(&up);
         p.train(&bvh, hash_up, leaf); // poison the entry for the up-ray hash
-        let tu = trace_occlusion(&mut p, &bvh, &up);
+        let tu = trace(&mut p, &bvh, &up, TraversalKind::AnyHit);
         assert_eq!(tu.outcome, RayOutcome::Mispredicted);
         assert!(tu.prediction_stats.node_fetches() > 0);
         assert!(tu.fallback_stats.node_fetches() > 0);
@@ -474,7 +335,7 @@ mod tests {
                 1.5,
                 (i % 11) as f32 + (rng_phase * 2.0).fract(),
             );
-            let t = trace_occlusion(&mut p, &bvh, &Ray::new(o, -Vec3::Y));
+            let t = trace(&mut p, &bvh, &Ray::new(o, -Vec3::Y), TraversalKind::AnyHit);
             assert_ne!(
                 t.outcome,
                 RayOutcome::Mispredicted,
@@ -493,9 +354,9 @@ mod tests {
         let mut p = Predictor::new(immediate(), bvh.bounds());
         let ray = Ray::new(Vec3::new(5.2, 3.0, 5.2), -Vec3::Y);
         let reference = bvh.intersect(&ray, TraversalKind::ClosestHit).hit.unwrap();
-        let first = trace_closest(&mut p, &bvh, &ray);
+        let first = trace(&mut p, &bvh, &ray, TraversalKind::ClosestHit);
         assert!((first.hit.unwrap().t - reference.t).abs() < 1e-4);
-        let second = trace_closest(&mut p, &bvh, &ray);
+        let second = trace(&mut p, &bvh, &ray, TraversalKind::ClosestHit);
         assert_eq!(second.outcome, RayOutcome::Verified);
         assert!(
             (second.hit.unwrap().t - reference.t).abs() < 1e-4,
@@ -508,8 +369,8 @@ mod tests {
         let bvh = floor_bvh();
         let mut p = Predictor::new(immediate(), bvh.bounds());
         let ray = Ray::new(Vec3::new(7.3, 2.0, 7.3), -Vec3::Y);
-        trace_occlusion(&mut p, &bvh, &ray);
-        trace_occlusion(&mut p, &bvh, &ray);
+        trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
+        trace(&mut p, &bvh, &ray, TraversalKind::AnyHit);
         let s = p.stats();
         assert_eq!(s.rays, 2);
         assert_eq!(s.hits, 2);

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use rip_bvh::NodeId;
-use rip_core::{ConcurrentPredictorTable, PredictorConfig, PredictorTable, SharedTable};
+use rip_core::{ConcurrentPredictorTable, PredictorConfig, PredictorTable};
 use std::sync::Arc;
 
 fn config(entries: usize, ways: usize) -> PredictorConfig {
@@ -49,7 +49,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Applies `op` to a shared table, returning the observable result.
-fn apply_shared(table: &dyn SharedTable, op: Op) -> Option<Vec<NodeId>> {
+fn apply_shared(table: &ConcurrentPredictorTable, op: Op) -> Option<Vec<NodeId>> {
     match op {
         Op::Lookup(h) => table.lookup(h).map(|c| c.into_vec()),
         Op::Peek(h) => table.peek(h).map(|c| c.into_vec()),

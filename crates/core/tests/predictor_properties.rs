@@ -6,8 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rip_bvh::{Bvh, NodeId, TraversalKind};
 use rip_core::{
-    fold_hash, trace_occlusion, HashFunction, NodeReplacement, PredictorConfig, PredictorTable,
-    RayHasher,
+    fold_hash, trace, HashFunction, NodeReplacement, PredictorConfig, PredictorTable, RayHasher,
 };
 use rip_math::{Ray, Triangle, Vec3};
 
@@ -162,7 +161,7 @@ proptest! {
                 Vec3::Y, rng.gen(), rng.gen());
             let ray = Ray::segment(o, d, rng.gen_range(2.0..9.0));
             let reference = bvh.intersect(&ray, TraversalKind::AnyHit).hit.is_some();
-            let trace = trace_occlusion(&mut predictor, &bvh, &ray);
+            let trace = trace(&mut predictor, &bvh, &ray, TraversalKind::AnyHit);
             prop_assert_eq!(reference, trace.hit.is_some(),
                 "visibility diverged under {:?}", config);
         }
@@ -184,7 +183,7 @@ proptest! {
             let d = rip_math::sampling::cosine_hemisphere_around(
                 Vec3::Y, rng.gen(), rng.gen());
             let ray = Ray::segment(o, d, 6.0);
-            let trace = trace_occlusion(&mut predictor, &bvh, &ray);
+            let trace = trace(&mut predictor, &bvh, &ray, TraversalKind::AnyHit);
             if trace.outcome == rip_core::RayOutcome::Verified {
                 prop_assert!(trace.hit.is_some(), "verified ray without a hit");
                 prop_assert_eq!(trace.fallback_stats, rip_bvh::TraversalStats::default(),

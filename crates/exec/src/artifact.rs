@@ -7,14 +7,14 @@
 //! behind two backends:
 //!
 //! - **owned** (default): the file is streamed into an
-//!   [`AlignedBuf`](rip_pod::AlignedBuf) with `read_exact`, after a
+//!   [`AlignedBuf`] with `read_exact`, after a
 //!   length sanity check against [`MAX_ARTIFACT_BYTES`] — a corrupt
 //!   or malicious length can no longer trigger a multi-gigabyte
 //!   allocation before the container checksums ever run.
 //! - **mmap** (the `mmap` cargo feature): the file is page-mapped
 //!   read-only, so the kernel faults pages in lazily and cold-start
 //!   load cost is (almost) independent of artifact size. The mapping
-//!   syscalls live in [`mmap_backend`], the only unsafe module in this
+//!   syscalls live in `mmap_backend`, the only unsafe module in this
 //!   crate; any mapping failure falls back to the owned backend, whose
 //!   bytes are bit-identical.
 //!

@@ -2,25 +2,25 @@
 //!
 //! Five layers, each usable on its own:
 //!
-//! - [`pool`]: a scoped-thread [`JobPool`](pool::JobPool) with a global job
+//! - [`pool`]: a scoped-thread [`JobPool`] with a global job
 //!   budget and *ordered* result collection, so parallel runs produce
 //!   byte-identical output to serial runs.
-//! - [`cache`]: a process-wide [`CaseCache`](cache::CaseCache) mapping
+//! - [`cache`]: a process-wide [`CaseCache`] mapping
 //!   `(scene, scale, viewport)` to a built [`Case`], backed by an on-disk
 //!   artifact store of serialized meshes and BVH node buffers; corrupt
 //!   artifacts are quarantined to `*.quarantine` and rebuilt from source.
-//! - [`runner`]: a [`ShardedRunner`](runner::ShardedRunner) fanning
+//! - [`runner`]: a [`ShardedRunner`] fanning
 //!   `(scene, config)` work units across the pool with per-unit timing and
 //!   progress telemetry on stderr (stdout stays deterministic), plus a
 //!   fault-isolated mode ([`try_run`](runner::ShardedRunner::try_run))
 //!   with panic isolation, watchdog deadlines, and bounded retry.
 //! - [`fault`]: the structured fault taxonomy
-//!   ([`FaultKind`](fault::FaultKind)), the retry/backoff policy, the
+//!   ([`FaultKind`]), the retry/backoff policy, the
 //!   `RIP_UNIT_TIMEOUT` watchdog knob, and the `RIP_FAULT_INJECT` test
 //!   hook.
 //! - [`journal`]: a crash-safe checkpoint journal of completed units so a
 //!   killed sweep resumes where it left off.
-//! - [`trace_store`]: a capture-once [`TraceStore`](trace_store::TraceStore)
+//! - [`trace_store`]: a capture-once [`TraceStore`]
 //!   of recorded RIPT ray-trace sets keyed by workload label, honoring
 //!   `$RIP_TRACE_DIR`, with the same quarantine-and-recapture fault
 //!   contract as the artifact store.

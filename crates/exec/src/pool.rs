@@ -89,6 +89,16 @@ fn release(granted: usize) {
     BUDGET_USED.fetch_sub(granted as isize, Ordering::SeqCst);
 }
 
+/// Serializes the tests that take global budget permits: the budget is
+/// process-wide, so a test asserting that every permit came back must
+/// not overlap another test still holding some.
+#[cfg(test)]
+pub(crate) fn budget_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A `should_panic` test poisons the lock; the guarded data is `()`.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// A job pool running closures over a slice of work items.
 ///
 /// `jobs` is the *target* parallelism of this pool (calling thread
@@ -307,6 +317,7 @@ mod tests {
 
     #[test]
     fn map_preserves_input_order() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(8);
         let items: Vec<u64> = (0..200).collect();
         let out = pool.map(&items, |&x| {
@@ -320,6 +331,7 @@ mod tests {
 
     #[test]
     fn serial_pool_matches_parallel_pool() {
+        let _budget = budget_test_lock();
         let items: Vec<u64> = (0..64).collect();
         let f = |x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(13);
         assert_eq!(
@@ -330,6 +342,7 @@ mod tests {
 
     #[test]
     fn nested_maps_complete() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(4);
         let outer: Vec<u64> = (0..6).collect();
         let out = pool.map(&outer, |&o| {
@@ -353,6 +366,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom 3")]
     fn worker_panic_propagates() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..16).collect();
         pool.map(&items, |&x| {
@@ -365,6 +379,7 @@ mod tests {
 
     #[test]
     fn map_panic_is_a_named_error_and_does_not_poison_the_pool() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
@@ -389,6 +404,7 @@ mod tests {
 
     #[test]
     fn map_caught_isolates_panics_per_job() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..8).collect();
         let results = pool.map_caught(&items, |&x| {
@@ -408,6 +424,7 @@ mod tests {
 
     #[test]
     fn map_units_times_out_stuck_units_and_drains_the_rest() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(2);
         let items: Vec<u64> = (0..6).collect();
         let out = pool.map_units(
@@ -433,6 +450,7 @@ mod tests {
 
     #[test]
     fn map_units_catches_panics_and_typed_faults() {
+        let _budget = budget_test_lock();
         let pool = JobPool::new(3);
         let items: Vec<u32> = (0..9).collect();
         let out = pool.map_units(

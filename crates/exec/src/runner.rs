@@ -339,6 +339,7 @@ mod tests {
 
     #[test]
     fn reports_come_back_in_input_order() {
+        let _budget = crate::pool::budget_test_lock();
         let pool = JobPool::new(4);
         let runner = ShardedRunner::new(&pool, "test").quiet();
         let units: Vec<u64> = (0..40).collect();
@@ -362,6 +363,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_values_match() {
+        let _budget = crate::pool::budget_test_lock();
         let serial_pool = JobPool::new(1);
         let parallel_pool = JobPool::new(8);
         let units: Vec<u32> = (0..64).collect();
@@ -377,6 +379,7 @@ mod tests {
 
     #[test]
     fn try_run_isolates_a_panicking_unit() {
+        let _budget = crate::pool::budget_test_lock();
         let pool = JobPool::new(4);
         let runner = ShardedRunner::new(&pool, "isolate").quiet();
         let units: Vec<u32> = (0..12).collect();
@@ -404,6 +407,7 @@ mod tests {
 
     #[test]
     fn try_run_retries_retryable_faults_then_succeeds() {
+        let _budget = crate::pool::budget_test_lock();
         use std::sync::atomic::AtomicU32;
         let pool = JobPool::new(2);
         let runner = ShardedRunner::new(&pool, "retry")
@@ -451,6 +455,7 @@ mod tests {
 
     #[test]
     fn try_run_honors_the_watchdog_deadline() {
+        let _budget = crate::pool::budget_test_lock();
         let pool = JobPool::new(2);
         let runner = ShardedRunner::new(&pool, "watchdog")
             .quiet()

@@ -431,7 +431,7 @@ impl<'a> SmEngine<'a> {
                 let rw = &mut self.rays[rid as usize];
                 predictor.begin_ray();
                 let hash = predictor.hash_ray(&rw.ray);
-                let pred = predictor.lookup(&rw.ray);
+                let pred = predictor.lookup_hashed(hash);
                 self.report.activity.predictor_lookups += 1;
                 rw.apply_lookup(hash, pred);
                 predicted += u32::from(rw.was_predicted);

@@ -16,8 +16,8 @@
 //!   [`SceneRegistry::try_reload`] survives failed rebuilds behind a
 //!   circuit breaker.
 //! * [`ConcurrentPredictorTable`](rip_core::ConcurrentPredictorTable)
-//!   (from `rip-core`) — the lock-striped shared table behind
-//!   [`SharedTable`](rip_core::SharedTable), driven here by per-chunk
+//!   (from `rip-core`) — the lock-striped predictor table that one
+//!   service learns into, driven here by per-chunk
 //!   [`Predicted`](rip_core::Predicted) kernels.
 //! * [`RayService`] — admission control ([`AdmissionConfig`]) and
 //!   deadlines in front of bounded per-tenant queues with typed

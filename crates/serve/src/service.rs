@@ -41,7 +41,7 @@ use crate::queue::{Backpressure, Request, RequestClass, TenantQueue};
 use crate::registry::SceneLease;
 use crate::Rejection;
 use rip_bvh::{RayBatch, StacklessKernel, TraversalKernel};
-use rip_core::{ConcurrentPredictorTable, Predicted, PredictorConfig, SharedTable, TableStats};
+use rip_core::{ConcurrentPredictorTable, Predicted, PredictorConfig, TableStats};
 use rip_exec::{Case, Fault, FaultKind, InjectionPlan, JobPool, RetryPolicy};
 use rip_obs::{Histogram, Obs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -657,7 +657,6 @@ impl RayService {
             loop {
                 let outcome = Fault::catch(|| {
                     apply_chunk_injections(plan, &chaos, round, chunk_index, attempt)?;
-                    let shared: Arc<dyn SharedTable> = Arc::clone(table) as Arc<dyn SharedTable>;
                     let mut sub = RayBatch::with_capacity(chunk_plan.range.len());
                     for i in chunk_plan.range.clone() {
                         sub.push(sorted.ray(i));
@@ -666,7 +665,7 @@ impl RayService {
                         let mut kernel = Predicted::with_shared_table(
                             bvh,
                             config,
-                            shared,
+                            Arc::clone(table),
                             StacklessKernel::new(bvh),
                         );
                         kernel

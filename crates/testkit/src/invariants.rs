@@ -14,8 +14,7 @@
 
 use rip_bvh::{Bvh, TraversalKind};
 use rip_core::{
-    trace_closest, trace_occlusion, FunctionalReport, FunctionalSim, OracleMode, Predictor,
-    PredictorConfig, SimOptions,
+    trace, FunctionalReport, FunctionalSim, OracleMode, Predictor, PredictorConfig, SimOptions,
 };
 use rip_math::Ray;
 
@@ -24,7 +23,9 @@ use rip_math::Ray;
 pub fn assert_occlusion_transparent(bvh: &Bvh, rays: &[Ray], config: PredictorConfig) {
     let mut predictor = Predictor::new(config, bvh.bounds());
     for (i, ray) in rays.iter().enumerate() {
-        let with = trace_occlusion(&mut predictor, bvh, ray).hit.is_some();
+        let with = trace(&mut predictor, bvh, ray, TraversalKind::AnyHit)
+            .hit
+            .is_some();
         let without = bvh.intersect(ray, TraversalKind::AnyHit).hit.is_some();
         assert_eq!(
             with, without,
@@ -39,7 +40,7 @@ pub fn assert_occlusion_transparent(bvh: &Bvh, rays: &[Ray], config: PredictorCo
 pub fn assert_closest_transparent(bvh: &Bvh, rays: &[Ray], config: PredictorConfig) {
     let mut predictor = Predictor::new(config, bvh.bounds());
     for (i, ray) in rays.iter().enumerate() {
-        let with = trace_closest(&mut predictor, bvh, ray)
+        let with = trace(&mut predictor, bvh, ray, TraversalKind::ClosestHit)
             .hit
             .map(|h| (h.tri_index, h.t.to_bits()));
         let without = bvh

@@ -7,8 +7,8 @@
 //! predictor on both sides of such a transformation and compare results.
 
 use rand::Rng;
-use rip_bvh::{sorting, Bvh};
-use rip_core::{trace_closest, trace_occlusion, Predictor, PredictorConfig};
+use rip_bvh::{sorting, Bvh, TraversalKind};
+use rip_core::{trace, Predictor, PredictorConfig};
 use rip_math::{Ray, Triangle, Vec3};
 
 use crate::gen;
@@ -17,7 +17,11 @@ use crate::gen;
 pub fn occlusion_results(bvh: &Bvh, rays: &[Ray], config: PredictorConfig) -> Vec<bool> {
     let mut predictor = Predictor::new(config, bvh.bounds());
     rays.iter()
-        .map(|ray| trace_occlusion(&mut predictor, bvh, ray).hit.is_some())
+        .map(|ray| {
+            trace(&mut predictor, bvh, ray, TraversalKind::AnyHit)
+                .hit
+                .is_some()
+        })
         .collect()
 }
 
@@ -31,7 +35,7 @@ pub fn closest_results(
     let mut predictor = Predictor::new(config, bvh.bounds());
     rays.iter()
         .map(|ray| {
-            trace_closest(&mut predictor, bvh, ray)
+            trace(&mut predictor, bvh, ray, TraversalKind::ClosestHit)
                 .hit
                 .map(|h| (h.tri_index, h.t.to_bits()))
         })
@@ -139,9 +143,9 @@ pub fn assert_rigid_invariant(tris: &[Triangle], rays: &[Ray], rigid: Rigid, rel
     let moved: Vec<Triangle> = tris.iter().map(|t| rigid.apply_triangle(t)).collect();
     let bvh_moved = Bvh::build(&moved);
     for (i, ray) in rays.iter().enumerate() {
-        let before = bvh.intersect(ray, rip_bvh::TraversalKind::ClosestHit).hit;
+        let before = bvh.intersect(ray, TraversalKind::ClosestHit).hit;
         let after = bvh_moved
-            .intersect(&rigid.apply_ray(ray), rip_bvh::TraversalKind::ClosestHit)
+            .intersect(&rigid.apply_ray(ray), TraversalKind::ClosestHit)
             .hit;
         assert_eq!(
             before.is_some(),

@@ -21,7 +21,7 @@
 //! [`report_registry_mismatches`] re-mirrors a [`SimReport`] into a
 //! fresh registry and diffs it against the registry the simulator
 //! actually wrote to, and [`prediction_registry_mismatches`] does the
-//! same for [`PredictionStats`] mirrored by `Predicted<K>`.
+//! same for [`PredictionStats`](rip_core::PredictionStats) mirrored by `Predicted<K>`.
 
 use rip_gpusim::SimReport;
 use rip_obs::trace::is_wall_time_key;

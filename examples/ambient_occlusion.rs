@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut predicted_flags = Vec::with_capacity(workload.rays.len());
     let mut skipped_fetches = 0i64;
     for ray in &workload.rays {
-        let trace = trace_occlusion(&mut predictor, &bvh, ray);
+        let trace = trace(&mut predictor, &bvh, ray, TraversalKind::AnyHit);
         predicted_flags.push(trace.hit.is_some());
         if trace.outcome == RayOutcome::Verified {
             skipped_fetches += 1;

@@ -37,7 +37,7 @@ fn main() {
     let mut trimmed = 0usize;
     for ray in &gi.rays {
         let reference = bvh.intersect(ray, TraversalKind::ClosestHit).hit;
-        let trace = trace_closest(&mut predictor, &bvh, ray);
+        let trace = trace(&mut predictor, &bvh, ray, TraversalKind::ClosestHit);
         match (reference, trace.hit) {
             (None, None) => exact_matches += 1,
             (Some(a), Some(b)) if (a.t - b.t).abs() <= 1e-3 * (1.0 + a.t) => {

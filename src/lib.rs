@@ -49,8 +49,8 @@ pub use rip_scene as scene;
 pub mod prelude {
     pub use rip_bvh::{Bvh, BvhBuilder, NodeId, Traversal, TraversalKind};
     pub use rip_core::{
-        trace_closest, trace_occlusion, AdaptivePredictor, FunctionalSim, HashFunction, OracleMode,
-        Prediction, Predictor, PredictorConfig, RayOutcome, SimOptions,
+        trace, AdaptivePredictor, FunctionalSim, HashFunction, OracleMode, Prediction, Predictor,
+        PredictorConfig, RayOutcome, SimOptions,
     };
     pub use rip_energy::EnergyModel;
     pub use rip_gpusim::{GpuConfig, RepackMode, SimReport, Simulator};

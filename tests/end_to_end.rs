@@ -24,7 +24,9 @@ fn predictor_is_exact_for_every_scene() {
         let mut predictor = Predictor::new(config, bvh.bounds());
         for ray in &rays {
             let reference = bvh.intersect(ray, TraversalKind::AnyHit).hit.is_some();
-            let predicted = trace_occlusion(&mut predictor, &bvh, ray).hit.is_some();
+            let predicted = trace(&mut predictor, &bvh, ray, TraversalKind::AnyHit)
+                .hit
+                .is_some();
             assert_eq!(reference, predicted, "{id}: visibility diverged");
         }
     }
