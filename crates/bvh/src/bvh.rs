@@ -199,8 +199,7 @@ impl Bvh {
     /// Runs a full traversal to completion (convenience wrapper around the
     /// steppable [`Traversal`]).
     pub fn intersect(&self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
-        let mut t = Traversal::new(kind);
-        t.run(self, ray)
+        Traversal::new(kind).run(self, ray)
     }
 
     /// Brute-force reference intersection over every triangle (for tests

@@ -1,36 +1,30 @@
 //! The unified traversal-kernel interface and its shared building blocks.
 //!
-//! Before this module existed the repo carried four near-duplicate scalar
-//! traversal loops (the steppable while-while [`Traversal`], the stackless
-//! restart-trail, the 4-wide BVH and the predicted traversal in
-//! `rip-core`), each re-deriving per-ray setup (reciprocal direction,
-//! best-hit trimming) and repeating the leaf-test / tie-break / stats
-//! plumbing. This module hoists that shared code into one place and fronts
-//! every kernel with the [`TraversalKernel`] trait, whose batch entry
-//! points consume the SoA [`RayBatch`] of
-//! [`stream`](crate::stream):
+//! Every kernel is fronted by the [`TraversalKernel`] trait, whose batch
+//! entry points consume the SoA [`RayBatch`] of
+//! [`stream`](crate::stream). The per-ray setup and leaf plumbing they
+//! share lives here once:
 //!
 //! * `effective_ray` — the closest-hit `t_max` trim every loop applies,
 //! * `fetch_interior` — one binary interior-node fetch: stats charge plus
 //!   both child slab tests,
 //! * `test_leaf_triangles` — the leaf loop: per-triangle fetch/test
 //!   accounting, inclusive re-trimming against the best hit so far, the
-//!   [`Hit::closer_than`] tie-break, and any-hit early termination,
-//! * `run_while_while` — a tight (non-steppable) transcription of
-//!   Algorithm 1 used by [`WhileWhileKernel`]; it visits nodes in exactly
-//!   the order of [`Traversal::run`] and produces bit-identical hits and
-//!   statistics, but allocates nothing per step and reuses the batch's
-//!   precomputed reciprocal direction.
+//!   [`Hit::closer_than`] tie-break, and any-hit early termination.
+//!
+//! Algorithm 1's while-while loop itself has exactly one body, the
+//! steppable [`Traversal`]: [`WhileWhileKernel`] runs it to completion,
+//! [`SteppableKernel`] drives it one node at a time, and RIPT capture
+//! records its steps.
 //!
 //! Every kernel agrees exactly (same `t` bits, same triangle index, per the
 //! shared tie-break) and the batched paths are bit-exact with their scalar
 //! counterparts — `rip-testkit`'s differential oracles enforce both.
 
-use crate::node::{NodeId, NodeKind};
-use crate::stack::TraversalStack;
+use crate::node::NodeId;
 use crate::stats::TraversalStats;
 use crate::stream::RayBatch;
-use crate::traversal::{Hit, Traversal, TraversalKind, TraversalResult};
+use crate::traversal::{Hit, LeanStep, Traversal, TraversalKind, TraversalResult};
 use crate::{stackless, Bvh, WideBvh};
 use rip_math::{Aabb, Ray, Triangle, Vec3};
 
@@ -177,78 +171,8 @@ pub(crate) fn test_leaf_triangles<'t>(
     LeafOutcome { found, terminated }
 }
 
-/// Tight while-while traversal: the non-steppable transcription of
-/// [`Traversal::run`] used by [`WhileWhileKernel`].
-///
-/// Visits nodes in the identical order and produces bit-identical hits and
-/// [`TraversalStats`] (stack spills included), but performs no per-step
-/// allocation and takes the ray's reciprocal direction precomputed —
-/// trimming `t_max` never changes the direction, so one reciprocal serves
-/// the whole traversal.
-pub(crate) fn run_while_while(
-    bvh: &Bvh,
-    ray: &Ray,
-    inv_dir: Vec3,
-    kind: TraversalKind,
-) -> TraversalResult {
-    let mut stack = TraversalStack::new();
-    let mut current = Some(NodeId::ROOT);
-    let mut best: Option<Hit> = None;
-    let mut stats = TraversalStats::default();
-    while let Some(node_id) = current.take() {
-        let ray_eff = effective_ray(ray, kind, best);
-        match bvh.node(node_id).kind {
-            NodeKind::Interior {
-                left,
-                right,
-                left_bounds,
-                right_bounds,
-            } => {
-                let (t_left, t_right) =
-                    fetch_interior(&mut stats, &left_bounds, &right_bounds, &ray_eff, inv_dir);
-                match (t_left, t_right) {
-                    (Some(tl), Some(tr)) => {
-                        // Visit the closer child first (§2.4).
-                        let (near, far) = if tl <= tr {
-                            (left, right)
-                        } else {
-                            (right, left)
-                        };
-                        stack.push(far);
-                        current = Some(near);
-                    }
-                    (Some(_), None) => current = Some(left),
-                    (None, Some(_)) => current = Some(right),
-                    (None, None) => current = stack.pop(),
-                }
-            }
-            NodeKind::Leaf { .. } => {
-                let outcome = test_leaf_triangles(
-                    bvh.leaf_triangles(node_id),
-                    &mut |_| node_id,
-                    kind,
-                    &mut best,
-                    &ray_eff,
-                    &mut stats,
-                    None,
-                );
-                current = if outcome.terminated {
-                    None // Algorithm 1 line 15
-                } else {
-                    stack.pop()
-                };
-            }
-        }
-    }
-    stats.stack_spills = stack.spills();
-    TraversalResult { hit: best, stats }
-}
-
-/// The while-while kernel of Algorithm 1 (tight loop over the binary BVH).
-///
-/// Scalar calls and batch calls are bit-exact with the steppable
-/// [`Traversal`] the cycle simulator uses; the batch path additionally
-/// reuses the [`RayBatch`]'s precomputed reciprocal directions.
+/// The while-while kernel of Algorithm 1: [`Traversal::run`] over the
+/// binary BVH.
 #[derive(Clone, Copy, Debug)]
 pub struct WhileWhileKernel<'a> {
     bvh: &'a Bvh,
@@ -272,13 +196,7 @@ impl TraversalKernel for WhileWhileKernel<'_> {
     }
 
     fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
-        run_while_while(self.bvh, ray, ray.inv_direction(), kind)
-    }
-
-    fn trace_batch(&mut self, batch: &RayBatch, kind: TraversalKind) -> Vec<TraversalResult> {
-        (0..batch.len())
-            .map(|i| run_while_while(self.bvh, &batch.ray(i), batch.inv_direction(i), kind))
-            .collect()
+        Traversal::new(kind).run(self.bvh, ray)
     }
 }
 
@@ -393,9 +311,10 @@ impl TraversalKernel for WideKernel<'_> {
     }
 }
 
-/// The steppable [`Traversal`] exposed as a kernel, for differential
-/// testing of the tight loop against the simulator's reference state
-/// machine.
+/// The steppable [`Traversal`] driven one node at a time through
+/// [`Traversal::step`] with a scratch `tested` buffer — the surface the
+/// cycle simulator drives — for differential testing against
+/// [`WhileWhileKernel`]'s run-to-completion driver.
 #[derive(Clone, Copy, Debug)]
 pub struct SteppableKernel<'a> {
     bvh: &'a Bvh,
@@ -414,7 +333,15 @@ impl TraversalKernel for SteppableKernel<'_> {
     }
 
     fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
-        Traversal::new(kind).run(self.bvh, ray)
+        let mut traversal = Traversal::new(kind);
+        let mut tested = Vec::new();
+        while traversal.step(self.bvh, ray, &mut tested) != LeanStep::Finished {
+            tested.clear();
+        }
+        TraversalResult {
+            hit: traversal.best_hit(),
+            stats: traversal.stats(),
+        }
     }
 }
 
@@ -462,28 +389,6 @@ mod tests {
                 Ray::segment(o, d, 20.0)
             })
             .collect()
-    }
-
-    #[test]
-    fn tight_loop_matches_steppable_bit_exactly() {
-        for seed in 0..4 {
-            let bvh = Bvh::build(&soup(180, seed));
-            for ray in rays(80, seed ^ 0x55) {
-                for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
-                    let tight = run_while_while(&bvh, &ray, ray.inv_direction(), kind);
-                    let steppable = Traversal::new(kind).run(&bvh, &ray);
-                    assert_eq!(
-                        tight.hit.map(|h| (h.t.to_bits(), h.tri_index, h.leaf)),
-                        steppable.hit.map(|h| (h.t.to_bits(), h.tri_index, h.leaf)),
-                        "hit mismatch (seed {seed}, {kind:?})"
-                    );
-                    assert_eq!(
-                        tight.stats, steppable.stats,
-                        "stats mismatch (seed {seed}, {kind:?})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A trace stores, for every ray of a workload, the exact node-visit
 //! sequence of its **virgin full traversal** (a fresh
-//! [`Traversal::new`](crate::Traversal::new) run from the root). That sequence is
+//! [`Traversal::new`] run from the root). That sequence is
 //! configuration-independent — it depends only on the BVH and the ray —
 //! so one capture serves an entire parameter sweep: the cycle-level
 //! simulator replays the recorded per-warp ray work through the timing
@@ -27,12 +27,10 @@
 //! trace can never be silently replayed against the wrong workload.
 
 use crate::bvh::Bvh;
-use crate::kernel;
 use crate::kernel::{TraversalKernel, WhileWhileKernel};
 use crate::node::{NodeId, NodeKind};
-use crate::stack::TraversalStack;
 use crate::stream::RayBatch;
-use crate::traversal::{Hit, LeanStep, TraversalKind, TraversalResult};
+use crate::traversal::{Hit, LeanStep, Traversal, TraversalKind, TraversalResult};
 use crate::TraversalStats;
 use rip_math::Ray;
 use rip_pod::ripa::{RipaFile, RipaWriter};
@@ -98,80 +96,6 @@ pub fn ray_digest(batch: &RayBatch) -> u64 {
     batch.content_digest()
 }
 
-/// The capture loop: one virgin full traversal in the tight while-while
-/// shape, recording each fetched node id and each leaf visit's
-/// tested-triangle count. Node order, hit and stack-spill total are
-/// bit-identical to a steppable [`Traversal`] run (the round-trip tests
-/// pin this), but the loop carries no per-step event or allocation, so
-/// capturing costs barely more than the traversal itself.
-fn record_full_traversal(
-    bvh: &Bvh,
-    ray: &Ray,
-    inv_dir: rip_math::Vec3,
-    kind: TraversalKind,
-    nodes: &mut Vec<u32>,
-    leaf_counts: &mut Vec<u32>,
-) -> (Option<Hit>, u64) {
-    let mut stack = TraversalStack::new();
-    let mut current = Some(NodeId::ROOT);
-    let mut best: Option<Hit> = None;
-    let mut stats = TraversalStats::default();
-    while let Some(node_id) = current.take() {
-        nodes.push(node_id.index());
-        let ray_eff = kernel::effective_ray(ray, kind, best);
-        match bvh.node(node_id).kind {
-            NodeKind::Interior {
-                left,
-                right,
-                left_bounds,
-                right_bounds,
-            } => {
-                let (t_left, t_right) = kernel::fetch_interior(
-                    &mut stats,
-                    &left_bounds,
-                    &right_bounds,
-                    &ray_eff,
-                    inv_dir,
-                );
-                match (t_left, t_right) {
-                    (Some(tl), Some(tr)) => {
-                        // Visit the closer child first (§2.4).
-                        let (near, far) = if tl <= tr {
-                            (left, right)
-                        } else {
-                            (right, left)
-                        };
-                        stack.push(far);
-                        current = Some(near);
-                    }
-                    (Some(_), None) => current = Some(left),
-                    (None, Some(_)) => current = Some(right),
-                    (None, None) => current = stack.pop(),
-                }
-            }
-            NodeKind::Leaf { .. } => {
-                let before = stats.tri_tests;
-                let outcome = kernel::test_leaf_triangles(
-                    bvh.leaf_triangles(node_id),
-                    &mut |_| node_id,
-                    kind,
-                    &mut best,
-                    &ray_eff,
-                    &mut stats,
-                    None,
-                );
-                leaf_counts.push((stats.tri_tests - before) as u32);
-                current = if outcome.terminated {
-                    None // Algorithm 1 line 15
-                } else {
-                    stack.pop()
-                };
-            }
-        }
-    }
-    (best, stack.spills())
-}
-
 /// One contiguous ray range's capture output, with chunk-local stream
 /// offsets; [`RayTraceSet::capture_parallel`] rebases and concatenates
 /// chunks in ray-index order.
@@ -199,14 +123,22 @@ fn capture_chunk(
         let ray = batch.ray(i);
         let step_offset = nodes.len() as u64;
         let leaf_offset = leaf_counts.len() as u64;
-        let (hit, spills) = record_full_traversal(
-            bvh,
-            &ray,
-            batch.inv_direction(i),
-            kind,
-            &mut nodes,
-            &mut leaf_counts,
-        );
+        // One virgin full traversal, driven a step at a time: record
+        // each fetched node id and each leaf visit's tested count.
+        let mut traversal = Traversal::new(kind);
+        loop {
+            match traversal.step_lean(bvh, &ray) {
+                LeanStep::Interior { node, .. } => nodes.push(node.index()),
+                LeanStep::Leaf {
+                    node, tris_tested, ..
+                } => {
+                    nodes.push(node.index());
+                    leaf_counts.push(tris_tested);
+                }
+                LeanStep::Finished => break,
+            }
+        }
+        let hit = traversal.best_hit();
         records.push(TraceRecord {
             step_offset,
             leaf_offset,
@@ -215,7 +147,7 @@ fn capture_chunk(
             hit_tri: hit.map_or(NO_HIT, |h| h.tri_index),
             hit_leaf: hit.map_or(NO_HIT, |h| h.leaf.index()),
             hit_t: hit.map_or(0.0, |h| h.t),
-            stack_spills: spills as u32,
+            stack_spills: traversal.stats().stack_spills as u32,
         });
     }
     CaptureChunk {
@@ -241,15 +173,21 @@ pub struct RayTraceSet {
     /// One-slot-per-ray memo of predicted-probe evaluations — see
     /// [`RayTraceSet::probe_cached`].
     probe_memo: Mutex<Vec<Option<(NodeId, TraversalResult)>>>,
+    /// Set once the records are known to fit the BVH they replay on: at
+    /// capture (they were recorded from it) or by a decoded set's first
+    /// successful [`RayTraceSet::attach`]. Like the two memos above, it
+    /// assumes a set replays against one BVH, so the per-step check runs
+    /// once per set rather than once per simulated configuration.
+    records_fit: OnceLock<()>,
 }
 
 impl RayTraceSet {
     /// Runs every ray's virgin full traversal and records it.
     ///
     /// Leaf visits are stored as bare counts: the leaf arm of
-    /// [`Traversal`](crate::Traversal) always tests a *prefix* of the
-    /// leaf's triangle order (any-hit early-out is the only way to stop
-    /// short), so the count alone reconstructs the tested indices.
+    /// [`Traversal`] always tests a *prefix* of the leaf's triangle order
+    /// (any-hit early-out is the only way to stop short), so the count
+    /// alone reconstructs the tested indices.
     /// [`ReplayCursor`] rebuilds them from `Bvh::leaf_triangles`, and the
     /// capture/replay round-trip tests pin the equivalence.
     pub fn capture(bvh: &Bvh, batch: &RayBatch, kind: TraversalKind) -> RayTraceSet {
@@ -322,6 +260,7 @@ impl RayTraceSet {
             leaf_counts: leaf_counts.into(),
             full_results: OnceLock::new(),
             probe_memo: Mutex::new(Vec::new()),
+            records_fit: OnceLock::from(()),
         }
     }
 
@@ -407,6 +346,7 @@ impl RayTraceSet {
             leaf_counts: leaf_counts.into(),
             full_results: OnceLock::new(),
             probe_memo: Mutex::new(Vec::new()),
+            records_fit: OnceLock::new(),
         })
     }
 
@@ -416,9 +356,14 @@ impl RayTraceSet {
     }
 
     /// Verifies this trace was captured against exactly this BVH and ray
-    /// batch (node/triangle counts and the ray-stream digest). Call once
-    /// before replaying; a mismatch means the trace belongs to a
-    /// different workload.
+    /// batch (node/triangle counts and the ray-stream digest), and that
+    /// every record fits this BVH: its node window holds exactly as many
+    /// leaf visits as it has leaf counts, no count exceeds its leaf's
+    /// triangles, and its hit node is a leaf. The record check runs on a
+    /// decoded set's first attach; a captured set fits by construction.
+    /// Call once before replaying; a mismatch means the trace belongs to
+    /// a different workload (or was tampered with), and replaying it
+    /// could index past a record.
     pub fn attach(&self, bvh: &Bvh, batch: &RayBatch) -> Result<(), String> {
         if self.meta.node_count as usize != bvh.node_count()
             || self.meta.tri_count as usize != bvh.triangle_count()
@@ -444,6 +389,41 @@ impl RayTraceSet {
                 "ray-stream digest {:#018x} != recorded {:#018x}",
                 digest, self.meta.ray_digest
             ));
+        }
+        if self.records_fit.get().is_none() {
+            self.check_records_fit(bvh)?;
+            let _ = self.records_fit.set(());
+        }
+        Ok(())
+    }
+
+    /// One pass over each record's node window, pairing every leaf visit
+    /// with the next recorded count (see [`RayTraceSet::attach`]).
+    fn check_records_fit(&self, bvh: &Bvh) -> Result<(), String> {
+        for i in 0..self.len() {
+            let mut counts = self.leaf_prefix_counts(i).iter();
+            for &n in self.node_steps(i) {
+                if let NodeKind::Leaf { count, .. } = bvh.node(NodeId::new(n)).kind {
+                    match counts.next() {
+                        Some(&tested) if tested > count => {
+                            return Err(format!(
+                                "record {i}: a leaf count exceeds its leaf's triangles"
+                            ))
+                        }
+                        Some(_) => {}
+                        None => {
+                            return Err(format!("record {i}: more leaf visits than leaf counts"))
+                        }
+                    }
+                }
+            }
+            if counts.next().is_some() {
+                return Err(format!("record {i}: more leaf counts than leaf visits"));
+            }
+            let hit_leaf = self.record(i).hit_leaf;
+            if hit_leaf != NO_HIT && !bvh.node(NodeId::new(hit_leaf)).is_leaf() {
+                return Err(format!("record {i}: hit node {hit_leaf} is not a leaf"));
+            }
         }
         Ok(())
     }
@@ -574,7 +554,7 @@ impl RayTraceSet {
 }
 
 /// Steppable replay of one recorded full traversal, mirroring the
-/// [`Traversal`](crate::Traversal) driving surface (`current_request` /
+/// [`Traversal`] driving surface (`current_request` /
 /// `step` / `is_done` / `best_hit` / `stats`) so the cycle-level simulator can
 /// drive recorded and live rays through the same warp machinery.
 ///
@@ -650,8 +630,6 @@ impl ReplayCursor {
 
     /// Consumes the next recorded step, appending a leaf's tested
     /// triangle indices to `tested` exactly as [`Traversal::step`] would.
-    ///
-    /// [`Traversal::step`]: crate::Traversal::step
     pub fn step(&mut self, bvh: &Bvh, tested: &mut Vec<u32>) -> LeanStep {
         if self.pos >= self.step_count {
             return LeanStep::Finished;
@@ -746,7 +724,6 @@ impl TraversalKernel for RecordedKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::Traversal;
     use rip_math::{Triangle, Vec3};
 
     fn occluded_scene() -> (Bvh, RayBatch) {
@@ -885,20 +862,53 @@ mod tests {
         assert!(set.attach(&bvh, &short).unwrap_err().contains("rays"));
     }
 
-    #[test]
-    fn decode_rejects_semantic_corruption_without_panicking() {
-        let (bvh, batch) = occluded_scene();
-        let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit);
-        // Tamper *before* encoding so the container checksums stay
-        // valid and the semantic validators are what must catch it.
-        let mut bad = RayTraceSet {
+    /// An owned, mutable copy of `set`. Tests tamper with it *before*
+    /// encoding so the container checksums stay valid and the semantic
+    /// validators are what must catch the damage.
+    fn owned_copy(set: &RayTraceSet) -> RayTraceSet {
+        RayTraceSet {
             meta: set.meta,
             records: set.records.as_slice().to_vec().into(),
             nodes: set.nodes.as_slice().to_vec().into(),
             leaf_counts: set.leaf_counts.as_slice().to_vec().into(),
             full_results: OnceLock::new(),
             probe_memo: Mutex::new(Vec::new()),
+            records_fit: OnceLock::new(),
+        }
+    }
+
+    #[test]
+    fn attach_rejects_records_that_do_not_fit_the_bvh() {
+        let (bvh, batch) = occluded_scene();
+        let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit);
+        let leaf = (0..bvh.node_count() as u32)
+            .find(|&n| bvh.node(NodeId::new(n)).is_leaf())
+            .unwrap();
+        let hit_ray = (0..set.len()).find(|&i| set.hit(i).is_some()).unwrap();
+        let tampered = |damage: &dyn Fn(&mut RayTraceSet)| {
+            let mut bad = owned_copy(&set);
+            damage(&mut bad);
+            // Each damage passes decode's structural checks; only the
+            // BVH can tell the record apart from a real capture.
+            let decoded = RayTraceSet::decode(&bad.encode()).unwrap();
+            decoded.attach(&bvh, &batch).unwrap_err()
         };
+        // The last record's first step (the root) becomes a leaf: replay
+        // would read one leaf count past the record's window.
+        let last_step = set.nodes.len() - set.node_steps(set.len() - 1).len();
+        let err = tampered(&|bad| bad.nodes.to_mut()[last_step] = leaf);
+        assert!(err.contains("leaf visits"), "{err}");
+        let err = tampered(&|bad| bad.leaf_counts.to_mut()[0] = 1000);
+        assert!(err.contains("exceeds"), "{err}");
+        let err = tampered(&|bad| bad.records.to_mut()[hit_ray].hit_leaf = NodeId::ROOT.index());
+        assert!(err.contains("not a leaf"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_semantic_corruption_without_panicking() {
+        let (bvh, batch) = occluded_scene();
+        let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit);
+        let mut bad = owned_copy(&set);
         bad.nodes.to_mut()[0] = u32::MAX - 1;
         assert!(RayTraceSet::decode(&bad.encode())
             .unwrap_err()

@@ -4,7 +4,9 @@
 //! One *step* = fetch one BVH node record and run its intersection tests:
 //! exactly one iteration of the RT unit's fetch/decode/test loop (§5.1.2).
 //! The cycle-level simulator drives steps one at a time, interleaving rays
-//! across warps; functional callers use [`Traversal::run`].
+//! across warps; functional callers use [`Traversal::run`]. This is the
+//! crate's only copy of the loop: the while-while kernel runs it to
+//! completion and RIPT capture records its steps.
 
 use crate::kernel;
 use crate::node::{NodeId, NodeKind};
@@ -178,33 +180,62 @@ impl Traversal {
         s
     }
 
+    /// The ray's reciprocal direction, resolved once per step (or once
+    /// per [`Traversal::run`]) and then passed into the loop body.
+    #[inline]
+    fn inv_dir(&mut self, ray: &Ray) -> Vec3 {
+        *self.inv_dir.get_or_insert_with(|| ray.inv_direction())
+    }
+
     /// Processes the current node (its record is assumed to have arrived
     /// from memory) and advances to the next one. A leaf step appends the
     /// original indices of the triangles it fetched and tested, in order,
     /// to `tested`.
     #[inline]
     pub fn step(&mut self, bvh: &Bvh, ray: &Ray, tested: &mut Vec<u32>) -> LeanStep {
-        self.advance(bvh, ray, Some(tested))
+        let inv_dir = self.inv_dir(ray);
+        self.advance(bvh, ray, inv_dir, Some(tested))
     }
 
     /// [`Traversal::step`] without recording the tested-triangle indices —
     /// identical state transitions, stats and hits.
     #[inline]
     pub fn step_lean(&mut self, bvh: &Bvh, ray: &Ray) -> LeanStep {
-        self.advance(bvh, ray, None)
+        let inv_dir = self.inv_dir(ray);
+        self.advance(bvh, ray, inv_dir, None)
     }
 
-    /// The shared step body behind [`Traversal::step`] and
-    /// [`Traversal::step_lean`]: `tested`, when present, records every
-    /// triangle index the leaf arm fetches.
-    fn advance(&mut self, bvh: &Bvh, ray: &Ray, tested: Option<&mut Vec<u32>>) -> LeanStep {
+    /// Runs the traversal to completion. Taking `self` by value lets the
+    /// loop keep its scalar state (current node, best hit, counters) in
+    /// registers.
+    pub fn run(mut self, bvh: &Bvh, ray: &Ray) -> TraversalResult {
+        let inv_dir = self.inv_dir(ray);
+        while self.current.is_some() {
+            self.advance(bvh, ray, inv_dir, None);
+        }
+        TraversalResult {
+            hit: self.best,
+            stats: self.stats(),
+        }
+    }
+
+    /// One iteration of Algorithm 1's while-while loop — the only one in
+    /// the crate. [`Traversal::step`], [`Traversal::step_lean`] and
+    /// [`Traversal::run`] all drive it; `tested`, when present, records
+    /// every triangle index the leaf arm fetches.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        bvh: &Bvh,
+        ray: &Ray,
+        inv_dir: Vec3,
+        tested: Option<&mut Vec<u32>>,
+    ) -> LeanStep {
         let Some(node_id) = self.current.take() else {
             return LeanStep::Finished;
         };
         let ray_eff = kernel::effective_ray(ray, self.kind, self.best);
-        let inv_dir = *self.inv_dir.get_or_insert_with(|| ray.inv_direction());
-        let node = bvh.node(node_id);
-        match node.kind {
+        match bvh.node(node_id).kind {
             NodeKind::Interior {
                 left,
                 right,
@@ -250,9 +281,10 @@ impl Traversal {
                     &mut self.stats,
                     tested,
                 );
-                self.current = match (self.kind, self.best) {
-                    (TraversalKind::AnyHit, Some(_)) => None, // Algorithm 1 line 15
-                    _ => self.stack.pop(),
+                self.current = if outcome.terminated {
+                    None // Algorithm 1 line 15
+                } else {
+                    self.stack.pop()
                 };
                 LeanStep::Leaf {
                     node: node_id,
@@ -262,22 +294,13 @@ impl Traversal {
             }
         }
     }
-
-    /// Runs the traversal to completion.
-    pub fn run(&mut self, bvh: &Bvh, ray: &Ray) -> TraversalResult {
-        while self.current.is_some() {
-            self.advance(bvh, ray, None);
-        }
-        TraversalResult {
-            hit: self.best,
-            stats: self.stats(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ript::RayTraceSet;
+    use crate::{BvhBuilder, RayBatch, SplitMethod, HW_STACK_CAPACITY};
     use rip_math::{Triangle, Vec3};
 
     /// Two parallel quads at z = 1 and z = 2 spanning x,y ∈ [0, 4].
@@ -331,8 +354,7 @@ mod tests {
         // traversal from that leaf touches only that one node.
         let full = bvh.intersect(&ray, TraversalKind::AnyHit);
         let leaf = full.hit.unwrap().leaf;
-        let mut seeded = Traversal::from_nodes(TraversalKind::AnyHit, &[leaf]);
-        let r = seeded.run(&bvh, &ray);
+        let r = Traversal::from_nodes(TraversalKind::AnyHit, &[leaf]).run(&bvh, &ray);
         assert!(r.hit.is_some());
         assert_eq!(
             r.stats.node_fetches(),
@@ -348,8 +370,7 @@ mod tests {
         // A ray that misses everything.
         let ray = Ray::new(Vec3::new(2.2, 2.2, 0.0), -Vec3::Z);
         let some_leaf = bvh.leaf_of_triangle(0).unwrap();
-        let mut seeded = Traversal::from_nodes(TraversalKind::AnyHit, &[some_leaf]);
-        let r = seeded.run(&bvh, &ray);
+        let r = Traversal::from_nodes(TraversalKind::AnyHit, &[some_leaf]).run(&bvh, &ray);
         assert!(r.hit.is_none());
         assert!(r.stats.node_fetches() >= 1);
     }
@@ -426,15 +447,42 @@ mod tests {
     }
 
     #[test]
-    fn stats_spills_propagate() {
-        let bvh = two_walls();
-        let ray = Ray::new(
-            Vec3::new(2.0, 2.0, 0.0),
-            Vec3::new(0.1, 0.1, 1.0).normalized(),
+    fn stack_spills_agree_across_drivers() {
+        // 1024 walls strung along the ray, one per leaf of a balanced
+        // (median-split) tree: every box on the way down to the nearest
+        // wall overlaps the ray, so the descent pushes one far sibling per
+        // level — ten levels, past the hardware stack.
+        let walls: Vec<Triangle> = (0..1024)
+            .map(|i| {
+                let x = i as f32;
+                Triangle::new(
+                    Vec3::new(x, -1.0, -1.0),
+                    Vec3::new(x, 3.0, -1.0),
+                    Vec3::new(x, -1.0, 3.0),
+                )
+            })
+            .collect();
+        let bvh = BvhBuilder::new()
+            .split_method(SplitMethod::Median)
+            .max_leaf_size(1)
+            .build(&walls);
+        let ray = Ray::new(Vec3::new(-1.0, 0.1, 0.1), Vec3::X);
+        let kind = TraversalKind::ClosestHit;
+
+        let run = Traversal::new(kind).run(&bvh, &ray);
+        assert_eq!(run.hit.map(|h| h.tri_index), Some(0));
+        assert!(
+            run.stats.stack_spills > 0,
+            "the descent must overflow the {HW_STACK_CAPACITY}-entry stack"
         );
-        let r = bvh.intersect(&ray, TraversalKind::ClosestHit);
-        // Not asserting a specific number — just that the plumbed counter
-        // matches the stack's own.
-        assert_eq!(r.stats.stack_spills, r.stats.stack_spills);
+        let mut stepped = Traversal::new(kind);
+        let mut tested = Vec::new();
+        while stepped.step(&bvh, &ray, &mut tested) != LeanStep::Finished {}
+        assert_eq!(stepped.stats().stack_spills, run.stats.stack_spills);
+        let set = RayTraceSet::capture(&bvh, &RayBatch::from_rays(&[ray]), kind);
+        assert_eq!(
+            set.full_result(0).stats.stack_spills,
+            run.stats.stack_spills
+        );
     }
 }

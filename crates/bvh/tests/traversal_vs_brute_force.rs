@@ -125,9 +125,8 @@ proptest! {
         for _ in 0..16 {
             let ray = random_ray(&mut rng);
             if let Some(hit) = bvh.intersect(&ray, TraversalKind::AnyHit).hit {
-                let mut seeded =
-                    rip_bvh::Traversal::from_nodes(TraversalKind::AnyHit, &[hit.leaf]);
-                let r = seeded.run(&bvh, &ray);
+                let r = rip_bvh::Traversal::from_nodes(TraversalKind::AnyHit, &[hit.leaf])
+                    .run(&bvh, &ray);
                 prop_assert!(r.hit.is_some(), "true-leaf prediction failed to verify");
                 prop_assert!(r.stats.node_fetches() <= bvh.depth() as u64 + 2);
             }

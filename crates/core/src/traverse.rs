@@ -62,8 +62,7 @@ impl PredictedTrace {
 /// pushed onto the ray's traversal stack). Pure in `(bvh, ray, nodes)`;
 /// the replay path memoizes it per trace set.
 pub fn eval_probe(bvh: &Bvh, ray: &Ray, nodes: &[NodeId]) -> TraversalResult {
-    let mut ptrav = Traversal::from_nodes(TraversalKind::AnyHit, nodes);
-    ptrav.run(bvh, ray)
+    Traversal::from_nodes(TraversalKind::AnyHit, nodes).run(bvh, ray)
 }
 
 /// Builds the leaf-to-root ancestor chain (`chain[0]` = the leaf).
