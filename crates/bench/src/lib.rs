@@ -25,9 +25,7 @@
 
 pub mod experiments;
 mod harness;
-mod serve_json;
 mod table;
 
 pub use harness::{Case, Context, ParsedArgs, SceneSelection, TraceMode};
-pub use serve_json::serve_report_json;
 pub use table::{fmt_f64, fmt_pct, Report, Table};

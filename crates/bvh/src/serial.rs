@@ -14,14 +14,10 @@
 //! Validation is pure integer work — tags, index ranges, the builder's
 //! parent-before-child allocation order, parent/depth back-links, and
 //! exact leaf coverage of the triangle set — with bit integrity already
-//! guaranteed by the container's per-section FNV checksums. That keeps
-//! the cold-start load path cheap enough to beat the v1 element-wise
-//! decode by the margin `BENCH_artifact.json` records.
-//!
-//! The legacy v1 stream codec is kept as [`encode_v1`]/[`decode_v1`]
-//! solely as the measured baseline of `artifact_bench`; the cache never
-//! reads or writes it (v1 artifacts are invisible under the v2 cache
-//! key and simply rebuilt on miss).
+//! guaranteed by the container's per-section FNV checksums, so the
+//! cold-start load path costs no float work. Artifacts of the retired
+//! v1 stream layout are invisible under the v2 cache key and simply
+//! rebuilt on miss.
 
 use crate::bvh::Bvh;
 use crate::node::{BvhNode, CompressedWideNode, NodeId, NodeKind};
@@ -426,205 +422,6 @@ pub fn decode_wide_shared(bytes: Bytes) -> Result<WideBvh, String> {
     Ok(WideBvh::from_raw_parts(nodes, groups))
 }
 
-// ---------------------------------------------------------------------------
-// Legacy v1 codec (microbench baseline only)
-// ---------------------------------------------------------------------------
-
-const V1_MAGIC: [u8; 4] = *b"RBVH";
-const V1_VERSION: u32 = 1;
-const V1_TAG_INTERIOR: u8 = 0;
-const V1_TAG_LEAF: u8 = 1;
-
-/// Encodes `bvh` in the retired v1 element-wise stream layout.
-///
-/// Kept (with [`decode_v1`]) only so `artifact_bench` can measure the
-/// cold-start cost the zero-copy format replaced; the artifact cache
-/// neither writes nor reads this.
-pub fn encode_v1(bvh: &Bvh) -> Vec<u8> {
-    let (nodes, tri_order, triangles) = bvh.raw_parts();
-    let mut out =
-        Vec::with_capacity(16 + nodes.len() * 90 + tri_order.len() * 4 + triangles.len() * 36);
-    out.extend_from_slice(&V1_MAGIC);
-    out.extend_from_slice(&V1_VERSION.to_le_bytes());
-    out.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(tri_order.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(triangles.len() as u32).to_le_bytes());
-    for node in nodes {
-        put_aabb(&mut out, &node.bounds);
-        match node.kind {
-            NodeKind::Interior {
-                left,
-                right,
-                left_bounds,
-                right_bounds,
-            } => {
-                out.push(V1_TAG_INTERIOR);
-                out.extend_from_slice(&left.index().to_le_bytes());
-                out.extend_from_slice(&right.index().to_le_bytes());
-                put_aabb(&mut out, &left_bounds);
-                put_aabb(&mut out, &right_bounds);
-            }
-            NodeKind::Leaf { first, count } => {
-                out.push(V1_TAG_LEAF);
-                out.extend_from_slice(&first.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&node.parent.map_or(NO_PARENT, NodeId::index).to_le_bytes());
-        out.extend_from_slice(&node.depth.to_le_bytes());
-    }
-    for &slot in tri_order {
-        out.extend_from_slice(&slot.to_le_bytes());
-    }
-    for tri in triangles {
-        put_vec3(&mut out, &tri.a);
-        put_vec3(&mut out, &tri.b);
-        put_vec3(&mut out, &tri.c);
-    }
-    out
-}
-
-/// Decodes the retired v1 stream layout, element by element, including
-/// the full float [`Bvh::validate`] pass v1 relied on — exactly the
-/// work the microbench compares the v2 mapped path against.
-pub fn decode_v1(bytes: &[u8]) -> Result<Bvh, String> {
-    let mut r = Reader { bytes, at: 0 };
-    if r.take(4)? != V1_MAGIC {
-        return Err("not a BVH artifact (bad magic)".into());
-    }
-    let version = r.u32()?;
-    if version != V1_VERSION {
-        return Err(format!(
-            "BVH artifact version {version}, expected {V1_VERSION}"
-        ));
-    }
-    let node_count = r.u32()? as usize;
-    let order_count = r.u32()? as usize;
-    let tri_count = r.u32()? as usize;
-
-    // Guard the allocations below against a corrupt header: the smallest
-    // node record (a leaf) is 41 bytes, an order slot 4, a triangle 36, so
-    // the counts can never promise more records than the buffer has bytes.
-    let promised = node_count
-        .saturating_mul(41)
-        .saturating_add(order_count.saturating_mul(4))
-        .saturating_add(tri_count.saturating_mul(36));
-    if promised > bytes.len().saturating_sub(r.at) {
-        return Err(format!(
-            "truncated BVH artifact: header promises {node_count} nodes, {order_count} \
-             slots and {tri_count} triangles but only {} bytes remain",
-            bytes.len() - r.at
-        ));
-    }
-
-    let mut nodes = Vec::with_capacity(node_count);
-    for _ in 0..node_count {
-        let bounds = r.aabb()?;
-        let kind = match r.u8()? {
-            V1_TAG_INTERIOR => NodeKind::Interior {
-                left: NodeId::new(r.u32()?),
-                right: NodeId::new(r.u32()?),
-                left_bounds: r.aabb()?,
-                right_bounds: r.aabb()?,
-            },
-            V1_TAG_LEAF => NodeKind::Leaf {
-                first: r.u32()?,
-                count: r.u32()?,
-            },
-            tag => return Err(format!("unknown node tag {tag}")),
-        };
-        let parent = match r.u32()? {
-            NO_PARENT => None,
-            index => Some(NodeId::new(index)),
-        };
-        let depth = r.u32()?;
-        nodes.push(BvhNode {
-            bounds,
-            kind,
-            parent,
-            depth,
-        });
-    }
-    let mut tri_order = Vec::with_capacity(order_count);
-    for _ in 0..order_count {
-        let slot = r.u32()?;
-        if slot as usize >= tri_count {
-            return Err(format!(
-                "triangle slot {slot} out of range ({tri_count} triangles)"
-            ));
-        }
-        tri_order.push(slot);
-    }
-    let mut triangles = Vec::with_capacity(tri_count);
-    for _ in 0..tri_count {
-        triangles.push(Triangle::new(r.vec3()?, r.vec3()?, r.vec3()?));
-    }
-    if r.at != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after BVH artifact",
-            bytes.len() - r.at
-        ));
-    }
-
-    let bvh = Bvh::from_parts(nodes, tri_order, triangles);
-    bvh.validate()
-        .map_err(|e| format!("decoded BVH failed validation: {e}"))?;
-    Ok(bvh)
-}
-
-fn put_vec3(out: &mut Vec<u8>, v: &Vec3) {
-    out.extend_from_slice(&v.x.to_le_bytes());
-    out.extend_from_slice(&v.y.to_le_bytes());
-    out.extend_from_slice(&v.z.to_le_bytes());
-}
-
-fn put_aabb(out: &mut Vec<u8>, b: &Aabb) {
-    put_vec3(out, &b.min);
-    put_vec3(out, &b.max);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(s)
-            }
-            None => Err("truncated BVH artifact".into()),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn vec3(&mut self) -> Result<Vec3, String> {
-        Ok(Vec3::new(self.f32()?, self.f32()?, self.f32()?))
-    }
-
-    fn aabb(&mut self) -> Result<Aabb, String> {
-        Ok(Aabb {
-            min: self.vec3()?,
-            max: self.vec3()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,18 +470,6 @@ mod tests {
         let bvh = sample_bvh(150);
         let bytes = encode(&bvh);
         assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
-    }
-
-    #[test]
-    fn v1_roundtrip_still_works_as_bench_baseline() {
-        let bvh = sample_bvh(150);
-        let bytes = encode_v1(&bvh);
-        let decoded = decode_v1(&bytes).unwrap();
-        assert_eq!(decoded.nodes(), bvh.nodes());
-        assert_eq!(encode_v1(&decoded), bytes);
-        assert!(!decoded.is_shared(), "v1 decode is the element-wise copy");
-        // The two codecs agree on the tree they describe.
-        assert_eq!(encode(&decoded), encode(&bvh));
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! [`TriangleMesh::from_shared_buffers`], so a hostile-but-checksummed
 //! artifact falls back to a rebuild instead of producing garbage.
 //!
-//! The legacy v1 stream codec is kept as [`encode_v1`]/[`decode_v1`]
-//! solely as the measured baseline of `artifact_bench`; the cache never
-//! reads or writes it (v1 artifacts are invisible under the v2 cache
-//! key and simply rebuilt on miss).
+//! Artifacts of the retired v1 stream layout are invisible under the v2
+//! cache key and simply rebuilt on miss.
 
 use crate::{Camera, Scene, SceneId, TriangleMesh, SCENE_IDS};
 use rip_math::Vec3;
@@ -127,149 +125,6 @@ pub fn decode_shared(bytes: Bytes) -> Result<Scene, String> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Legacy v1 codec (microbench baseline only)
-// ---------------------------------------------------------------------------
-
-const V1_MAGIC: [u8; 4] = *b"RSCN";
-const V1_VERSION: u32 = 1;
-
-/// Encodes `scene` in the retired v1 element-wise stream layout.
-///
-/// Kept (with [`decode_v1`]) only so `artifact_bench` can measure the
-/// cold-start cost the zero-copy format replaced; the artifact cache
-/// neither writes nor reads this.
-pub fn encode_v1(scene: &Scene) -> Vec<u8> {
-    let positions = scene.mesh.positions();
-    let indices = scene.mesh.indices();
-    let (basis, width, height) = scene.camera.to_raw();
-    let mut out = Vec::with_capacity(76 + positions.len() * 12 + indices.len() * 12);
-    out.extend_from_slice(&V1_MAGIC);
-    out.extend_from_slice(&V1_VERSION.to_le_bytes());
-    let scene_index = SCENE_IDS
-        .iter()
-        .position(|&id| id == scene.id)
-        .expect("id in SCENE_IDS");
-    out.extend_from_slice(&(scene_index as u32).to_le_bytes());
-    out.extend_from_slice(&(positions.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-    for p in positions {
-        put_vec3(&mut out, p);
-    }
-    for tri in indices {
-        for &i in tri {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-    }
-    for v in &basis {
-        put_vec3(&mut out, v);
-    }
-    out.extend_from_slice(&width.to_le_bytes());
-    out.extend_from_slice(&height.to_le_bytes());
-    out
-}
-
-/// Decodes the retired v1 stream layout, element by element — exactly
-/// the work the microbench compares the v2 mapped path against.
-pub fn decode_v1(bytes: &[u8]) -> Result<Scene, String> {
-    let mut r = Reader { bytes, at: 0 };
-    if r.take(4)? != V1_MAGIC {
-        return Err("not a scene artifact (bad magic)".into());
-    }
-    let version = r.u32()?;
-    if version != V1_VERSION {
-        return Err(format!(
-            "scene artifact version {version}, expected {V1_VERSION}"
-        ));
-    }
-    let scene_index = r.u32()? as usize;
-    let id: SceneId = *SCENE_IDS
-        .get(scene_index)
-        .ok_or_else(|| format!("scene index {scene_index} out of range"))?;
-    let position_count = r.u32()? as usize;
-    let index_count = r.u32()? as usize;
-
-    // Guard the allocations below against a corrupt header: each position
-    // and each index triple occupies 12 bytes, so the counts can never
-    // promise more records than the buffer has bytes left.
-    let promised = position_count
-        .saturating_add(index_count)
-        .saturating_mul(12);
-    if promised > bytes.len().saturating_sub(r.at) {
-        return Err(format!(
-            "truncated scene artifact: header promises {position_count} positions and \
-             {index_count} triangles but only {} bytes remain",
-            bytes.len() - r.at
-        ));
-    }
-
-    let mut positions = Vec::with_capacity(position_count);
-    for _ in 0..position_count {
-        positions.push(r.vec3()?);
-    }
-    let mut indices = Vec::with_capacity(index_count);
-    for _ in 0..index_count {
-        indices.push([r.u32()?, r.u32()?, r.u32()?]);
-    }
-    let basis = [r.vec3()?, r.vec3()?, r.vec3()?, r.vec3()?];
-    let width = r.u32()?;
-    let height = r.u32()?;
-    if r.at != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after scene artifact",
-            bytes.len() - r.at
-        ));
-    }
-    if width == 0 || height == 0 {
-        return Err("scene artifact has an empty viewport".into());
-    }
-
-    let mesh = TriangleMesh::from_buffers(positions, indices)
-        .map_err(|e| format!("decoded mesh failed validation: {e}"))?;
-    Ok(Scene {
-        id,
-        mesh,
-        camera: Camera::from_raw(basis, width, height),
-    })
-}
-
-fn put_vec3(out: &mut Vec<u8>, v: &Vec3) {
-    out.extend_from_slice(&v.x.to_le_bytes());
-    out.extend_from_slice(&v.y.to_le_bytes());
-    out.extend_from_slice(&v.z.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(s)
-            }
-            None => Err("truncated scene artifact".into()),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn vec3(&mut self) -> Result<Vec3, String> {
-        Ok(Vec3::new(self.f32()?, self.f32()?, self.f32()?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,21 +149,6 @@ mod tests {
         let scene = SceneId::FireplaceRoom.build_with_viewport(SceneScale::Tiny, 16, 16);
         let bytes = encode(&scene);
         assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
-    }
-
-    #[test]
-    fn v1_roundtrip_still_works_as_bench_baseline() {
-        let scene = SceneId::Sibenik.build_with_viewport(SceneScale::Tiny, 16, 16);
-        let bytes = encode_v1(&scene);
-        let decoded = decode_v1(&bytes).unwrap();
-        assert_eq!(decoded.camera, scene.camera);
-        assert_eq!(encode_v1(&decoded), bytes);
-        assert!(
-            !decoded.mesh.is_shared(),
-            "v1 decode is the element-wise copy"
-        );
-        // The two codecs agree on the scene they describe.
-        assert_eq!(encode(&decoded), encode(&scene));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   path.
 //! * **Probabilistic** — [`ChaosConfig`] injects panic/slow/flaky
 //!   faults into a seeded pseudo-random *fraction* of chunks, the
-//!   `chaos_bench` workload. Selection hashes `(seed, round, chunk)`
+//!   chaos load gate's workload. Selection hashes `(seed, round, chunk)`
 //!   with the same FNV the retry jitter uses, so a given seed fails the
 //!   exact same chunks run after run — a chaos experiment that cannot
 //!   be replayed is a flake generator, not a test.

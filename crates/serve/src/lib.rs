@@ -30,14 +30,15 @@
 //!   (`Full → NoPredict → Survival`) driven by windowed round health.
 //! * [`ChaosConfig`] — deterministic probabilistic fault injection into
 //!   trace chunks, composing with the `RIP_FAULT_INJECT` plan under the
-//!   `serve_chunk` / `serve_reload` labels; feeds the `chaos_bench`
-//!   harness and `BENCH_chaos.json`.
+//!   `serve_chunk` / `serve_reload` labels; the chaos load gate in
+//!   `tests/load_gates.rs` holds the service to an availability floor
+//!   under it.
 //! * [`loadgen`] — synthetic multi-tenant *open-loop* load generation
 //!   (absolute schedules, shed-on-full, optional per-request deadlines)
-//!   feeding the `serve_bench` binary and `BENCH_serve.json`.
+//!   driving the load gates and perfbench's `serve_light` workload.
 //!
 //! See DESIGN.md §9–§10 for the architecture rationale and
-//! EXPERIMENTS.md for the `serve_bench` / `chaos_bench` knobs.
+//! EXPERIMENTS.md for the load gates and the chaos knobs.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -143,13 +143,26 @@ impl std::fmt::Display for Backpressure {
 impl std::error::Error for Backpressure {}
 
 /// Why a submission was refused. Each variant is a *different* signal
-/// to the client: back off ([`Rejection::Backpressure`]), slow down
+/// to the client: fix the rays ([`Rejection::InvalidRay`]), back off
+/// ([`Rejection::Backpressure`]), slow down
 /// ([`Rejection::RateLimited`]), or loosen the deadline
 /// ([`Rejection::DeadlineUnmeetable`]) — conflating them (the seed
 /// behaviour: shed-on-full was the only failure mode) hides which knob
 /// is saturated.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Rejection {
+    /// A ray cannot be traced: it has a non-finite origin or direction
+    /// component, a zero direction, a NaN `t_min` or `t_max`, or
+    /// `t_min > t_max`. Refused before any of it reaches the ray hash
+    /// or the shared predictor table.
+    InvalidRay {
+        /// The submitting tenant.
+        tenant: usize,
+        /// Class of the refused request.
+        class: RequestClass,
+        /// Index of the first invalid ray in the submitted batch.
+        index: usize,
+    },
     /// The tenant's bounded queue is full.
     Backpressure(Backpressure),
     /// The tenant's admission token bucket is empty.
@@ -179,6 +192,15 @@ pub enum Rejection {
 impl std::fmt::Display for Rejection {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Rejection::InvalidRay {
+                tenant,
+                class,
+                index,
+            } => write!(
+                f,
+                "tenant {tenant} {} request has an invalid ray at index {index}",
+                class.label()
+            ),
             Rejection::Backpressure(bp) => bp.fmt(f),
             Rejection::RateLimited {
                 tenant,
@@ -364,5 +386,11 @@ mod tests {
             estimated_done_us: 90,
         };
         assert!(dl.to_string().contains("unmeetable"));
+        let invalid = Rejection::InvalidRay {
+            tenant: 0,
+            class: RequestClass::Primary,
+            index: 3,
+        };
+        assert!(invalid.to_string().contains("invalid ray at index 3"));
     }
 }

@@ -7,9 +7,10 @@
 //! queues and keeping the *service* isolated from any single request's
 //! failure:
 //!
-//! 1. **Admission**: a per-tenant token bucket and a queue-age deadline
-//!    estimate refuse work at the cheapest point
-//!    ([`Rejection::RateLimited`] / [`Rejection::DeadlineUnmeetable`]),
+//! 1. **Admission**: a ray check, a per-tenant token bucket and a
+//!    queue-age deadline estimate refuse work at the cheapest point
+//!    ([`Rejection::InvalidRay`] / [`Rejection::RateLimited`] /
+//!    [`Rejection::DeadlineUnmeetable`]),
 //!    before bounded queues shed the rest as
 //!    [`Rejection::Backpressure`].
 //! 2. **Fairness**: each dispatch round drains tenant queues
@@ -43,6 +44,7 @@ use crate::Rejection;
 use rip_bvh::{RayBatch, StacklessKernel, TraversalKernel};
 use rip_core::{ConcurrentPredictorTable, Predicted, PredictorConfig, TableStats};
 use rip_exec::{Case, Fault, FaultKind, InjectionPlan, JobPool, RetryPolicy};
+use rip_math::Vec3;
 use rip_obs::{Histogram, Obs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -137,6 +139,8 @@ pub struct ServiceStats {
     pub completed_rays: u64,
     /// Requests shed by backpressure at submission.
     pub shed_requests: u64,
+    /// Requests refused at admission for an invalid ray.
+    pub rejected_invalid: u64,
     /// Requests refused by the admission token bucket.
     pub rate_limited: u64,
     /// Requests refused because their deadline was already unmeetable.
@@ -217,6 +221,20 @@ struct ClassOutcome {
     rays: usize,
     /// Completed-but-late plus failed (the mode controller's "bad").
     bad: u64,
+}
+
+/// Index of the first ray in `rays` that admission refuses: a
+/// non-finite origin or direction component, a zero direction, a NaN
+/// `t_min` or `t_max`, or `t_min > t_max`.
+fn first_invalid_ray(rays: &RayBatch) -> Option<usize> {
+    rays.iter().position(|ray| {
+        !ray.origin.is_finite()
+            || !ray.direction.is_finite()
+            || ray.direction == Vec3::ZERO
+            || ray.t_min.is_nan()
+            || ray.t_max.is_nan()
+            || ray.t_min > ray.t_max
+    })
 }
 
 /// A multi-tenant ray-tracing service over one immutable scene lease.
@@ -381,11 +399,12 @@ impl RayService {
     }
 
     /// Submits `rays` for `tenant`, returning the request id, or a
-    /// typed [`Rejection`]. `deadline_us` is an absolute reading of the
-    /// service clock ([`RayService::now_us`]); admission refuses
-    /// deadlines the queue-age estimate already rules out, dispatch
-    /// drops requests that expire while queued, and completions past
-    /// the deadline count as SLO misses.
+    /// typed [`Rejection`]. A batch with an invalid ray is refused
+    /// first, so it consumes neither a token nor an id. `deadline_us` is
+    /// an absolute reading of the service clock ([`RayService::now_us`]);
+    /// admission refuses deadlines the queue-age estimate already rules
+    /// out, dispatch drops requests that expire while queued, and
+    /// completions past the deadline count as SLO misses.
     ///
     /// # Panics
     ///
@@ -397,6 +416,18 @@ impl RayService {
         rays: RayBatch,
         deadline_us: Option<u64>,
     ) -> Result<u64, Rejection> {
+        let queue = &self.queues[tenant];
+        if let Some(index) = first_invalid_ray(&rays) {
+            let mut stats = self.stats.lock().unwrap_or_else(|p| p.into_inner());
+            stats.rejected_invalid += 1;
+            drop(stats);
+            self.obs.add("serve.rejected_invalid", 1);
+            return Err(Rejection::InvalidRay {
+                tenant,
+                class,
+                index,
+            });
+        }
         let now_us = self.obs.now_us();
         if let Err(retry_after_us) = self.admission.take_token(tenant, now_us) {
             let mut stats = self.stats.lock().unwrap_or_else(|p| p.into_inner());
@@ -429,16 +460,16 @@ impl RayService {
         // Check fullness before allocating an id, so shed submissions
         // never consume one (ids stay dense over admitted requests; the
         // re-check inside `push` still guards concurrent submitters).
-        if self.queues[tenant].is_full() {
+        if queue.is_full() {
             return Err(self.shed(Backpressure {
                 tenant,
-                capacity: self.queues[tenant].capacity(),
-                depth: self.queues[tenant].len(),
+                capacity: queue.capacity(),
+                depth: queue.len(),
                 class,
             }));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = self.queues[tenant].push(Request {
+        let result = queue.push(Request {
             id,
             tenant,
             class,

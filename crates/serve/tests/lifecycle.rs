@@ -12,7 +12,8 @@ use rip_math::{Ray, Vec3};
 use rip_obs::{ClockMode, Obs};
 use rip_scene::{SceneId, SceneScale};
 use rip_serve::{
-    ChaosConfig, RayService, Rejection, RequestClass, SceneRegistry, ServiceConfig, ServiceMode,
+    AdmissionConfig, ChaosConfig, RayService, Rejection, RequestClass, SceneRegistry,
+    ServiceConfig, ServiceMode,
 };
 use std::sync::Arc;
 
@@ -227,16 +228,44 @@ fn chaos_panics_are_contained_and_attributed_under_deadlines() {
 fn rejections_never_consume_request_ids() {
     // A rejected submission must not burn an id or touch a queue — ids
     // stay dense over admitted requests only (replayable logs depend on
-    // it).
+    // it). The token bucket holds exactly the four tokens the valid
+    // submissions take and never refills, so an invalid-ray request
+    // that consumed a token would rate-limit the last submission.
     let service = logical_service(
         1,
         ServiceConfig {
             chunk_rays: 8,
             queue_capacity: 1,
+            admission: AdmissionConfig {
+                rate_per_tenant: 1e-3,
+                burst: 4.0,
+            },
             ..ServiceConfig::default()
         },
     );
     let rays = down_rays(4, &service);
+    let refuse_poisoned = |index: usize, poison: fn(&mut Ray)| {
+        let mut batch = rays.to_rays();
+        poison(&mut batch[index]);
+        let err = service
+            .submit(0, RequestClass::Primary, RayBatch::from_rays(&batch))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Rejection::InvalidRay {
+                tenant: 0,
+                class: RequestClass::Primary,
+                index
+            }
+        );
+    };
+    refuse_poisoned(0, |r| r.origin.x = f32::NAN);
+    refuse_poisoned(1, |r| r.origin.z = f32::INFINITY);
+    refuse_poisoned(2, |r| r.direction.y = f32::NEG_INFINITY);
+    refuse_poisoned(3, |r| r.direction = Vec3::ZERO);
+    refuse_poisoned(1, |r| r.t_min = f32::NAN);
+    refuse_poisoned(2, |r| r.t_max = f32::NAN);
+    refuse_poisoned(3, |r| (r.t_min, r.t_max) = (2.0, 1.0));
     let first = service
         .submit(0, RequestClass::Primary, rays.clone())
         .unwrap();
@@ -258,4 +287,7 @@ fn rejections_never_consume_request_ids() {
     assert_eq!(stats.admitted_requests, 2);
     assert_eq!(stats.shed_requests, 1);
     assert_eq!(stats.rejected_unmeetable, 1);
+    assert_eq!(stats.rejected_invalid, 7);
+    assert_eq!(stats.rate_limited, 0);
+    assert_eq!(service.obs().get("serve.rejected_invalid"), 7);
 }

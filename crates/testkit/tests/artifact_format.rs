@@ -254,6 +254,11 @@ fn mapped_case_digest() -> String {
             "{}: a disk-loaded mesh must borrow the mapped bytes",
             key.label()
         );
+        assert!(
+            case.bvh.is_shared(),
+            "{}: a disk-loaded BVH must borrow the mapped bytes",
+            key.label()
+        );
         let mut fnv = Fnv::new();
         fnv.write(&rip_scene::serial::encode(&case.scene));
         fnv.write(&rip_bvh::serial::encode(&case.bvh));
