@@ -7,6 +7,7 @@ use rip_gpusim::{Cache, CacheConfig, Dram, DramConfig};
 fn memory_models(c: &mut Criterion) {
     // A strided-with-reuse trace resembling BVH node fetches.
     let trace: Vec<u64> = (0..8192u64).map(|i| ((i * 37) % 3000) * 64).collect();
+    let address_bytes = trace.iter().max().map_or(0, |&addr| addr + 1);
 
     let mut group = c.benchmark_group("memory_models");
     group.throughput(criterion::Throughput::Elements(trace.len() as u64));
@@ -27,7 +28,7 @@ fn memory_models(c: &mut Criterion) {
             &trace,
             |b, trace| {
                 b.iter(|| {
-                    let mut cache = Cache::new(config);
+                    let mut cache = Cache::new(config, address_bytes);
                     let mut hits = 0u64;
                     for &addr in trace {
                         hits += cache.access(std::hint::black_box(addr)) as u64;

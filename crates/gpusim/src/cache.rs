@@ -1,42 +1,5 @@
 //! Set-associative cache model.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hashing for `u64` cache-line keys. Line numbers are
-/// dense simulator-generated integers, so SipHash's flooding resistance
-/// buys nothing; one 64×64→128-bit multiply by the golden-ratio constant,
-/// folded back to 64 bits, spreads them over both the bucket-index and
-/// the tag bits of the table.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    #[inline]
-    fn write_u64(&mut self, line: u64) {
-        let product = u128::from(self.0 ^ line) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = product as u64 ^ (product >> 64) as u64;
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map keyed by cache line, hashed with [`LineHasher`].
-pub(crate) type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
-
-/// A set of cache lines, hashed with [`LineHasher`].
-pub(crate) type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
-
 /// Geometry of one cache (Table 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -88,15 +51,27 @@ impl CacheConfig {
         (self.lines() / self.effective_ways()).max(1)
     }
 
+    /// `log2(line_bytes)`: an address shifted right by this is its line.
+    pub(crate) fn line_shift(&self) -> u32 {
+        self.line_bytes.trailing_zeros()
+    }
+
     /// Validates the geometry.
     ///
     /// # Errors
     ///
-    /// Returns a message when sizes are zero, not line-divisible, or the
-    /// set count is not a power of two.
+    /// Returns a message when sizes are zero, the line size is not a power
+    /// of two, the capacity is not line-divisible, or the set count is not
+    /// a power of two.
     pub fn validate(&self) -> Result<(), String> {
         if self.line_bytes == 0 || self.size_bytes == 0 {
             return Err("cache sizes must be positive".into());
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "{}-byte lines: the line size must be a power of two",
+                self.line_bytes
+            ));
         }
         if !self.size_bytes.is_multiple_of(self.line_bytes) {
             return Err("capacity must be a multiple of the line size".into());
@@ -186,14 +161,20 @@ impl SetList {
     }
 }
 
-/// An LRU set-associative cache over byte addresses.
+/// An LRU set-associative cache over byte addresses below a fixed
+/// address-space size.
+///
+/// Lookups neither hash nor divide: a line is its address shifted by
+/// `log2(line_bytes)`, its set the line masked by the (power-of-two) set
+/// count, and residency one load from a dense line-indexed table.
 ///
 /// # Examples
 ///
 /// ```
 /// use rip_gpusim::{Cache, CacheConfig};
 ///
-/// let mut c = Cache::new(CacheConfig { size_bytes: 256, line_bytes: 128, ways: 2 });
+/// let geometry = CacheConfig { size_bytes: 256, line_bytes: 128, ways: 2 };
+/// let mut c = Cache::new(geometry, 4096); // addresses 0..4096
 /// assert!(!c.access(0));   // cold miss
 /// assert!(c.access(64));   // same 128-byte line
 /// assert!(!c.access(128)); // next line
@@ -201,32 +182,47 @@ impl SetList {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// Set count − 1 (the set count is a power of two).
+    set_mask: u64,
+    /// Effective associativity.
+    ways: u32,
     /// Line frames in fill order; a full set reuses its own LRU slot.
     slots: Vec<Slot>,
     /// Per set: an intrusive doubly-linked recency list over its slots,
     /// so a hit moves to the head and an eviction takes the tail, both
     /// O(1) even for the 512-way fully-associative baseline L1.
     sets: Vec<SetList>,
-    /// Resident line → its slot.
-    index: LineMap<u32>,
+    /// Every line of the address space → its slot + 1, or 0 when absent.
+    /// Built from zeroed memory, so pages of lines never touched are
+    /// never made resident.
+    index: Vec<u32>,
     stats: CacheStats,
 }
 
 impl Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache over the byte addresses `0..address_bytes`.
+    /// The simulator passes the BVH's
+    /// [`footprint_bytes`](rip_bvh::MemoryLayout::footprint_bytes); the
+    /// line index costs 4 bytes per line of that space.
     ///
     /// # Panics
     ///
     /// Panics when the geometry is invalid.
-    pub fn new(config: CacheConfig) -> Self {
+    pub fn new(config: CacheConfig, address_bytes: u64) -> Self {
         config.validate().expect("invalid cache configuration");
         let lines = config.sets() * config.effective_ways();
         assert!(lines < NIL as usize, "cache has too many lines");
+        let space_lines = address_bytes.div_ceil(config.line_bytes as u64);
         Cache {
             config,
+            line_shift: config.line_shift(),
+            set_mask: config.sets() as u64 - 1,
+            ways: config.effective_ways() as u32,
             slots: Vec::with_capacity(lines),
             sets: vec![SetList::EMPTY; config.sets()],
-            index: LineMap::with_capacity_and_hasher(lines, Default::default()),
+            index: vec![0; usize::try_from(space_lines).expect("address space fits in memory")],
             stats: CacheStats::default(),
         }
     }
@@ -241,47 +237,65 @@ impl Cache {
         self.stats
     }
 
+    /// The line of `addr`, checked against the declared address space.
+    #[inline]
+    fn line_of(&self, addr: u64) -> usize {
+        let line = (addr >> self.line_shift) as usize;
+        if line >= self.index.len() {
+            self.outside_space(addr);
+        }
+        line
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn outside_space(&self, addr: u64) -> ! {
+        panic!(
+            "address {addr:#x} lies outside the cache's {:#x}-byte address space",
+            (self.index.len() as u64) << self.line_shift
+        );
+    }
+
     /// Accesses a byte address; returns `true` on hit. Misses fill the
     /// line, evicting LRU.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `addr` lies outside the address space given to
+    /// [`Cache::new`].
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let line = addr / self.config.line_bytes as u64;
-        // The set count is a power of two.
-        let set_mask = self.sets.len() as u64 - 1;
-        let set = &mut self.sets[(line & set_mask) as usize];
-        match self.index.entry(line) {
-            Entry::Occupied(hit) => {
-                let slot = *hit.get();
+        let line = self.line_of(addr);
+        let set = &mut self.sets[(line as u64 & self.set_mask) as usize];
+        match self.index[line] {
+            0 => {
+                let slot = if set.filled < self.ways {
+                    set.filled += 1;
+                    self.slots.push(Slot {
+                        line: line as u64,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    self.slots.len() as u32 - 1
+                } else {
+                    let victim = set.tail;
+                    set.unlink(&mut self.slots, victim);
+                    self.index[self.slots[victim as usize].line as usize] = 0;
+                    self.slots[victim as usize].line = line as u64;
+                    victim
+                };
+                self.index[line] = slot + 1;
+                set.push_front(&mut self.slots, slot);
+                false
+            }
+            entry => {
+                let slot = entry - 1;
                 if set.head != slot {
                     set.unlink(&mut self.slots, slot);
                     set.push_front(&mut self.slots, slot);
                 }
                 self.stats.hits += 1;
                 true
-            }
-            Entry::Vacant(miss) => {
-                let (slot, evicted) = if (set.filled as usize) < self.config.effective_ways() {
-                    set.filled += 1;
-                    self.slots.push(Slot {
-                        line,
-                        prev: NIL,
-                        next: NIL,
-                    });
-                    (self.slots.len() as u32 - 1, None)
-                } else {
-                    let victim = set.tail;
-                    set.unlink(&mut self.slots, victim);
-                    (victim, Some(self.slots[victim as usize].line))
-                };
-                // Filling through the entry reuses the lookup's hash, so a
-                // miss hashes twice at most (lookup, victim removal).
-                miss.insert(slot);
-                if let Some(old) = evicted {
-                    self.index.remove(&old);
-                }
-                self.slots[slot as usize].line = line;
-                set.push_front(&mut self.slots, slot);
-                false
             }
         }
     }
@@ -291,16 +305,22 @@ impl Cache {
     /// per-SM engine takes of the epoch-frozen shared L2 — contents only
     /// change at epoch barriers, where the authoritative [`Cache::access`]
     /// replays the merged traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `addr` lies outside the address space given to
+    /// [`Cache::new`].
     pub fn probe(&self, addr: u64) -> bool {
-        self.index
-            .contains_key(&(addr / self.config.line_bytes as u64))
+        self.index[self.line_of(addr)] != 0
     }
 
     /// Empties the cache, keeping statistics.
     pub fn clear(&mut self) {
+        for slot in &self.slots {
+            self.index[slot.line as usize] = 0;
+        }
         self.sets.fill(SetList::EMPTY);
         self.slots.clear();
-        self.index.clear();
     }
 }
 
@@ -310,6 +330,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     /// The previous timestamp-scan model, kept as the oracle the O(1) list
     /// must match access for access: per set a line → last-use map, with
@@ -390,11 +411,11 @@ mod tests {
     /// through both models; every return value, the final statistics and
     /// the final contents must agree.
     fn check_against_reference(config: CacheConfig, seed: u64, span_per_mille: u64) {
-        let mut fast = Cache::new(config);
-        let mut oracle = ReferenceLru::new(config);
         let capacity = (config.sets() * config.effective_ways()) as u64;
         let span = (capacity * span_per_mille / 1000).max(2);
         let line = config.line_bytes as u64;
+        let mut fast = Cache::new(config, span * line);
+        let mut oracle = ReferenceLru::new(config);
         let mut rng = SmallRng::seed_from_u64(seed);
         let steps = 3 * capacity + 64;
         for step in 0..steps {
@@ -460,11 +481,14 @@ mod tests {
     }
 
     fn tiny(ways: usize) -> Cache {
-        Cache::new(CacheConfig {
-            size_bytes: 512,
-            line_bytes: 128,
-            ways,
-        })
+        Cache::new(
+            CacheConfig {
+                size_bytes: 512,
+                line_bytes: 128,
+                ways,
+            },
+            64 * 128,
+        )
     }
 
     #[test]
@@ -491,11 +515,14 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 512,
-            line_bytes: 128,
-            ways: 1,
-        });
+        let mut c = Cache::new(
+            CacheConfig {
+                size_bytes: 512,
+                line_bytes: 128,
+                ways: 1,
+            },
+            8 * 128,
+        );
         // 4 sets; lines 0 and 4 conflict.
         assert!(!c.access(0));
         assert!(!c.access(4 * 128));
@@ -506,11 +533,14 @@ mod tests {
     fn bigger_cache_hits_more() {
         let trace: Vec<u64> = (0..200u64).map(|i| (i * 37) % 64 * 128).collect();
         let run = |size: usize| {
-            let mut c = Cache::new(CacheConfig {
-                size_bytes: size,
-                line_bytes: 128,
-                ways: usize::MAX,
-            });
+            let mut c = Cache::new(
+                CacheConfig {
+                    size_bytes: size,
+                    line_bytes: 128,
+                    ways: usize::MAX,
+                },
+                64 * 128,
+            );
             for &a in &trace {
                 c.access(a);
             }
@@ -552,6 +582,32 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_lines() {
+        let err = CacheConfig {
+            size_bytes: 96 * 16,
+            line_bytes: 96,
+            ways: 1,
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("96-byte lines"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x2000 lies outside the cache's 0x2000-byte address space")]
+    fn access_past_the_address_space_panics() {
+        let mut c = tiny(4);
+        c.access(64 * 128 - 1); // last byte of the space
+        c.access(64 * 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x2000 lies outside the cache's 0x2000-byte address space")]
+    fn probe_past_the_address_space_panics() {
+        let _ = tiny(4).probe(64 * 128);
     }
 
     #[test]

@@ -178,6 +178,12 @@ impl GpuConfig {
         if let Some(rt) = &self.rt_cache {
             rt.validate()?;
         }
+        if !self.dram.banks.is_power_of_two() {
+            return Err(format!(
+                "{} DRAM banks: the bank count must be a power of two",
+                self.dram.banks
+            ));
+        }
         if let Some(p) = &self.predictor {
             p.validate()?;
         }
@@ -228,5 +234,8 @@ mod tests {
         let mut c = GpuConfig::baseline();
         c.collector_capacity = 8;
         assert!(c.validate().is_err());
+        let mut c = GpuConfig::baseline();
+        c.dram.banks = 12;
+        assert!(c.validate().unwrap_err().contains("12 DRAM banks"));
     }
 }

@@ -3,7 +3,8 @@
 /// DRAM geometry and timing (core-clock cycles).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Number of banks (requests to distinct banks proceed in parallel).
+    /// Number of banks (requests to distinct banks proceed in parallel);
+    /// a power of two.
     pub banks: usize,
     /// Access latency once a bank accepts the request.
     pub access_latency: u64,
@@ -85,6 +86,8 @@ impl DramStats {
 #[derive(Clone, Debug)]
 pub struct Dram {
     config: DramConfig,
+    /// `banks − 1`: a line's bank is a mask, not a remainder.
+    bank_mask: u64,
     bank_free_at: Vec<u64>,
     stats: DramStats,
 }
@@ -94,11 +97,17 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics when `banks` is zero.
+    /// Panics when `banks` is zero or not a power of two.
     pub fn new(config: DramConfig) -> Self {
         assert!(config.banks > 0, "need at least one bank");
+        assert!(
+            config.banks.is_power_of_two(),
+            "{} banks: the bank count must be a power of two",
+            config.banks
+        );
         Dram {
             config,
+            bank_mask: config.banks as u64 - 1,
             bank_free_at: vec![0; config.banks],
             stats: DramStats {
                 per_bank: vec![0; config.banks],
@@ -120,13 +129,19 @@ impl Dram {
     /// Issues a request for `addr` at time `now`; returns the completion
     /// time.
     pub fn access(&mut self, addr: u64, now: u64) -> u64 {
-        let bank = ((addr / 128) % self.config.banks as u64) as usize;
+        let bank = ((addr / 128) & self.bank_mask) as usize;
         let start = now.max(self.bank_free_at[bank]);
         self.stats.bank_wait_cycles += start - now;
         self.stats.accesses += 1;
         self.stats.per_bank[bank] += 1;
         self.bank_free_at[bank] = start + self.config.bank_occupancy;
         start + self.config.access_latency
+    }
+
+    /// Makes this DRAM's bank timeline a copy of `other`'s, keeping its
+    /// own statistics and allocations. `other` must have as many banks.
+    pub(crate) fn copy_timeline_from(&mut self, other: &Dram) {
+        self.bank_free_at.copy_from_slice(&other.bank_free_at);
     }
 }
 
@@ -194,6 +209,16 @@ mod tests {
         }
         assert!(spread.stats().bank_balance() > hot.stats().bank_balance());
         assert!((spread.stats().bank_balance() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 banks: the bank count must be a power of two")]
+    fn non_power_of_two_bank_count_panics() {
+        let _ = Dram::new(DramConfig {
+            banks: 3,
+            access_latency: 1,
+            bank_occupancy: 1,
+        });
     }
 
     #[test]

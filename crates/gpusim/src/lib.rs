@@ -48,6 +48,6 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use collector::PartialWarpCollector;
 pub use config::{GpuConfig, LatencyConfig, PredictorUnitConfig, RepackMode};
 pub use dram::{Dram, DramConfig, DramStats};
-pub use memory::{MemoryHierarchy, MemoryStats};
+pub use memory::MemoryStats;
 pub use report::{ActivityCounts, SimReport};
 pub use sim::Simulator;

@@ -1,7 +1,8 @@
-//! The memory hierarchy: (optional RT cache) → per-SM L1 → shared L2 →
-//! banked DRAM (§5.1.4).
+//! Statistics of the memory hierarchy: (optional RT cache) → per-SM L1 →
+//! shared L2 → banked DRAM (§5.1.4). The simulator's epoch engine
+//! (`sim.rs`) models the hierarchy itself.
 
-use crate::{Cache, CacheConfig, CacheStats, Dram, DramConfig, DramStats, LatencyConfig};
+use crate::{CacheStats, DramStats};
 
 /// Aggregate memory-system statistics.
 #[derive(Clone, Debug, Default)]
@@ -28,174 +29,31 @@ impl MemoryStats {
     }
 }
 
-/// The full memory hierarchy.
-///
-/// Every request carries its issuing SM (for the private caches) and issue
-/// time; the return value is the completion time. Caches are modelled as
-/// blocking-free (MSHR merging happens at the warp level in the RT unit,
-/// §5.1.2, so duplicate in-flight lines have already been merged).
-///
-/// # Examples
-///
-/// ```
-/// use rip_gpusim::{LatencyConfig, MemoryHierarchy};
-///
-/// let mut mem = MemoryHierarchy::baseline(2);
-/// let cold = mem.access(0, 0x1000, 0);
-/// let warm = mem.access(0, 0x1000, cold);
-/// assert!(warm - cold < cold, "second access must hit the L1");
-/// # let _ = LatencyConfig::baseline();
-/// ```
-#[derive(Clone, Debug)]
-pub struct MemoryHierarchy {
-    rt_caches: Vec<Cache>,
-    l1s: Vec<Cache>,
-    l2: Cache,
-    dram: Dram,
-    latency: LatencyConfig,
-}
-
-impl MemoryHierarchy {
-    /// Builds the Table 2 baseline hierarchy for `num_sms` SMs.
-    pub fn baseline(num_sms: usize) -> Self {
-        Self::new(
-            num_sms,
-            None,
-            CacheConfig::l1_baseline(),
-            CacheConfig::l2_baseline(),
-            DramConfig::baseline(),
-            LatencyConfig::baseline(),
-        )
-    }
-
-    /// Builds a custom hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `num_sms` is zero or a cache configuration is invalid.
-    pub fn new(
-        num_sms: usize,
-        rt_cache: Option<CacheConfig>,
-        l1: CacheConfig,
-        l2: CacheConfig,
-        dram: DramConfig,
-        latency: LatencyConfig,
-    ) -> Self {
-        assert!(num_sms > 0, "need at least one SM");
-        MemoryHierarchy {
-            rt_caches: rt_cache
-                .map(|c| (0..num_sms).map(|_| Cache::new(c)).collect())
-                .unwrap_or_default(),
-            l1s: (0..num_sms).map(|_| Cache::new(l1)).collect(),
-            l2: Cache::new(l2),
-            dram: Dram::new(dram),
-            latency,
-        }
-    }
-
-    /// Issues a read of `addr` from SM `sm` at `now`; returns completion
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sm` is out of range.
-    pub fn access(&mut self, sm: usize, addr: u64, now: u64) -> u64 {
-        // Dedicated RT cache, when configured (§6.2.3).
-        if let Some(rt) = self.rt_caches.get_mut(sm) {
-            if rt.access(addr) {
-                return now + self.latency.l1_hit; // same fast-path latency
-            }
-        }
-        if self.l1s[sm].access(addr) {
-            return now + self.latency.l1_hit;
-        }
-        let l1_miss_time = now + self.latency.l1_hit;
-        if self.l2.access(addr) {
-            return l1_miss_time + self.latency.l2_hit;
-        }
-        let l2_miss_time = l1_miss_time + self.latency.l2_hit;
-        self.dram.access(addr, l2_miss_time)
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> MemoryStats {
-        MemoryStats {
-            rt_cache: self.rt_caches.iter().map(|c| c.stats()).collect(),
-            l1: self.l1s.iter().map(|c| c.stats()).collect(),
-            l2: self.l2.stats(),
-            dram: self.dram.stats().clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn l1_hit_is_fast() {
-        let mut mem = MemoryHierarchy::baseline(1);
-        let cold = mem.access(0, 0, 0);
-        assert!(cold > 100, "cold access goes to DRAM: {cold}");
-        let warm = mem.access(0, 0, 1000);
-        assert_eq!(warm, 1001, "L1 hit is 1 cycle");
-    }
-
-    #[test]
-    fn l2_shared_between_sms() {
-        let mut mem = MemoryHierarchy::baseline(2);
-        let _ = mem.access(0, 0, 0); // fills L2 via SM0
-        let other = mem.access(1, 0, 1000); // SM1 L1 misses, L2 hits
-        assert_eq!(other, 1000 + 1 + 30);
-    }
-
-    #[test]
-    fn rt_cache_front_ends_l1() {
-        let rt = CacheConfig {
-            size_bytes: 4 * 1024,
-            line_bytes: 128,
-            ways: usize::MAX,
+    fn l1_combined_sums_every_sm() {
+        let stats = MemoryStats {
+            l1: vec![
+                CacheStats {
+                    accesses: 2,
+                    hits: 1,
+                },
+                CacheStats {
+                    accesses: 5,
+                    hits: 3,
+                },
+            ],
+            ..MemoryStats::default()
         };
-        let mut mem = MemoryHierarchy::new(
-            1,
-            Some(rt),
-            CacheConfig::l1_baseline(),
-            CacheConfig::l2_baseline(),
-            DramConfig::baseline(),
-            LatencyConfig::baseline(),
-        );
-        let _ = mem.access(0, 0, 0);
-        let warm = mem.access(0, 0, 500);
-        assert_eq!(warm, 501);
-        let stats = mem.stats();
-        assert_eq!(stats.rt_cache[0].accesses, 2);
-        assert_eq!(stats.rt_cache[0].hits, 1);
-        // The L1 only saw the RT-cache miss.
-        assert_eq!(stats.l1[0].accesses, 1);
-    }
-
-    #[test]
-    fn stats_aggregate_across_sms() {
-        let mut mem = MemoryHierarchy::baseline(2);
-        mem.access(0, 0, 0);
-        mem.access(1, 128, 0);
-        mem.access(0, 0, 10);
-        let s = mem.stats();
-        assert_eq!(s.l1_combined().accesses, 3);
-        assert_eq!(s.l1_combined().hits, 1);
-        assert_eq!(s.dram.accesses, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one SM")]
-    fn zero_sms_panics() {
-        let _ = MemoryHierarchy::new(
-            0,
-            None,
-            CacheConfig::l1_baseline(),
-            CacheConfig::l2_baseline(),
-            DramConfig::baseline(),
-            LatencyConfig::baseline(),
+        assert_eq!(
+            stats.l1_combined(),
+            CacheStats {
+                accesses: 7,
+                hits: 4
+            }
         );
     }
 }

@@ -15,12 +15,14 @@
 //! **epochs** of [`GpuConfig::epoch_cycles`]: within an epoch every SM
 //! processes its private event heap against (a) its live private RT/L1
 //! caches and (b) an epoch-frozen snapshot of the shared L2 (read with the
-//! non-mutating [`Cache::probe`]) plus a private clone of the DRAM bank
+//! non-mutating [`Cache::probe`]) plus a private copy of the DRAM bank
 //! timeline. Every request that misses the private levels is appended to a
 //! per-SM log; at the epoch barrier the logs are merged in the canonical
-//! `(issue time, SM id, sequence)` order and replayed through the
-//! authoritative shared L2/DRAM, which alone own the shared-level
-//! statistics and the bank timeline seen by the next epoch.
+//! `(issue time, SM id)` order and replayed through the authoritative
+//! shared L2/DRAM, which alone own the shared-level statistics and the
+//! bank timeline seen by the next epoch. An SM issues at most one request
+//! per cycle, so each log is already in issue-time order and the merge
+//! needs no sort.
 //!
 //! Because each SM's epoch depends only on its own state and the frozen
 //! snapshot, and the barrier merge is a deterministic function of the
@@ -39,7 +41,6 @@
 //! verification work) still run live because they start from
 //! predictor-supplied nodes that no trace records.
 
-use crate::cache::{LineMap, LineSet};
 use crate::rt_unit::{RayPhase, RayWork, SmState, WarpState};
 use crate::{
     ActivityCounts, Cache, Dram, GpuConfig, LatencyConfig, MemoryStats, PartialWarpCollector,
@@ -53,6 +54,9 @@ use rip_math::Ray;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
+
+/// `log2` of the MSHR's merge granularity: the layout's 128-byte lines.
+const MSHR_LINE_SHIFT: u32 = 7;
 
 /// Event kinds, ordered inside the heap tuple after time.
 const EV_WARP_ITER: u8 = 0;
@@ -156,7 +160,7 @@ impl Simulator {
     pub fn run_batch(&self, bvh: &Bvh, batch: &RayBatch) -> SimReport {
         let trace = self.validated_trace(bvh, batch);
         self.observe(batch.len() as u64, || {
-            Engine::new(&self.config, bvh, batch.iter(), trace, self.jobs).run()
+            Engine::new(&self.config, bvh, batch, trace, self.jobs).run()
         })
     }
 
@@ -195,9 +199,9 @@ impl Simulator {
     }
 }
 
-/// One shared-level request logged during an epoch: issue time, per-SM
-/// sequence number, byte address.
-type LoggedRequest = (u64, u32, u64);
+/// One shared-level request logged during an epoch: issue time, byte
+/// address.
+type LoggedRequest = (u64, u64);
 
 /// The authoritative shared memory levels, mutated only at epoch
 /// barriers on the coordinating thread.
@@ -208,13 +212,32 @@ struct SharedMemory {
 }
 
 impl SharedMemory {
-    /// Replays one epoch's merged request log in canonical order. The
-    /// shared-level statistics and the DRAM bank timeline the next epoch
-    /// snapshots are produced here and only here, so they are identical
-    /// no matter how many threads stepped the SMs.
-    fn replay(&mut self, mut log: Vec<(u64, usize, u32, u64)>) {
-        log.sort_unstable_by_key(|&(t, sm, seq, _)| (t, sm, seq));
-        for (t_issue, _, _, addr) in log {
+    /// Replays one epoch's per-SM request logs merged in canonical
+    /// `(issue time, SM id)` order; `heads` is one reusable cursor per
+    /// log. The shared-level statistics and the DRAM bank timeline the
+    /// next epoch snapshots are produced here and only here, so they are
+    /// identical no matter how many threads stepped the SMs.
+    fn replay(&mut self, logs: &[Vec<LoggedRequest>], heads: &mut [usize]) {
+        debug_assert!(
+            logs.iter()
+                .all(|log| log.windows(2).all(|pair| pair[0].0 < pair[1].0)),
+            "an SM log is not in strictly increasing issue-time order"
+        );
+        heads.fill(0);
+        loop {
+            // The earliest head; on a tie the lower SM id (scanned first).
+            let mut next: Option<(usize, LoggedRequest)> = None;
+            for (sm, log) in logs.iter().enumerate() {
+                if let Some(&request) = log.get(heads[sm]) {
+                    if next.is_none_or(|(_, best)| request.0 < best.0) {
+                        next = Some((sm, request));
+                    }
+                }
+            }
+            let Some((sm, (t_issue, addr))) = next else {
+                return;
+            };
+            heads[sm] += 1;
             if !self.l2.access(addr) {
                 let l2_miss_time = t_issue + self.latency.l1_hit + self.latency.l2_hit;
                 self.dram.access(addr, l2_miss_time);
@@ -226,9 +249,14 @@ impl SharedMemory {
 /// One SM's private discrete-event engine: its rays, warp slots,
 /// predictor, collector, MSHR, RT/L1 caches and event heap.
 ///
-/// The event loop neither allocates nor hashes per ray: rays live in a
-/// dense arena addressed by SM-local index, and each warp iteration works
-/// in scratch buffers that are cleared and reused.
+/// The event loop neither allocates, hashes nor divides per ray or per
+/// memory request: rays live in a dense arena addressed by SM-local index,
+/// each warp iteration works in scratch buffers that are cleared and
+/// reused, and the caches, the MSHR and the epoch's L2 fills are dense
+/// tables indexed by line number over the BVH's address space (about
+/// 16 bytes per 128-byte line: 4 for the L1 index, 8 for the MSHR, 4 for
+/// the epoch stamps, plus 4 with an RT cache). The tables come from
+/// zeroed memory, so only the lines a run touches become resident.
 struct SmEngine<'a> {
     config: &'a GpuConfig,
     bvh: &'a Bvh,
@@ -241,22 +269,26 @@ struct SmEngine<'a> {
     repacked_queue: VecDeque<Vec<u32>>,
     /// Pending collector-timeout event (time it was scheduled for).
     collector_event: Option<u64>,
-    /// MSHR: line address → in-flight fill completion time (entries that
-    /// can no longer merge are dropped at each epoch start).
-    mshr: LineMap<u64>,
+    /// MSHR: per 128-byte line, the completion time of its latest fill
+    /// (0: never filled). A fill that completed by a request's issue time
+    /// can no longer merge, so stale entries need no eviction.
+    mshr: Vec<u64>,
     rt_cache: Option<Cache>,
     l1: Cache,
-    /// Lines this SM filled into the (frozen) shared L2 this epoch —
-    /// treated as L2 hits by the local latency view, matching what the
-    /// barrier replay will install.
-    epoch_lines: LineSet,
+    /// Per L2 line, the last epoch in which this SM filled it into the
+    /// (frozen) shared L2: such lines are L2 hits for the local latency
+    /// view, matching what the barrier replay will install. Numbering
+    /// epochs from 1 makes the zeroed table empty and a new epoch clear.
+    epoch_stamps: Vec<u32>,
+    /// The current epoch's number.
+    epoch: u32,
     /// Local DRAM bank-timeline view, re-seeded from the authoritative
     /// state at each barrier; its statistics are discarded.
     local_dram: Dram,
-    /// Shared-level requests issued this epoch, in issue order.
+    /// Shared-level requests issued this epoch, in issue order. The
+    /// coordinator swaps it for an emptied buffer at each barrier, so
+    /// both keep their capacity.
     shared_log: Vec<LoggedRequest>,
-    /// Monotonic per-SM request sequence (merge tie-breaker).
-    seq: u32,
     /// (time, kind, payload): payload = slot index (or 0).
     events: BinaryHeap<Reverse<(u64, u8, u32)>>,
     /// Per-SM partial report; shared-level fields are filled at merge.
@@ -270,12 +302,15 @@ struct SmEngine<'a> {
 }
 
 impl<'a> SmEngine<'a> {
-    fn new(config: &'a GpuConfig, bvh: &'a Bvh) -> Self {
+    /// An idle SM with room for `rays` rays.
+    fn new(config: &'a GpuConfig, bvh: &'a Bvh, rays: usize) -> Self {
         let total_slots = config.max_warps_per_rt + config.repack.extra_warps() as usize;
+        let space = bvh.layout().footprint_bytes();
+        let lines = |shift: u32| space.div_ceil(1 << shift) as usize;
         SmEngine {
             config,
             bvh,
-            rays: Vec::new(),
+            rays: Vec::with_capacity(rays),
             sm: SmState {
                 slots: (0..total_slots).map(|_| None).collect(),
                 pending: VecDeque::new(),
@@ -292,13 +327,13 @@ impl<'a> SmEngine<'a> {
             },
             repacked_queue: VecDeque::new(),
             collector_event: None,
-            mshr: LineMap::default(),
-            rt_cache: config.rt_cache.map(Cache::new),
-            l1: Cache::new(config.l1),
-            epoch_lines: LineSet::default(),
+            mshr: vec![0; lines(MSHR_LINE_SHIFT)],
+            rt_cache: config.rt_cache.map(|rt| Cache::new(rt, space)),
+            l1: Cache::new(config.l1, space),
+            epoch_stamps: vec![0; lines(config.l2.line_shift())],
+            epoch: 0,
             local_dram: Dram::new(config.dram),
             shared_log: Vec::new(),
-            seq: 0,
             events: BinaryHeap::new(),
             report: SimReport::default(),
             node_ready: Vec::new(),
@@ -325,14 +360,11 @@ impl<'a> SmEngine<'a> {
     }
 
     /// Processes every event strictly before `epoch_end` against the
-    /// frozen `shared` snapshot; returns the epoch's shared-request log.
-    fn run_epoch(&mut self, epoch_end: u64, shared: &SharedMemory) -> Vec<LoggedRequest> {
-        self.local_dram = shared.dram.clone();
-        self.epoch_lines.clear();
-        // Every later request issues at or after `issue_free_at`, so a fill
-        // that completes by then can never be merged into again.
-        let issue_floor = self.sm.issue_free_at;
-        self.mshr.retain(|_, fill| *fill > issue_floor);
+    /// frozen `shared` snapshot, logging shared-level requests into
+    /// `shared_log`.
+    fn run_epoch(&mut self, epoch_end: u64, shared: &SharedMemory) {
+        self.local_dram.copy_timeline_from(&shared.dram);
+        self.epoch = self.epoch.checked_add(1).expect("epoch count overflow");
         while let Some(&Reverse((t, _, _))) = self.events.peek() {
             if t >= epoch_end {
                 break;
@@ -345,7 +377,6 @@ impl<'a> SmEngine<'a> {
                 _ => unreachable!("unknown event kind"),
             }
         }
-        std::mem::take(&mut self.shared_log)
     }
 
     /// Places a warp into a slot (or queues it) and schedules its first
@@ -492,16 +523,15 @@ impl<'a> SmEngine<'a> {
         let t_issue = now.max(self.sm.issue_free_at);
         self.sm.issue_free_at = t_issue + 1;
         self.report.activity.l1_accesses += 1;
-        let line = addr / 128;
-        if let Some(&fill) = self.mshr.get(&line) {
-            if fill > t_issue {
-                // Merged into the outstanding fill: no second DRAM trip.
-                self.report.activity.mshr_merges += 1;
-                return fill;
-            }
+        let line = (addr >> MSHR_LINE_SHIFT) as usize;
+        let fill = self.mshr[line];
+        if fill > t_issue {
+            // Merged into the outstanding fill: no second DRAM trip.
+            self.report.activity.mshr_merges += 1;
+            return fill;
         }
         let done = self.mem_access(addr, t_issue, shared);
-        self.mshr.insert(line, done);
+        self.mshr[line] = done;
         done
     }
 
@@ -520,14 +550,13 @@ impl<'a> SmEngine<'a> {
         if self.l1.access(addr) {
             return now + latency.l1_hit;
         }
-        self.shared_log.push((now, self.seq, addr));
-        self.seq += 1;
+        self.shared_log.push((now, addr));
         let l1_miss_time = now + latency.l1_hit;
-        let line = addr / self.config.l2.line_bytes as u64;
-        if shared.l2.probe(addr) || self.epoch_lines.contains(&line) {
+        let stamp = &mut self.epoch_stamps[(addr >> self.config.l2.line_shift()) as usize];
+        if shared.l2.probe(addr) || *stamp == self.epoch {
             return l1_miss_time + latency.l2_hit;
         }
-        self.epoch_lines.insert(line);
+        *stamp = self.epoch;
         let l2_miss_time = l1_miss_time + latency.l2_hit;
         self.local_dram.access(addr, l2_miss_time)
     }
@@ -703,31 +732,44 @@ impl<'a> SmEngine<'a> {
 
 /// The epoch coordinator: owns the per-SM engines, the authoritative
 /// shared memory, and the worker pool.
+///
+/// The barrier allocates nothing: each SM's log is swapped with an
+/// emptied coordinator buffer, and the replay merges the buffers in place.
 struct Engine<'a> {
     config: &'a GpuConfig,
     engines: Vec<Mutex<SmEngine<'a>>>,
     shared: SharedMemory,
     pool: JobPool,
+    /// Per SM, the epoch log taken at the last barrier.
+    logs: Vec<Vec<LoggedRequest>>,
+    /// Per SM, the replay's cursor into `logs`.
+    heads: Vec<usize>,
 }
 
 impl<'a> Engine<'a> {
     fn new(
         config: &'a GpuConfig,
         bvh: &'a Bvh,
-        rays: impl Iterator<Item = Ray>,
+        batch: &RayBatch,
         trace: Option<Arc<RayTraceSet>>,
         jobs: usize,
     ) -> Self {
         let needs_lookup = config.predictor.is_some();
-        let mut engines: Vec<SmEngine<'a>> = (0..config.num_sms)
-            .map(|_| SmEngine::new(config, bvh))
+        let (warp, sms) = (config.warp_size, config.num_sms);
+        let mut per_sm = vec![0; sms];
+        for start in (0..batch.len()).step_by(warp) {
+            per_sm[(start / warp) % sms] += warp.min(batch.len() - start);
+        }
+        let mut engines: Vec<SmEngine<'a>> = per_sm
+            .into_iter()
+            .map(|rays| SmEngine::new(config, bvh, rays))
             .collect();
 
         // Chunk rays into warps and deal the warps round-robin over the
         // SMs. Warps never migrate, so each SM moves its rays into its own
         // arena, in global order, and its warps carry arena indices.
         let mut warp_lists: Vec<VecDeque<Vec<u32>>> = vec![VecDeque::new(); config.num_sms];
-        for (i, ray) in rays.enumerate() {
+        for (i, ray) in batch.iter().enumerate() {
             let sm_id = (i / config.warp_size) % config.num_sms;
             let mut rw = RayWork::new(ray, needs_lookup);
             if let Some(set) = &trace {
@@ -750,11 +792,13 @@ impl<'a> Engine<'a> {
             config,
             engines: engines.into_iter().map(Mutex::new).collect(),
             shared: SharedMemory {
-                l2: Cache::new(config.l2),
+                l2: Cache::new(config.l2, bvh.layout().footprint_bytes()),
                 dram: Dram::new(config.dram),
                 latency: config.latency,
             },
             pool: JobPool::new(jobs),
+            logs: vec![Vec::new(); sms],
+            heads: vec![0; sms],
         }
     }
 
@@ -770,18 +814,15 @@ impl<'a> Engine<'a> {
             let Some(t_min) = t_min else { break };
             let epoch_end = t_min.saturating_add(epoch);
 
-            let logs: Vec<Vec<LoggedRequest>> = if indices.len() == 1 || self.pool.jobs() == 1 {
+            if indices.len() == 1 || self.pool.jobs() == 1 {
                 // Serial path: identical code against identical state, so
                 // identical results — no threads, no pool overhead.
-                let shared = &self.shared;
-                self.engines
-                    .iter_mut()
-                    .map(|e| {
-                        e.get_mut()
-                            .expect("sm engine lock")
-                            .run_epoch(epoch_end, shared)
-                    })
-                    .collect()
+                for engine in &mut self.engines {
+                    engine
+                        .get_mut()
+                        .expect("sm engine lock")
+                        .run_epoch(epoch_end, &self.shared);
+                }
             } else {
                 let engines = &self.engines;
                 let shared = &self.shared;
@@ -790,14 +831,17 @@ impl<'a> Engine<'a> {
                         .lock()
                         .expect("sm engine lock")
                         .run_epoch(epoch_end, shared)
-                })
-            };
-
-            let mut merged: Vec<(u64, usize, u32, u64)> = Vec::new();
-            for (sm_id, log) in logs.into_iter().enumerate() {
-                merged.extend(log.into_iter().map(|(t, seq, addr)| (t, sm_id, seq, addr)));
+                });
             }
-            self.shared.replay(merged);
+
+            for (engine, log) in self.engines.iter_mut().zip(&mut self.logs) {
+                log.clear();
+                std::mem::swap(
+                    log,
+                    &mut engine.get_mut().expect("sm engine lock").shared_log,
+                );
+            }
+            self.shared.replay(&self.logs, &mut self.heads);
         }
 
         // Deterministic merge of the per-SM partial reports.
@@ -1115,9 +1159,11 @@ mod tests {
         }
     }
 
-    /// The four engine shapes the golden test pins: baseline, predictor
+    /// The six engine shapes the golden test pins: baseline, predictor
     /// with repacking, an RT cache in front of a small L1 with extra
-    /// repack warps, and a predictor run replaying a recorded trace.
+    /// repack warps, a predictor run replaying a recorded trace, a 16-line
+    /// fully associative L1 (in-flight lines are evicted while later
+    /// requests still merge on the MSHR), and a direct-mapped RT cache.
     fn golden_reports(jobs: usize) -> Vec<String> {
         let bvh = occluder_bvh();
         // 4000 rays = 125 warps: an odd warp count splits unevenly over
@@ -1133,11 +1179,21 @@ mod tests {
         });
         rt_cached.l1 = rt_cached.l1.with_size(8 * 1024);
         rt_cached.repack = RepackMode::WithExtraWarps(2);
+        let mut tiny_l1 = GpuConfig::baseline();
+        tiny_l1.l1 = tiny_l1.l1.with_size(2 * 1024);
+        let mut direct_mapped_rt = GpuConfig::with_predictor();
+        direct_mapped_rt.rt_cache = Some(crate::CacheConfig {
+            size_bytes: 4 * 1024,
+            line_bytes: 128,
+            ways: 1,
+        });
         let sims = [
             Simulator::new(GpuConfig::baseline()),
             Simulator::new(GpuConfig::with_predictor()),
             Simulator::new(rt_cached),
             Simulator::new(GpuConfig::with_predictor()).with_trace(trace),
+            Simulator::new(tiny_l1),
+            Simulator::new(direct_mapped_rt),
         ];
         sims.into_iter()
             .map(|sim| fingerprint(&sim.with_jobs(jobs).run_batch(&bvh, &batch)))
@@ -1147,11 +1203,13 @@ mod tests {
     /// `golden_reports` as the engine produced it before the SM-local ray
     /// arena and allocation-free steps; any engine refactor must keep it
     /// byte for byte.
-    const GOLDEN_REPORTS: [&str; 4] = [
+    const GOLDEN_REPORTS: [&str; 6] = [
         "SimReport { cycles: 33925, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28748, hits: 28530 }, CacheStats { accesses: 28243, hits: 28022 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 215, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 439, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 2497 }, warps_executed: 125, repacked_warps: 0 }",
         "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
         "SimReport { cycles: 36452, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44215, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88430, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2271, verified: 620, predicted_nodes_evaluated: 2271, prediction_eval_fetches: 6016 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28173, hits: 27203 }, CacheStats { accesses: 27978, hits: 27077 }], l1: [CacheStats { accesses: 970, hits: 223 }, CacheStats { accesses: 901, hits: 228 }], l2: CacheStats { accesses: 1420, hits: 1184 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59550, l2_accesses: 1420, dram_accesses: 236, box_tests: 88430, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48109, stack_ops: 96218, collector_ops: 4542, mshr_merges: 3399 }, warps_executed: 219, repacked_warps: 94 }",
         "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
+        "SimReport { cycles: 44088, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14015, hits: 8555 }, CacheStats { accesses: 13308, hits: 8255 }], l2: CacheStats { accesses: 10513, hits: 10277 }, dram: DramStats { accesses: 236, bank_wait_cycles: 325, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 10513, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 32165 }, warps_executed: 125, repacked_warps: 0 }",
+        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28734, hits: 22344 }, CacheStats { accesses: 28302, hits: 22120 }], l1: [CacheStats { accesses: 6390, hits: 6172 }, CacheStats { accesses: 6182, hits: 5961 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
     ];
 
     #[test]

@@ -38,11 +38,14 @@ proptest! {
         trace in prop::collection::vec(0u64..256, 1..600),
         lines in 1usize..32,
     ) {
-        let mut cache = Cache::new(CacheConfig {
-            size_bytes: lines * 128,
-            line_bytes: 128,
-            ways: usize::MAX,
-        });
+        let mut cache = Cache::new(
+            CacheConfig {
+                size_bytes: lines * 128,
+                line_bytes: 128,
+                ways: usize::MAX,
+            },
+            256 * 128,
+        );
         let mut reference = ReferenceLru { lines, map: HashMap::new(), clock: 0 };
         for &line in &trace {
             let model = cache.access(line * 128);
@@ -56,11 +59,14 @@ proptest! {
         trace in prop::collection::vec(0u64..512, 50..400),
     ) {
         let run = |lines: usize| {
-            let mut cache = Cache::new(CacheConfig {
-                size_bytes: lines * 128,
-                line_bytes: 128,
-                ways: usize::MAX,
-            });
+            let mut cache = Cache::new(
+                CacheConfig {
+                    size_bytes: lines * 128,
+                    line_bytes: 128,
+                    ways: usize::MAX,
+                },
+                512 * 128,
+            );
             for &line in &trace {
                 cache.access(line * 128);
             }

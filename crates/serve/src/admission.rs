@@ -13,9 +13,10 @@
 //!   computed `retry_after_us` instead of silently filling the shared
 //!   dispatch rounds. Rate `0` disables the bucket (the default — the
 //!   seed service had no admission contract, and tests rely on that).
-//! * **Queue-age estimate** — an EWMA of request service time
-//!   (admission → completion) times the number of queued requests
-//!   ahead. A deadline the estimate already rules out is rejected as
+//! * **Queue-age estimate** — an EWMA of per-request service time
+//!   (each request's share of its class round's dispatch → completion
+//!   time, so queue wait is not in it) times the number of queued
+//!   requests ahead, plus one. A deadline the estimate already rules out is rejected as
 //!   [`Rejection::DeadlineUnmeetable`] rather than queued as dead work.
 //!   The estimate is intentionally conservative only about *obviously*
 //!   hopeless deadlines: with no completed requests yet there is no
@@ -61,8 +62,8 @@ struct Bucket {
 pub struct AdmissionControl {
     config: AdmissionConfig,
     buckets: Vec<Mutex<Bucket>>,
-    /// EWMA of request service time (admission → completion), µs,
-    /// fixed-point (stored as µs; 0 = no samples yet).
+    /// EWMA of per-request service time (a request's share of its class
+    /// round's dispatch → completion time), µs; 0 = no samples yet.
     ewma_service_us: AtomicU64,
 }
 
@@ -112,8 +113,10 @@ impl AdmissionControl {
         }
     }
 
-    /// Records one completed request's service time (admission →
-    /// completion) into the EWMA (α = 1/8).
+    /// Records one completed request's service time into the EWMA
+    /// (α = 1/8). The service passes the request's share of its class
+    /// round's dispatch → completion time: a queue-inclusive latency
+    /// would count the wait ahead twice once multiplied by the queue.
     pub fn observe_service_us(&self, service_us: u64) {
         // Racy read-modify-write is fine: this is a smoothing estimate,
         // not an invariant counter.

@@ -221,6 +221,8 @@ struct ClassOutcome {
     rays: usize,
     /// Completed-but-late plus failed (the mode controller's "bad").
     bad: u64,
+    /// Service-clock reading when the class's requests completed.
+    end_us: u64,
 }
 
 /// Index of the first ray in `rays` that admission refuses: a
@@ -557,6 +559,9 @@ impl RayService {
 
         let plan = InjectionPlan::from_env();
         let mut bad: u64 = expired.len() as u64;
+        // Classes trace one after another, so each is dispatched when the
+        // previous one completes.
+        let mut dispatch_us = now_us;
         for class in RequestClass::ALL {
             let requests: Vec<&Request> = live.iter().filter(|r| r.class == class).collect();
             if requests.is_empty() {
@@ -564,6 +569,14 @@ impl RayService {
             }
             let outcome =
                 self.trace_class(class, &requests, &plan, round_index, chunk_rays, predict);
+            // Admission multiplies its estimate by the queue ahead, so it
+            // learns each request's share of the class round's dispatch →
+            // completion time, not its queue-inclusive latency.
+            let share_us = outcome.end_us.saturating_sub(dispatch_us) / requests.len() as u64;
+            for _ in 0..outcome.completed {
+                self.admission.observe_service_us(share_us.max(1));
+            }
+            dispatch_us = outcome.end_us;
             report.requests += outcome.completed;
             report.failed += outcome.failed;
             report.rays += outcome.rays;
@@ -770,7 +783,10 @@ impl RayService {
         // Account per request: latency runs submission → now (round
         // end), on the service clock.
         let end_us = self.obs.now_us();
-        let mut outcome = ClassOutcome::default();
+        let mut outcome = ClassOutcome {
+            end_us,
+            ..ClassOutcome::default()
+        };
         let slot_index = class.index();
         let mut stats = self.stats.lock().unwrap_or_else(|p| p.into_inner());
         let mut completed_rays: u64 = 0;
@@ -797,7 +813,6 @@ impl RayService {
             completed_rays += range.len() as u64;
             outcome.completed += 1;
             outcome.rays += range.len();
-            self.admission.observe_service_us(latency_us.max(1));
         }
         outcome.bad += outcome.failed as u64;
         stats.completed_requests += outcome.completed as u64;
@@ -1006,6 +1021,55 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.rejected_unmeetable, 1);
         assert_eq!(stats.expired_requests, 0);
+    }
+
+    #[test]
+    fn a_backlog_drained_in_time_is_not_refused_as_unmeetable() {
+        // On a logical clock, where every clock read is one tick, the
+        // drain below takes a couple of ticks per round.
+        let registry = SceneRegistry::new(Arc::new(CaseCache::in_memory_only()));
+        let lease = registry.get(CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 16));
+        let obs = Arc::new(Obs::new(rip_obs::ClockMode::Logical));
+        let service = RayService::with_obs(lease, 1, ServiceConfig::default(), obs);
+        let rays = down_rays(8, service.case());
+        let backlog = 16;
+        let drain = |service: &RayService| {
+            while service.pending() > 0 {
+                service.run_round();
+            }
+        };
+        // A first backlog trains the estimate: its later requests waited
+        // behind the earlier ones.
+        for _ in 0..backlog {
+            service
+                .submit(0, RequestClass::Primary, rays.clone())
+                .unwrap();
+        }
+        drain(&service);
+        // A second backlog, then one request whose deadline allows two
+        // ticks per request queued ahead, more than the drain takes.
+        for _ in 0..backlog {
+            service
+                .submit(0, RequestClass::Primary, rays.clone())
+                .unwrap();
+        }
+        let deadline_us = service.now_us() + 2 * (backlog as u64 + 1);
+        let submitted =
+            service.submit_with_deadline(0, RequestClass::Primary, rays, Some(deadline_us));
+        assert!(
+            submitted.is_ok(),
+            "estimate {} µs per request: {submitted:?}",
+            service.admission.estimated_service_us()
+        );
+        drain(&service);
+        assert!(
+            service.now_us() <= deadline_us,
+            "the drain missed the deadline"
+        );
+        let stats = service.stats();
+        assert_eq!(stats.rejected_unmeetable, 0);
+        assert_eq!(stats.completed_requests, 2 * backlog as u64 + 1);
+        assert_eq!(stats.deadline_miss_requests, 0);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //!   availability at or above 0.95 — and returning at all is the
 //!   zero-aborts check, since a panic escaping containment would crash
 //!   the dispatch round;
+//! * a plan whose panicking chunks fail on every attempt must fail some
+//!   requests and still attribute each failure to a typed fault (the
+//!   chaos plan's panics all recover on retry, so its attribution check
+//!   alone counts no failures);
 //! * with injection off and a 250 ms deadline the run must stay
 //!   fault-free: full availability, no retries, no mode transitions;
 //! * with injection off and no deadline the run must trace rays and
@@ -122,6 +126,39 @@ fn chaos_plan_conserves_outcomes_and_holds_availability() {
         report.availability >= AVAILABILITY_FLOOR,
         "availability {} below the {AVAILABILITY_FLOOR} floor: {report:?}",
         report.availability
+    );
+}
+
+#[test]
+fn poisoned_chunks_fail_requests_with_typed_faults() {
+    quiet_injected_panics();
+    // A quarter of the chunks panic on every attempt, so retries cannot
+    // save them and the attribution check has failures to count.
+    let chaos = ChaosConfig {
+        panic_rate: 0.25,
+        panic_attempts: u32::MAX,
+        seed: CHAOS_SEED,
+        ..ChaosConfig::default()
+    };
+    let report = run_load(chaos, Some(DEADLINE), CHAOS_SEED);
+    assert!(
+        report.failed_requests > 0,
+        "no chunk stayed poisoned: {report:?}"
+    );
+    let outcomes = report.completed_requests
+        + report.shed_requests
+        + report.rate_limited
+        + report.rejected_unmeetable
+        + report.expired_requests
+        + report.failed_requests;
+    assert_eq!(
+        outcomes, report.offered_requests,
+        "every offered request reaches exactly one typed outcome: {report:?}"
+    );
+    assert_eq!(
+        report.faults_by_kind.iter().sum::<u64>(),
+        report.failed_requests + report.expired_requests,
+        "every failed or expired request carries one typed fault: {report:?}"
     );
 }
 
