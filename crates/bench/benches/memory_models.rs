@@ -43,7 +43,7 @@ fn memory_models(c: &mut Criterion) {
         &trace,
         |b, trace| {
             b.iter(|| {
-                let mut dram = Dram::new(DramConfig::baseline());
+                let mut dram = Dram::new(DramConfig::baseline(), 128);
                 let mut t = 0u64;
                 for (i, &addr) in trace.iter().enumerate() {
                     t = t.max(dram.access(std::hint::black_box(addr), i as u64));

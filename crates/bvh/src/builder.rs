@@ -58,6 +58,8 @@ impl Default for BvhBuilder {
 #[derive(Clone, Copy)]
 struct TriRef {
     index: u32,
+    /// The SAH bin of the current node's binning pass.
+    bin: u32,
     bounds: Aabb,
     centroid: Vec3,
 }
@@ -97,12 +99,21 @@ impl BvhBuilder {
         self
     }
 
-    /// Builds a BVH over `triangles`.
+    /// Builds a BVH over a copy of `triangles`.
     ///
     /// # Panics
     ///
     /// Panics when `triangles` is empty.
     pub fn build(&self, triangles: &[Triangle]) -> Bvh {
+        self.build_owned(triangles.to_vec())
+    }
+
+    /// Builds a BVH over `triangles`, which move into the tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `triangles` is empty.
+    pub fn build_owned(&self, triangles: Vec<Triangle>) -> Bvh {
         assert!(
             !triangles.is_empty(),
             "cannot build a BVH over zero triangles"
@@ -112,6 +123,7 @@ impl BvhBuilder {
             .enumerate()
             .map(|(i, t)| TriRef {
                 index: i as u32,
+                bin: 0,
                 bounds: t.bounds(),
                 centroid: t.centroid(),
             })
@@ -129,11 +141,15 @@ impl BvhBuilder {
         });
         let n = refs.len();
         self.build_node(&mut nodes, &mut tri_order, &mut refs, 0, n, 0, None, 0);
+        drop(refs);
 
-        Bvh::from_parts(nodes, tri_order, triangles.to_vec())
+        Bvh::from_parts(nodes, tri_order, triangles)
     }
 
     /// Builds the subtree for `refs[start..end]` into `nodes[slot]`.
+    ///
+    /// An SAH split reads the node's refs three times: one pass folds the
+    /// node and centroid bounds, one bins, one partitions.
     #[allow(clippy::too_many_arguments)]
     fn build_node(
         &self,
@@ -146,17 +162,20 @@ impl BvhBuilder {
         parent: Option<NodeId>,
         depth: u32,
     ) {
-        let bounds = refs[start..end]
+        let (bounds, centroid_bounds) = refs[start..end]
             .iter()
-            .fold(Aabb::empty(), |b, r| b.union(&r.bounds));
+            .fold((Aabb::empty(), Aabb::empty()), |(b, c), r| {
+                (b.union(&r.bounds), c.grow(r.centroid))
+            });
         let count = end - start;
 
         let split = if count <= self.max_leaf_size as usize {
             None
         } else {
+            let refs = &mut refs[start..end];
             match self.split_method {
-                SplitMethod::BinnedSah => self.sah_split(&mut refs[start..end]),
-                SplitMethod::Median => self.median_split(&mut refs[start..end]),
+                SplitMethod::BinnedSah => self.sah_split(refs, &bounds, &centroid_bounds),
+                SplitMethod::Median => median_split(refs, &centroid_bounds),
             }
         };
 
@@ -221,27 +240,31 @@ impl BvhBuilder {
         }
     }
 
-    /// Partitions `refs` with binned SAH; returns the split point, or `None`
-    /// to make a leaf. Falls back to a median split when centroids are
-    /// degenerate, and makes a leaf only when SAH says splitting never pays.
-    fn sah_split(&self, refs: &mut [TriRef]) -> Option<usize> {
-        let centroid_bounds: Aabb = refs.iter().map(|r| r.centroid).collect();
+    /// Partitions `refs`, whose union is `bounds`, with binned SAH;
+    /// returns the split point, or `None` to make a leaf. Falls back to a
+    /// median split when centroids are degenerate, and makes a leaf only
+    /// when SAH says splitting never pays.
+    fn sah_split(
+        &self,
+        refs: &mut [TriRef],
+        bounds: &Aabb,
+        centroid_bounds: &Aabb,
+    ) -> Option<usize> {
         let axis = centroid_bounds.diagonal().largest_axis();
         let extent = centroid_bounds.diagonal()[axis];
         if extent < 1e-12 {
             // All centroids coincide along every useful axis: median split
             // by index keeps the tree balanced.
-            return self.median_split(refs);
+            return median_split(refs, centroid_bounds);
         }
 
         let nbins = self.bins;
         let mut bin_bounds = vec![Aabb::empty(); nbins];
         let mut bin_counts = vec![0usize; nbins];
         let k = nbins as f32 * (1.0 - 1e-6) / extent;
-        let bin_of =
-            |c: Vec3| (((c[axis] - centroid_bounds.min[axis]) * k) as usize).min(nbins - 1);
-        for r in refs.iter() {
-            let b = bin_of(r.centroid);
+        for r in refs.iter_mut() {
+            let b = (((r.centroid[axis] - centroid_bounds.min[axis]) * k) as usize).min(nbins - 1);
+            r.bin = b as u32;
             bin_bounds[b] = bin_bounds[b].union(&r.bounds);
             bin_counts[b] += 1;
         }
@@ -274,10 +297,7 @@ impl BvhBuilder {
 
         // Compare against the cost of not splitting (SAH with traversal
         // cost folded into a 1.2× relative intersection weight).
-        let parent_area = refs
-            .iter()
-            .fold(Aabb::empty(), |b, r| b.union(&r.bounds))
-            .surface_area();
+        let parent_area = bounds.surface_area();
         let leaf_cost = total as f32 * parent_area;
         if split_cost / parent_area.max(1e-20) + 1.2 >= leaf_cost / parent_area.max(1e-20)
             && total <= 2 * self.max_leaf_size as usize
@@ -285,40 +305,36 @@ impl BvhBuilder {
             return None;
         }
 
-        let mid = partition_in_place(refs, |r| bin_of(r.centroid) < boundary);
+        // Partition by the bins the binning pass stored.
+        let boundary = boundary as u32;
+        let mut mid = 0;
+        for j in 0..refs.len() {
+            if refs[j].bin < boundary {
+                refs.swap(mid, j);
+                mid += 1;
+            }
+        }
         if mid == 0 || mid == refs.len() {
-            return self.median_split(refs);
+            return median_split(refs, centroid_bounds);
         }
-        Some(mid)
-    }
-
-    /// Median split along the largest centroid axis.
-    fn median_split(&self, refs: &mut [TriRef]) -> Option<usize> {
-        if refs.len() < 2 {
-            return None;
-        }
-        let centroid_bounds: Aabb = refs.iter().map(|r| r.centroid).collect();
-        let axis = centroid_bounds.diagonal().largest_axis();
-        let mid = refs.len() / 2;
-        refs.select_nth_unstable_by(mid, |a, b| {
-            a.centroid[axis]
-                .partial_cmp(&b.centroid[axis])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
         Some(mid)
     }
 }
 
-/// Stable-order-agnostic in-place partition; returns the boundary index.
-fn partition_in_place<T, F: FnMut(&T) -> bool>(slice: &mut [T], mut pred: F) -> usize {
-    let mut i = 0;
-    for j in 0..slice.len() {
-        if pred(&slice[j]) {
-            slice.swap(i, j);
-            i += 1;
-        }
+/// Median split of `refs`, whose centroids span `centroid_bounds`, along
+/// the largest centroid axis.
+fn median_split(refs: &mut [TriRef], centroid_bounds: &Aabb) -> Option<usize> {
+    if refs.len() < 2 {
+        return None;
     }
-    i
+    let axis = centroid_bounds.diagonal().largest_axis();
+    let mid = refs.len() / 2;
+    refs.select_nth_unstable_by(mid, |a, b| {
+        a.centroid[axis]
+            .partial_cmp(&b.centroid[axis])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Some(mid)
 }
 
 #[cfg(test)]
@@ -371,15 +387,6 @@ mod tests {
             .collect();
         let bvh = BvhBuilder::new().max_leaf_size(2).build(&tris);
         bvh.validate().unwrap();
-    }
-
-    #[test]
-    fn partition_in_place_is_correct() {
-        let mut v = vec![5, 1, 4, 2, 3];
-        let mid = partition_in_place(&mut v, |&x| x <= 2);
-        assert_eq!(mid, 2);
-        assert!(v[..mid].iter().all(|&x| x <= 2));
-        assert!(v[mid..].iter().all(|&x| x > 2));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::wide::{TriGroup, WideBvh};
 use rip_math::{Aabb, Triangle, Vec3};
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::Bytes;
+use std::io::{self, Write};
 
 /// Bumped whenever the encoded layout changes; part of the header *and*
 /// of the artifact cache key in `rip-exec`.
@@ -133,6 +134,22 @@ fn flatten_node(node: &BvhNode) -> PodBvhNode {
 /// decoded tree is byte-identical (canonical section layout, zeroed
 /// unused leaf fields).
 pub fn encode(bvh: &Bvh) -> Vec<u8> {
+    with_writer(bvh, |w| w.finish())
+}
+
+/// Streams the [`encode`] bytes of `bvh` to `out`. Only the node records
+/// are copied (flattened to their file layout); the leaf order and the
+/// triangles go out straight from the tree.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_to<W: Write>(bvh: &Bvh, out: &mut W) -> io::Result<()> {
+    with_writer(bvh, |w| w.write_to(out))
+}
+
+/// Calls `f` with the artifact writer of `bvh`.
+fn with_writer<R>(bvh: &Bvh, f: impl FnOnce(&RipaWriter) -> R) -> R {
     let (nodes, tri_order, triangles) = bvh.raw_parts();
     let pod_nodes: Vec<PodBvhNode> = nodes.iter().map(flatten_node).collect();
     let meta = BvhMeta {
@@ -146,7 +163,7 @@ pub fn encode(bvh: &Bvh) -> Vec<u8> {
         .section(SEC_NODES, &pod_nodes)
         .section(SEC_ORDER, tri_order)
         .section(SEC_TRIS, triangles);
-    w.finish()
+    f(&w)
 }
 
 /// Decodes an owned buffer produced by [`encode`] (convenience wrapper:

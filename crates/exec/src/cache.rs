@@ -38,6 +38,8 @@ use crate::case::{Case, CaseKey};
 use crate::fault::Fault;
 use rip_obs::Obs;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -426,7 +428,8 @@ impl CaseCache {
         }
     }
 
-    /// Persists both artifacts; returns the store directory on success.
+    /// Persists both artifacts, each streamed straight from the case to
+    /// its file; returns the store directory on success.
     fn store(&self, key: CaseKey, case: &Case) -> Option<&Path> {
         let (scene_path, bvh_path) = self.artifact_paths(key)?;
         let dir = self.disk_dir.as_deref()?;
@@ -441,11 +444,11 @@ impl CaseCache {
                 .emit();
             return None;
         }
-        let ok = write_atomic(
-            &self.obs,
-            &scene_path,
-            &rip_scene::serial::encode(&case.scene),
-        ) && write_atomic(&self.obs, &bvh_path, &rip_bvh::serial::encode(&case.bvh));
+        let ok = write_atomic(&self.obs, &scene_path, |out| {
+            rip_scene::serial::write_to(&case.scene, out)
+        }) && write_atomic(&self.obs, &bvh_path, |out| {
+            rip_bvh::serial::write_to(&case.bvh, out)
+        });
         ok.then_some(dir)
     }
 
@@ -479,12 +482,23 @@ impl std::fmt::Debug for CaseCache {
     }
 }
 
-/// Writes via a temp file + atomic rename so a killed process (or a
-/// concurrent one) can never leave a truncated artifact under the final
-/// name — readers see either the old complete file or the new one.
-pub(crate) fn write_atomic(obs: &Obs, path: &Path, bytes: &[u8]) -> bool {
+/// Streams `write`'s output through a buffered temp file, then renames it
+/// into place, so a killed process (or a concurrent one) can never leave
+/// a truncated artifact under the final name — readers see either the
+/// old complete file or the new one.
+pub(crate) fn write_atomic(
+    obs: &Obs,
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> bool {
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    let result = File::create(&tmp)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write(&mut out)?;
+            out.flush()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
     if let Err(e) = result {
         obs.event("exec.cache", "store_failed")
             .arg("path", path.display().to_string())
@@ -575,6 +589,23 @@ mod tests {
             "cached BVH must match the fresh build byte-for-byte",
         );
         assert_eq!(loaded.scene.mesh.positions(), built.scene.mesh.positions());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_artifacts_are_the_encoded_case() {
+        let dir = temp_store("encoded");
+        let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+        let case = cache.get_or_build(tiny_key(21));
+        let (scene_path, bvh_path) = cache.artifact_paths(tiny_key(21)).unwrap();
+        assert_eq!(
+            std::fs::read(scene_path).unwrap(),
+            rip_scene::serial::encode(&case.scene)
+        );
+        assert_eq!(
+            std::fs::read(bvh_path).unwrap(),
+            rip_bvh::serial::encode(&case.bvh)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

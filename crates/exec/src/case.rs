@@ -6,8 +6,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rip_bvh::{Bvh, RayBatch};
-use rip_math::Triangle;
+use rip_bvh::{Bvh, BvhBuilder, RayBatch};
 use rip_render::{AoConfig, AoWorkload};
 use rip_scene::{Scene, SceneId, SceneScale};
 
@@ -76,10 +75,10 @@ impl Case {
         Case::from_scene(scene)
     }
 
-    /// Builds the BVH for an already-synthesized scene.
+    /// Builds the BVH for an already-synthesized scene; the collected
+    /// triangles move into the tree instead of being copied.
     pub fn from_scene(scene: Scene) -> Self {
-        let tris: Vec<Triangle> = scene.mesh.triangles().collect();
-        let bvh = Bvh::build(&tris);
+        let bvh = BvhBuilder::new().build_owned(scene.mesh.triangles().collect());
         Case::from_parts(scene.id, scene, bvh)
     }
 

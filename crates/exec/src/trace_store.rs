@@ -32,6 +32,7 @@ use rip_bvh::ript::RayTraceSet;
 use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_obs::Obs;
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -327,7 +328,7 @@ impl TraceStore {
                 .emit();
             return None;
         }
-        write_atomic(&self.obs, &path, &set.encode()).then_some(dir)
+        write_atomic(&self.obs, &path, |out| out.write_all(&set.encode())).then_some(dir)
     }
 
     fn trace_path(&self, label: &str, kind: TraversalKind) -> Option<PathBuf> {

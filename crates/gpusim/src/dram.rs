@@ -69,8 +69,9 @@ impl DramStats {
 
 /// Banked DRAM with occupancy-based contention.
 ///
-/// Each request maps to a bank by line address; a busy bank delays the
-/// request until free. No row-buffer model — the occupancy parameter
+/// Each request maps to a bank by line address, interleaving consecutive
+/// lines of the given size over the banks (the simulator passes the L2
+/// line size); a busy bank delays the request until free. No row-buffer model — the occupancy parameter
 /// captures average activation cost.
 ///
 /// # Examples
@@ -78,7 +79,7 @@ impl DramStats {
 /// ```
 /// use rip_gpusim::{Dram, DramConfig};
 ///
-/// let mut d = Dram::new(DramConfig::baseline());
+/// let mut d = Dram::new(DramConfig::baseline(), 128);
 /// let t1 = d.access(0, 0);
 /// let t2 = d.access(0, 0); // same bank: must wait for occupancy
 /// assert!(t2 > t1);
@@ -86,6 +87,8 @@ impl DramStats {
 #[derive(Clone, Debug)]
 pub struct Dram {
     config: DramConfig,
+    /// `log2` of the interleaving line size.
+    line_shift: u32,
     /// `banks − 1`: a line's bank is a mask, not a remainder.
     bank_mask: u64,
     bank_free_at: Vec<u64>,
@@ -93,20 +96,26 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Creates an idle DRAM.
+    /// Creates an idle DRAM whose banks interleave `line_bytes` lines.
     ///
     /// # Panics
     ///
-    /// Panics when `banks` is zero or not a power of two.
-    pub fn new(config: DramConfig) -> Self {
+    /// Panics when `banks` is zero or not a power of two, or when
+    /// `line_bytes` is not a power of two.
+    pub fn new(config: DramConfig, line_bytes: usize) -> Self {
         assert!(config.banks > 0, "need at least one bank");
         assert!(
             config.banks.is_power_of_two(),
             "{} banks: the bank count must be a power of two",
             config.banks
         );
+        assert!(
+            line_bytes.is_power_of_two(),
+            "{line_bytes}-byte lines: the line size must be a power of two"
+        );
         Dram {
             config,
+            line_shift: line_bytes.trailing_zeros(),
             bank_mask: config.banks as u64 - 1,
             bank_free_at: vec![0; config.banks],
             stats: DramStats {
@@ -129,7 +138,7 @@ impl Dram {
     /// Issues a request for `addr` at time `now`; returns the completion
     /// time.
     pub fn access(&mut self, addr: u64, now: u64) -> u64 {
-        let bank = ((addr / 128) & self.bank_mask) as usize;
+        let bank = ((addr >> self.line_shift) & self.bank_mask) as usize;
         let start = now.max(self.bank_free_at[bank]);
         self.stats.bank_wait_cycles += start - now;
         self.stats.accesses += 1;
@@ -151,11 +160,14 @@ mod tests {
 
     #[test]
     fn independent_banks_proceed_in_parallel() {
-        let mut d = Dram::new(DramConfig {
-            banks: 4,
-            access_latency: 100,
-            bank_occupancy: 20,
-        });
+        let mut d = Dram::new(
+            DramConfig {
+                banks: 4,
+                access_latency: 100,
+                bank_occupancy: 20,
+            },
+            128,
+        );
         let a = d.access(0, 0); // bank 0
         let b = d.access(128, 0); // bank 1
         assert_eq!(a, 100);
@@ -165,11 +177,14 @@ mod tests {
 
     #[test]
     fn same_bank_serializes() {
-        let mut d = Dram::new(DramConfig {
-            banks: 4,
-            access_latency: 100,
-            bank_occupancy: 20,
-        });
+        let mut d = Dram::new(
+            DramConfig {
+                banks: 4,
+                access_latency: 100,
+                bank_occupancy: 20,
+            },
+            128,
+        );
         let a = d.access(0, 0);
         let b = d.access(4 * 128, 0); // also bank 0
         assert_eq!(a, 100);
@@ -179,11 +194,14 @@ mod tests {
 
     #[test]
     fn bank_frees_over_time() {
-        let mut d = Dram::new(DramConfig {
-            banks: 1,
-            access_latency: 50,
-            bank_occupancy: 10,
-        });
+        let mut d = Dram::new(
+            DramConfig {
+                banks: 1,
+                access_latency: 50,
+                bank_occupancy: 10,
+            },
+            128,
+        );
         let _ = d.access(0, 0);
         let late = d.access(0, 100); // bank long since free
         assert_eq!(late, 150);
@@ -191,19 +209,25 @@ mod tests {
 
     #[test]
     fn balance_metric_prefers_spread_traffic() {
-        let mut spread = Dram::new(DramConfig {
-            banks: 4,
-            access_latency: 1,
-            bank_occupancy: 1,
-        });
+        let mut spread = Dram::new(
+            DramConfig {
+                banks: 4,
+                access_latency: 1,
+                bank_occupancy: 1,
+            },
+            128,
+        );
         for i in 0..40u64 {
             spread.access(i * 128, i);
         }
-        let mut hot = Dram::new(DramConfig {
-            banks: 4,
-            access_latency: 1,
-            bank_occupancy: 1,
-        });
+        let mut hot = Dram::new(
+            DramConfig {
+                banks: 4,
+                access_latency: 1,
+                bank_occupancy: 1,
+            },
+            128,
+        );
         for i in 0..40u64 {
             hot.access(0, i * 2);
         }
@@ -214,20 +238,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "3 banks: the bank count must be a power of two")]
     fn non_power_of_two_bank_count_panics() {
-        let _ = Dram::new(DramConfig {
-            banks: 3,
-            access_latency: 1,
-            bank_occupancy: 1,
-        });
+        let _ = Dram::new(
+            DramConfig {
+                banks: 3,
+                access_latency: 1,
+                bank_occupancy: 1,
+            },
+            128,
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_panics() {
-        let _ = Dram::new(DramConfig {
-            banks: 0,
-            access_latency: 1,
-            bank_occupancy: 1,
-        });
+        let _ = Dram::new(
+            DramConfig {
+                banks: 0,
+                access_latency: 1,
+                bank_occupancy: 1,
+            },
+            128,
+        );
     }
 }

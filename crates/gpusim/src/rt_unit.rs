@@ -5,7 +5,6 @@ use rip_bvh::ript::{RayTraceSet, ReplayCursor};
 use rip_bvh::{Bvh, Hit, LeanStep, NodeId, Traversal, TraversalKind, TraversalStats};
 use rip_core::{Prediction, Predictor};
 use rip_math::Ray;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Which leg of the §3 flow a ray is executing.
@@ -171,7 +170,7 @@ impl RayWork {
 /// gates dispatch and completion.
 #[derive(Clone, Debug)]
 pub(crate) struct WarpState {
-    /// SM-local ray indices (into the owning SM's ray arena).
+    /// The warp's rays, as slots of the owning SM's in-flight ray pool.
     pub rays: Vec<u32>,
     /// Rays not yet retired (warp completes at zero).
     pub active: u32,
@@ -179,14 +178,11 @@ pub(crate) struct WarpState {
     pub repacked: bool,
 }
 
-/// Per-SM state: warp slots, pending work, predictor, collector.
+/// Per-SM state: warp slots, predictor, collector.
 #[derive(Debug)]
 pub(crate) struct SmState {
     /// Active warp slots (base + extra-repack capacity).
     pub slots: Vec<Option<WarpState>>,
-    /// Warps not yet dispatched (original, non-repacked), as SM-local ray
-    /// indices.
-    pub pending: VecDeque<Vec<u32>>,
     /// Per-SM predictor (None for the baseline RT unit).
     pub predictor: Option<Predictor>,
     /// Partial warp collector (repacking configurations only).
@@ -257,7 +253,6 @@ mod tests {
     fn sm_slot_accounting_respects_base_limit() {
         let sm = SmState {
             slots: vec![None, None, None],
-            pending: VecDeque::new(),
             predictor: None,
             collector: None,
             issue_free_at: 0,

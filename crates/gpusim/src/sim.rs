@@ -8,6 +8,16 @@
 //! pipelined intersection units finish. A warp therefore takes as long as
 //! its slowest thread (§4.4) — the divergence that warp repacking removes.
 //!
+//! # Ray state in flight
+//!
+//! As in the RT unit's ray buffer, an SM holds per-ray state only for
+//! the rays of its resident warps, its partial warp collector and the
+//! repacked warps waiting for a slot. Undispatched warps are ranges of
+//! batch indices; a ray's state is created when its warp is dispatched
+//! and its pool slot is recycled when that warp retires, so the memory a
+//! run needs beyond the BVH and the ray batch does not grow with the
+//! batch.
+//!
 //! # Parallel per-SM epochs
 //!
 //! SMs couple only through the shared L2 and DRAM, so each SM runs as its
@@ -54,9 +64,6 @@ use rip_math::Ray;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex};
-
-/// `log2` of the MSHR's merge granularity: the layout's 128-byte lines.
-const MSHR_LINE_SHIFT: u32 = 7;
 
 /// Event kinds, ordered inside the heap tuple after time.
 const EV_WARP_ITER: u8 = 0;
@@ -246,30 +253,53 @@ impl SharedMemory {
     }
 }
 
-/// One SM's private discrete-event engine: its rays, warp slots,
-/// predictor, collector, MSHR, RT/L1 caches and event heap.
+/// One SM's private discrete-event engine: its in-flight rays, warp
+/// slots, predictor, collector, MSHR, RT/L1 caches and event heap.
+///
+/// Like the RT unit's ray buffer, the engine holds state only for rays in
+/// flight. The SM's share of the batch (every `num_sms`-th warp, dealt
+/// round-robin) waits as a cursor of batch indices; a ray's [`RayWork`]
+/// is created when its warp is dispatched, in a slot of a pool that a
+/// LIFO free list recycles once the ray's warp retires. The pool
+/// therefore never holds more rays than the SM had in flight at once:
+/// the resident warps, the collector and the repacked warps waiting for a
+/// slot, independent of the batch size.
 ///
 /// The event loop neither allocates, hashes nor divides per ray or per
-/// memory request: rays live in a dense arena addressed by SM-local index,
-/// each warp iteration works in scratch buffers that are cleared and
-/// reused, and the caches, the MSHR and the epoch's L2 fills are dense
-/// tables indexed by line number over the BVH's address space (about
-/// 16 bytes per 128-byte line: 4 for the L1 index, 8 for the MSHR, 4 for
-/// the epoch stamps, plus 4 with an RT cache). The tables come from
-/// zeroed memory, so only the lines a run touches become resident.
+/// memory request: ray state lives in the pool, each warp iteration works
+/// in scratch buffers that are cleared and reused, a retired warp's id
+/// buffer carries the next dispatched warp, and the caches, the MSHR and
+/// the epoch's L2 fills are dense tables indexed by line number over the
+/// BVH's address space (about 16 bytes per 128-byte line: 4 for the L1
+/// index, 8 for the MSHR, 4 for the epoch stamps, plus 4 with an RT
+/// cache). The tables come from zeroed memory, so only the lines a run
+/// touches become resident.
 struct SmEngine<'a> {
     config: &'a GpuConfig,
     bvh: &'a Bvh,
-    /// The arena of rays this SM owns (warps never migrate between SMs),
-    /// in global ray order. Warps, the pending and repacked queues and
-    /// the collector all carry indices into it.
-    rays: Vec<RayWork>,
+    /// The whole workload; this SM reads only its own warps' rays.
+    batch: &'a RayBatch,
+    /// Recorded traversals backing the full legs, by batch index.
+    trace: Option<Arc<RayTraceSet>>,
+    /// The batch-wide index of this SM's next undispatched warp; it
+    /// advances by `num_sms` (warps are dealt round-robin and never
+    /// migrate between SMs).
+    next_warp: usize,
+    /// Ray state of the rays in flight, addressed by slot. Warps, the
+    /// repacked queue and the collector carry slot indices. The pool
+    /// never shrinks, so its length is the SM's high-water mark of rays
+    /// in flight.
+    pool: Vec<RayWork>,
+    /// Pool slots free for reuse, last freed first.
+    free: Vec<u32>,
+    /// Id buffers of retired warps, for the next dispatched warp.
+    spare_ids: Vec<Vec<u32>>,
     sm: SmState,
     /// Repacked warps awaiting a free slot.
     repacked_queue: VecDeque<Vec<u32>>,
     /// Pending collector-timeout event (time it was scheduled for).
     collector_event: Option<u64>,
-    /// MSHR: per 128-byte line, the completion time of its latest fill
+    /// MSHR: per L1 line, the completion time of its latest fill
     /// (0: never filled). A fill that completed by a request's issue time
     /// can no longer merge, so stale entries need no eviction.
     mshr: Vec<u64>,
@@ -302,18 +332,28 @@ struct SmEngine<'a> {
 }
 
 impl<'a> SmEngine<'a> {
-    /// An idle SM with room for `rays` rays.
-    fn new(config: &'a GpuConfig, bvh: &'a Bvh, rays: usize) -> Self {
+    /// SM `sm_id`, idle, with all of its warps of `batch` undispatched.
+    fn new(
+        config: &'a GpuConfig,
+        bvh: &'a Bvh,
+        batch: &'a RayBatch,
+        trace: Option<Arc<RayTraceSet>>,
+        sm_id: usize,
+    ) -> Self {
         let total_slots = config.max_warps_per_rt + config.repack.extra_warps() as usize;
         let space = bvh.layout().footprint_bytes();
         let lines = |shift: u32| space.div_ceil(1 << shift) as usize;
         SmEngine {
             config,
             bvh,
-            rays: Vec::with_capacity(rays),
+            batch,
+            trace,
+            next_warp: sm_id,
+            pool: Vec::new(),
+            free: Vec::new(),
+            spare_ids: Vec::new(),
             sm: SmState {
                 slots: (0..total_slots).map(|_| None).collect(),
-                pending: VecDeque::new(),
                 predictor: config.predictor.map(|pc| Predictor::new(pc, bvh.bounds())),
                 collector: config.repack.repacks().then(|| {
                     PartialWarpCollector::new(
@@ -327,12 +367,12 @@ impl<'a> SmEngine<'a> {
             },
             repacked_queue: VecDeque::new(),
             collector_event: None,
-            mshr: vec![0; lines(MSHR_LINE_SHIFT)],
+            mshr: vec![0; lines(config.l1.line_shift())],
             rt_cache: config.rt_cache.map(|rt| Cache::new(rt, space)),
             l1: Cache::new(config.l1, space),
             epoch_stamps: vec![0; lines(config.l2.line_shift())],
             epoch: 0,
-            local_dram: Dram::new(config.dram),
+            local_dram: Dram::new(config.dram, config.l2.line_bytes),
             shared_log: Vec::new(),
             events: BinaryHeap::new(),
             report: SimReport::default(),
@@ -347,11 +387,9 @@ impl<'a> SmEngine<'a> {
         self.sm.slots[slot].as_mut().expect("warp present")
     }
 
-    /// Dispatches the initial warp list (excess warps queue as pending).
-    fn seed(&mut self, warps: VecDeque<Vec<u32>>) {
-        for ids in warps {
-            self.dispatch(ids, false, 0);
-        }
+    /// Dispatches the first warps, one per free base slot.
+    fn seed(&mut self) {
+        while self.dispatch_pending(0) {}
     }
 
     /// Time of this SM's next event, if any.
@@ -379,20 +417,54 @@ impl<'a> SmEngine<'a> {
         }
     }
 
-    /// Places a warp into a slot (or queues it) and schedules its first
-    /// event.
-    fn dispatch(&mut self, ray_ids: Vec<u32>, repacked: bool, now: u64) {
-        let Some(slot) = self.sm.free_slot(repacked) else {
-            if repacked {
-                self.repacked_queue.push_back(ray_ids);
-            } else {
-                self.sm.pending.push_back(ray_ids);
-            }
-            return;
+    /// Dispatches this SM's next undispatched warp into a free base slot,
+    /// creating its rays' state in the pool; returns whether it did.
+    fn dispatch_pending(&mut self, now: u64) -> bool {
+        let warp_size = self.config.warp_size;
+        let start = self.next_warp * warp_size;
+        if start >= self.batch.len() {
+            return false;
+        }
+        let Some(slot) = self.sm.free_slot(false) else {
+            return false;
         };
+        self.next_warp += self.config.num_sms;
+        let end = (start + warp_size).min(self.batch.len());
+        let mut ids = self
+            .spare_ids
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(warp_size));
+        for index in start..end {
+            ids.push(self.admit(index));
+        }
+        self.place(slot, ids, false, now);
+        true
+    }
+
+    /// Creates the state of batch ray `index` in a pool slot and returns
+    /// the slot.
+    fn admit(&mut self, index: usize) -> u32 {
+        let mut rw = RayWork::new(self.batch.ray(index), self.config.predictor.is_some());
+        if let Some(set) = &self.trace {
+            rw.attach_trace(Arc::clone(set), index);
+        }
+        match self.free.pop() {
+            Some(id) => {
+                self.pool[id as usize] = rw;
+                id
+            }
+            None => {
+                self.pool.push(rw);
+                (self.pool.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Places a warp into the free `slot` and schedules its first event.
+    fn place(&mut self, slot: usize, ray_ids: Vec<u32>, repacked: bool, now: u64) {
         let start = now + self.config.latency.queue;
         for &rid in &ray_ids {
-            self.rays[rid as usize].slot = slot as u32;
+            self.pool[rid as usize].slot = slot as u32;
         }
         let needs_lookup = self.config.predictor.is_some() && !repacked;
         self.sm.slots[slot] = Some(WarpState {
@@ -423,10 +495,14 @@ impl<'a> SmEngine<'a> {
         self.ensure_collector_event(now);
     }
 
-    /// Dispatches a warp the collector released, counting its drain.
+    /// Dispatches a warp the collector released, counting its drain; it
+    /// queues when every slot is taken.
     fn dispatch_repacked(&mut self, warp: Vec<u32>, now: u64) {
         self.report.activity.collector_ops += warp.len() as u64;
-        self.dispatch(warp, true, now);
+        match self.sm.free_slot(true) {
+            Some(slot) => self.place(slot, warp, true, now),
+            None => self.repacked_queue.push_back(warp),
+        }
     }
 
     /// Guarantees a timeout event is pending whenever the collector holds
@@ -459,7 +535,7 @@ impl<'a> SmEngine<'a> {
                 .as_mut()
                 .expect("lookup phase requires predictor");
             for &rid in &warp_rays {
-                let rw = &mut self.rays[rid as usize];
+                let rw = &mut self.pool[rid as usize];
                 predictor.begin_ray();
                 let hash = predictor.hash_ray(&rw.ray);
                 let pred = predictor.lookup_hashed(hash);
@@ -473,7 +549,7 @@ impl<'a> SmEngine<'a> {
             // Predicted rays leave for the collector; drain full warps as
             // they form (§4.4.1 overflow handling).
             for &rid in &warp_rays {
-                if !self.rays[rid as usize].was_predicted {
+                if !self.pool[rid as usize].was_predicted {
                     continue;
                 }
                 let collector = self.sm.collector.as_mut().expect("repack has collector");
@@ -500,14 +576,15 @@ impl<'a> SmEngine<'a> {
             self.ensure_collector_event(ready);
 
             self.warp_mut(slot).active -= predicted;
-            let rays = &self.rays;
-            warp_rays.retain(|&rid| !rays[rid as usize].was_predicted);
-            if warp_rays.is_empty() {
-                self.retire_warp(slot, ready);
-                return;
-            }
+            let pool = &self.pool;
+            warp_rays.retain(|&rid| !pool[rid as usize].was_predicted);
         }
+        let emptied = warp_rays.is_empty();
         self.warp_mut(slot).rays = warp_rays;
+        if emptied {
+            self.retire_warp(slot, ready);
+            return;
+        }
         // Without repacking, predicted and not-predicted rays stay together
         // (the "Default" configuration of Figure 15).
         self.events
@@ -523,7 +600,7 @@ impl<'a> SmEngine<'a> {
         let t_issue = now.max(self.sm.issue_free_at);
         self.sm.issue_free_at = t_issue + 1;
         self.report.activity.l1_accesses += 1;
-        let line = (addr >> MSHR_LINE_SHIFT) as usize;
+        let line = (addr >> self.config.l1.line_shift()) as usize;
         let fill = self.mshr[line];
         if fill > t_issue {
             // Merged into the outstanding fill: no second DRAM trip.
@@ -574,7 +651,7 @@ impl<'a> SmEngine<'a> {
         let mut node_ready = std::mem::take(&mut self.node_ready);
         node_ready.clear();
         for &rid in &warp_rays {
-            let rw = &self.rays[rid as usize];
+            let rw = &self.pool[rid as usize];
             if !rw.is_active() {
                 continue;
             }
@@ -601,7 +678,7 @@ impl<'a> SmEngine<'a> {
         for &(rid, ready) in &node_ready {
             data_ready = data_ready.max(ready);
             tested.clear();
-            let rw = &mut self.rays[rid as usize];
+            let rw = &mut self.pool[rid as usize];
             let step = rw.traversal.step(self.bvh, &rw.ray, &mut tested);
             self.report.activity.stack_ops += 2;
             if rw.phase == RayPhase::Predicted {
@@ -650,7 +727,7 @@ impl<'a> SmEngine<'a> {
         let next = data_ready + self.config.latency.intersection;
         let mut warp_done = false;
         for &(rid, _) in &node_ready {
-            if !self.rays[rid as usize].is_active() && self.retire_ray(rid, next) {
+            if !self.pool[rid as usize].is_active() && self.retire_ray(rid, next) {
                 warp_done = true;
             }
         }
@@ -662,9 +739,10 @@ impl<'a> SmEngine<'a> {
 
     /// Records a ray's final outcome, trains the predictor and updates the
     /// report; retires the warp (returning `true`) when this was its last
-    /// active ray.
+    /// active ray. The ray keeps its pool slot until its warp retires:
+    /// the warp's id list still names it.
     fn retire_ray(&mut self, rid: u32, now: u64) -> bool {
-        let rw = &self.rays[rid as usize];
+        let rw = &self.pool[rid as usize];
         self.report.completed_rays += 1;
         self.report.cycles = self.report.cycles.max(now);
         self.report.traversal += rw.finished_stats;
@@ -705,27 +783,34 @@ impl<'a> SmEngine<'a> {
         false
     }
 
-    /// Frees a warp slot and dispatches queued work.
+    /// Frees a warp slot and its rays' pool slots, then dispatches queued
+    /// work. The warp's id list holds every ray still in the pool on its
+    /// account: rays that left for the collector were removed from it at
+    /// lookup.
     fn retire_warp(&mut self, slot: usize, now: u64) {
-        let warp = self.sm.slots[slot].take().expect("warp present");
+        let mut warp = self.sm.slots[slot].take().expect("warp present");
         self.report.warps_executed += 1;
         if warp.repacked {
             self.report.repacked_warps += 1;
         }
         self.report.cycles = self.report.cycles.max(now);
+        self.free.extend_from_slice(&warp.rays);
+        warp.rays.clear();
+        if self.spare_ids.len() < self.sm.slots.len() {
+            self.spare_ids.push(warp.rays);
+        }
         // Repacked warps may use any slot; normal warps only base slots.
         loop {
-            if !self.repacked_queue.is_empty() && self.sm.free_slot(true).is_some() {
-                let ids = self.repacked_queue.pop_front().expect("nonempty");
-                self.dispatch(ids, true, now);
-                continue;
+            if !self.repacked_queue.is_empty() {
+                if let Some(slot) = self.sm.free_slot(true) {
+                    let ids = self.repacked_queue.pop_front().expect("nonempty");
+                    self.place(slot, ids, true, now);
+                    continue;
+                }
             }
-            if !self.sm.pending.is_empty() && self.sm.free_slot(false).is_some() {
-                let ids = self.sm.pending.pop_front().expect("nonempty");
-                self.dispatch(ids, false, now);
-                continue;
+            if !self.dispatch_pending(now) {
+                break;
             }
-            break;
         }
     }
 }
@@ -733,10 +818,14 @@ impl<'a> SmEngine<'a> {
 /// The epoch coordinator: owns the per-SM engines, the authoritative
 /// shared memory, and the worker pool.
 ///
-/// The barrier allocates nothing: each SM's log is swapped with an
-/// emptied coordinator buffer, and the replay merges the buffers in place.
+/// Nothing here or in the engines grows with the batch: each SM reads its
+/// rays from the batch as it dispatches their warps. The barrier
+/// allocates nothing: each SM's log is swapped with an emptied
+/// coordinator buffer, and the replay merges the buffers in place.
 struct Engine<'a> {
     config: &'a GpuConfig,
+    /// The batch size, which every SM's completed rays add up to.
+    rays: usize,
     engines: Vec<Mutex<SmEngine<'a>>>,
     shared: SharedMemory,
     pool: JobPool,
@@ -750,50 +839,25 @@ impl<'a> Engine<'a> {
     fn new(
         config: &'a GpuConfig,
         bvh: &'a Bvh,
-        batch: &RayBatch,
+        batch: &'a RayBatch,
         trace: Option<Arc<RayTraceSet>>,
         jobs: usize,
     ) -> Self {
-        let needs_lookup = config.predictor.is_some();
-        let (warp, sms) = (config.warp_size, config.num_sms);
-        let mut per_sm = vec![0; sms];
-        for start in (0..batch.len()).step_by(warp) {
-            per_sm[(start / warp) % sms] += warp.min(batch.len() - start);
-        }
-        let mut engines: Vec<SmEngine<'a>> = per_sm
-            .into_iter()
-            .map(|rays| SmEngine::new(config, bvh, rays))
+        let sms = config.num_sms;
+        let engines = (0..sms)
+            .map(|sm_id| {
+                let mut engine = SmEngine::new(config, bvh, batch, trace.clone(), sm_id);
+                engine.seed();
+                Mutex::new(engine)
+            })
             .collect();
-
-        // Chunk rays into warps and deal the warps round-robin over the
-        // SMs. Warps never migrate, so each SM moves its rays into its own
-        // arena, in global order, and its warps carry arena indices.
-        let mut warp_lists: Vec<VecDeque<Vec<u32>>> = vec![VecDeque::new(); config.num_sms];
-        for (i, ray) in batch.iter().enumerate() {
-            let sm_id = (i / config.warp_size) % config.num_sms;
-            let mut rw = RayWork::new(ray, needs_lookup);
-            if let Some(set) = &trace {
-                rw.attach_trace(Arc::clone(set), i);
-            }
-            let engine = &mut engines[sm_id];
-            let local = engine.rays.len() as u32;
-            engine.rays.push(rw);
-            let warps = &mut warp_lists[sm_id];
-            if i % config.warp_size == 0 {
-                warps.push_back(Vec::with_capacity(config.warp_size));
-            }
-            warps.back_mut().expect("warp started").push(local);
-        }
-        for (engine, list) in engines.iter_mut().zip(warp_lists) {
-            engine.seed(list);
-        }
-
         Engine {
             config,
-            engines: engines.into_iter().map(Mutex::new).collect(),
+            rays: batch.len(),
+            engines,
             shared: SharedMemory {
                 l2: Cache::new(config.l2, bvh.layout().footprint_bytes()),
-                dram: Dram::new(config.dram),
+                dram: Dram::new(config.dram, config.l2.line_bytes),
                 latency: config.latency,
             },
             pool: JobPool::new(jobs),
@@ -803,6 +867,12 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> SimReport {
+        self.run_to_completion();
+        self.into_report()
+    }
+
+    /// Runs epochs until every SM's event heap is empty.
+    fn run_to_completion(&mut self) {
         let indices: Vec<usize> = (0..self.engines.len()).collect();
         let epoch = self.config.epoch_cycles;
         loop {
@@ -843,12 +913,13 @@ impl<'a> Engine<'a> {
             }
             self.shared.replay(&self.logs, &mut self.heads);
         }
+    }
 
-        // Deterministic merge of the per-SM partial reports.
+    /// The deterministic merge of the per-SM partial reports.
+    fn into_report(self) -> SimReport {
         let mut report = SimReport::default();
         let mut rt_stats = Vec::new();
         let mut l1_stats = Vec::new();
-        let mut total_rays = 0usize;
         for engine in self.engines {
             let e = engine.into_inner().expect("sm engine lock");
             let r = e.report;
@@ -864,9 +935,9 @@ impl<'a> Engine<'a> {
                 rt_stats.push(rt.stats());
             }
             l1_stats.push(e.l1.stats());
-            total_rays += e.rays.len();
+            debug_assert_eq!(e.free.len(), e.pool.len(), "a pool slot leaked");
         }
-        debug_assert_eq!(report.completed_rays as usize, total_rays);
+        debug_assert_eq!(report.completed_rays as usize, self.rays);
         report.memory = MemoryStats {
             rt_cache: rt_stats,
             l1: l1_stats,
@@ -1219,6 +1290,68 @@ mod tests {
                 assert_eq!(got, want, "golden report {i} diverged at --jobs {jobs}");
             }
         }
+    }
+
+    /// Per SM, the most rays its pool ever held at once.
+    fn pool_peaks(config: &GpuConfig, bvh: &Bvh, batch: &RayBatch) -> Vec<usize> {
+        let mut engine = Engine::new(config, bvh, batch, None, 1);
+        engine.run_to_completion();
+        engine
+            .engines
+            .iter_mut()
+            .map(|e| e.get_mut().expect("sm engine lock").pool.len())
+            .collect()
+    }
+
+    #[test]
+    fn ray_pool_is_bounded_by_rays_in_flight() {
+        let bvh = occluder_bvh();
+        let config = GpuConfig::with_predictor();
+        let small = pool_peaks(&config, &bvh, &RayBatch::from_rays(&ao_rays(4000, 37)));
+        let large = pool_peaks(&config, &bvh, &RayBatch::from_rays(&ao_rays(16000, 37)));
+        assert_eq!(small, large, "the pool grew with the batch");
+        let bound = config.max_warps_per_rt * config.warp_size + config.collector_capacity;
+        assert!(
+            small.iter().all(|&peak| peak <= bound),
+            "{small:?} > {bound}"
+        );
+    }
+
+    /// Issues requests to both halves of the first 128 bytes at cycle 0
+    /// on a fresh SM; returns its MSHR merges and DRAM requests per bank.
+    fn split_line_requests(config: &GpuConfig) -> (u64, Vec<u64>) {
+        let bvh = occluder_bvh();
+        let batch = RayBatch::from_rays(&[]);
+        let shared = SharedMemory {
+            l2: Cache::new(config.l2, bvh.layout().footprint_bytes()),
+            dram: Dram::new(config.dram, config.l2.line_bytes),
+            latency: config.latency,
+        };
+        let mut engine = SmEngine::new(config, &bvh, &batch, None, 0);
+        // Opens epoch 1: a zero epoch stamp means "not filled".
+        engine.run_epoch(0, &shared);
+        engine.request_line(0, 0, &shared);
+        engine.request_line(64, 0, &shared);
+        let per_bank = engine.local_dram.stats().per_bank.clone();
+        (engine.report.activity.mshr_merges, per_bank)
+    }
+
+    #[test]
+    fn mshr_and_dram_banks_follow_the_configured_line_size() {
+        let mut narrow = GpuConfig::baseline();
+        narrow.l1.line_bytes = 64;
+        narrow.l2.line_bytes = 64;
+        let (merges, per_bank) = split_line_requests(&narrow);
+        assert_eq!(merges, 0, "distinct 64-byte lines merged");
+        assert_eq!(
+            &per_bank[..2],
+            &[1, 1],
+            "distinct 64-byte lines shared a bank"
+        );
+
+        let (merges, per_bank) = split_line_requests(&GpuConfig::baseline());
+        assert_eq!(merges, 1, "one 128-byte line must merge");
+        assert_eq!(per_bank.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -82,7 +82,7 @@ proptest! {
     fn dram_completion_is_monotone_and_causal(
         addrs in prop::collection::vec(0u64..100_000, 1..200),
     ) {
-        let mut dram = Dram::new(DramConfig::baseline());
+        let mut dram = Dram::new(DramConfig::baseline(), 128);
         let mut now = 0u64;
         for &addr in &addrs {
             let done = dram.access(addr * 64, now);
@@ -99,7 +99,7 @@ proptest! {
     fn dram_bank_balance_bounded(
         addrs in prop::collection::vec(0u64..4096, 2..300),
     ) {
-        let mut dram = Dram::new(DramConfig::baseline());
+        let mut dram = Dram::new(DramConfig::baseline(), 128);
         for (i, &addr) in addrs.iter().enumerate() {
             dram.access(addr * 128, i as u64);
         }

@@ -39,6 +39,7 @@
 use crate::{
     fnv1a_extend, fnv1a_striped, read_unaligned, Bytes, Pod, PodSlice, BASE_ALIGN, FNV_OFFSET_BASIS,
 };
+use std::io::{self, Write};
 
 /// File magic, `b"RIPA"`.
 pub const MAGIC: [u8; 4] = *b"RIPA";
@@ -64,7 +65,8 @@ fn round_up(value: usize, align: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Builds a RIPA v2 file from borrowed payload slices; the bytes are
-/// copied exactly once, in [`RipaWriter::finish`].
+/// copied exactly once, when [`RipaWriter::write_to`] streams them out
+/// (to a file, or into one buffer with [`RipaWriter::finish`]).
 pub struct RipaWriter<'a> {
     kind: u32,
     sections: Vec<(u32, usize, &'a [u8])>,
@@ -108,41 +110,67 @@ impl<'a> RipaWriter<'a> {
 
     /// Serializes header, table, and payloads into one buffer.
     pub fn finish(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.layout().1);
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
+    }
+
+    /// Streams header, table, and payloads to `out`, in file order; the
+    /// only copy of the file beyond the borrowed payloads is its header
+    /// and section table.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        let (offsets, total_len) = self.layout();
         let table_end = HEADER_BYTES + self.sections.len() * ENTRY_BYTES;
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut cursor = table_end;
-        for &(_, _, bytes) in &self.sections {
-            let offset = round_up(cursor, SECTION_ALIGN);
-            offsets.push(offset);
-            cursor = offset + bytes.len();
-        }
-        let total_len = cursor;
-
-        let mut out = vec![0u8; total_len];
-        out[0..4].copy_from_slice(&MAGIC);
-        out[4..8].copy_from_slice(&CONTAINER_VERSION.to_ne_bytes());
-        out[8..12].copy_from_slice(&(self.sections.len() as u32).to_ne_bytes());
-        out[12..16].copy_from_slice(&self.kind.to_ne_bytes());
-        out[16..24].copy_from_slice(&(total_len as u64).to_ne_bytes());
-        out[24..28].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
-
-        for (i, (&(id, align, bytes), &offset)) in
-            self.sections.iter().zip(offsets.iter()).enumerate()
-        {
-            let entry = HEADER_BYTES + i * ENTRY_BYTES;
-            out[entry..entry + 4].copy_from_slice(&id.to_ne_bytes());
-            out[entry + 4..entry + 8].copy_from_slice(&(align as u32).to_ne_bytes());
-            out[entry + 8..entry + 16].copy_from_slice(&(offset as u64).to_ne_bytes());
-            out[entry + 16..entry + 24].copy_from_slice(&(bytes.len() as u64).to_ne_bytes());
-            out[entry + 24..entry + 32].copy_from_slice(&fnv1a_striped(bytes).to_ne_bytes());
-            out[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let mut head = vec![0u8; table_end];
+        head[0..4].copy_from_slice(&MAGIC);
+        head[4..8].copy_from_slice(&CONTAINER_VERSION.to_ne_bytes());
+        head[8..12].copy_from_slice(&(self.sections.len() as u32).to_ne_bytes());
+        head[12..16].copy_from_slice(&self.kind.to_ne_bytes());
+        head[16..24].copy_from_slice(&(total_len as u64).to_ne_bytes());
+        head[24..28].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
+        for (i, (&(id, align, bytes), &offset)) in self.sections.iter().zip(&offsets).enumerate() {
+            let entry = &mut head[HEADER_BYTES + i * ENTRY_BYTES..][..ENTRY_BYTES];
+            entry[0..4].copy_from_slice(&id.to_ne_bytes());
+            entry[4..8].copy_from_slice(&(align as u32).to_ne_bytes());
+            entry[8..16].copy_from_slice(&(offset as u64).to_ne_bytes());
+            entry[16..24].copy_from_slice(&(bytes.len() as u64).to_ne_bytes());
+            entry[24..32].copy_from_slice(&fnv1a_striped(bytes).to_ne_bytes());
         }
         // Header + table checksum goes into 28..32 last, so it covers
         // every structural field (ids, offsets, lengths, and the
         // per-section checksums themselves).
-        let digest = table_checksum(&out, table_end);
-        out[28..32].copy_from_slice(&digest.to_ne_bytes());
-        out
+        let digest = table_checksum(&head, table_end);
+        head[28..32].copy_from_slice(&digest.to_ne_bytes());
+        out.write_all(&head)?;
+
+        let mut written = table_end;
+        for (&(_, _, bytes), &offset) in self.sections.iter().zip(&offsets) {
+            out.write_all(&[0u8; SECTION_ALIGN][..offset - written])?;
+            out.write_all(bytes)?;
+            written = offset + bytes.len();
+        }
+        debug_assert_eq!(written, total_len);
+        Ok(())
+    }
+
+    /// Each section's payload offset, and the total file length.
+    fn layout(&self) -> (Vec<usize>, usize) {
+        let mut cursor = HEADER_BYTES + self.sections.len() * ENTRY_BYTES;
+        let offsets = self
+            .sections
+            .iter()
+            .map(|&(_, _, bytes)| {
+                let offset = round_up(cursor, SECTION_ALIGN);
+                cursor = offset + bytes.len();
+                offset
+            })
+            .collect();
+        (offsets, cursor)
     }
 }
 
@@ -366,6 +394,36 @@ mod tests {
         );
         assert_eq!(file.section(3).unwrap().as_slice(), &[9, 8, 7, 6, 5]);
         assert!(file.section(4).is_err());
+    }
+
+    /// Accepts at most five bytes per `write` call.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(5);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_file_equals_the_buffered_one() {
+        let meta = [3u32, 4];
+        let floats = [1.0f32, 2.5, -3.75];
+        let tail = [9u8, 8, 7, 6, 5];
+        let mut w = RipaWriter::new(KIND);
+        w.section(1, &meta).section(2, &floats).section(3, &tail);
+        let mut stream = Trickle(Vec::new());
+        w.write_to(&mut stream).unwrap();
+        let unpadded = HEADER_BYTES + 3 * ENTRY_BYTES + 8 + 12 + 5;
+        assert!(stream.0.len() > unpadded, "the sample needs padding");
+        assert_eq!(stream.0, w.finish());
+        RipaFile::parse(Bytes::copy_from_slice(&stream.0), KIND).unwrap();
     }
 
     #[test]

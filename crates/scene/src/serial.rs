@@ -18,6 +18,7 @@ use crate::{Camera, Scene, SceneId, TriangleMesh, SCENE_IDS};
 use rip_math::Vec3;
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::Bytes;
+use std::io::{self, Write};
 
 /// Bumped whenever the encoded layout changes; part of the header *and*
 /// of the artifact cache key in `rip-exec`.
@@ -42,6 +43,21 @@ const META_WORDS: usize = 6;
 /// Encodes `scene` into a self-contained RIPA v2 buffer. Re-encoding a
 /// decoded scene is byte-identical.
 pub fn encode(scene: &Scene) -> Vec<u8> {
+    with_writer(scene, |w| w.finish())
+}
+
+/// Streams the [`encode`] bytes of `scene` to `out`, straight from the
+/// mesh's buffers.
+///
+/// # Errors
+///
+/// Returns the first error `out` reports.
+pub fn write_to<W: Write>(scene: &Scene, out: &mut W) -> io::Result<()> {
+    with_writer(scene, |w| w.write_to(out))
+}
+
+/// Calls `f` with the artifact writer of `scene`.
+fn with_writer<R>(scene: &Scene, f: impl FnOnce(&RipaWriter) -> R) -> R {
     let positions = scene.mesh.positions();
     let indices = scene.mesh.indices();
     let (basis, width, height) = scene.camera.to_raw();
@@ -62,7 +78,7 @@ pub fn encode(scene: &Scene) -> Vec<u8> {
         .section(SEC_CAMERA, &basis)
         .section(SEC_POSITIONS, positions)
         .section(SEC_INDICES, indices);
-    w.finish()
+    f(&w)
 }
 
 /// Decodes an owned buffer produced by [`encode`] (copies into an
