@@ -1,8 +1,24 @@
 //! Binned-SAH BVH construction.
+//!
+//! A build splits the top of the tree serially until its nodes are small
+//! enough, then builds the subtrees below as independent jobs on a
+//! caller-supplied [`JobMap`] and splices their nodes into the numbering a
+//! serial build gives. Which nodes become jobs depends only on triangle
+//! counts, so the tree is byte-identical however the jobs ran.
+
+use std::sync::Mutex;
 
 use crate::node::{BvhNode, NodeId, NodeKind};
 use crate::Bvh;
 use rip_math::{Aabb, Triangle, Vec3};
+
+/// Nodes with at least this many triangles are split in a build's serial
+/// top; smaller nodes under it become subtree jobs.
+const JOB_MIN_TRIANGLES: usize = 32_768;
+
+/// Depth of a build's serial top: a build runs at most `2^JOB_DEPTH`
+/// subtree jobs.
+const JOB_DEPTH: u32 = 4;
 
 /// Partitioning strategy used at each interior node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -15,6 +31,22 @@ pub enum SplitMethod {
     /// Median split along the largest centroid axis. Cheaper to build and
     /// useful as an ablation baseline.
     Median,
+}
+
+/// Runs the independent subtree jobs of a build
+/// ([`BvhBuilder::build_on`]), for instance on a thread pool.
+pub trait JobMap {
+    /// Applies `f` to every item and returns the results in input order.
+    fn map_jobs<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U>;
+}
+
+/// Runs every job on the calling thread: the serial build.
+struct Inline;
+
+impl JobMap for Inline {
+    fn map_jobs<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        items.iter().map(f).collect()
+    }
 }
 
 /// Configurable BVH builder.
@@ -63,6 +95,100 @@ struct TriRef {
     bounds: Aabb,
     centroid: Vec3,
 }
+
+/// Bounds of a node's triangles and of their centroids.
+#[derive(Clone, Copy)]
+struct NodeBounds {
+    bounds: Aabb,
+    centroids: Aabb,
+}
+
+impl NodeBounds {
+    /// Folds the bounds of `refs`.
+    fn of(refs: &[TriRef]) -> Self {
+        let empty = NodeBounds {
+            bounds: Aabb::empty(),
+            centroids: Aabb::empty(),
+        };
+        refs.iter().fold(empty, |acc, r| NodeBounds {
+            bounds: acc.bounds.union(&r.bounds),
+            centroids: acc.centroids.grow(r.centroid),
+        })
+    }
+}
+
+/// A node's refs split in two: the left child gets `refs[..mid]`. Both
+/// children's bounds come with the split.
+struct Split {
+    mid: usize,
+    left: NodeBounds,
+    right: NodeBounds,
+}
+
+/// One SAH bin of a binning pass.
+#[derive(Clone, Copy)]
+struct Bin {
+    bounds: Aabb,
+    count: usize,
+}
+
+/// Per-thread scratch of a build: the SAH bins and the unions of their
+/// suffixes, reused by every node the thread splits.
+#[derive(Default)]
+struct Scratch {
+    bins: Vec<Bin>,
+    suffix: Vec<Aabb>,
+}
+
+/// A node to build: its refs, where they sit in the build, its depth and
+/// the bounds its parent's split gave it.
+struct Node<'a> {
+    refs: &'a mut [TriRef],
+    /// Offset of `refs[0]` in the build's ref (and leaf order) array.
+    first: usize,
+    depth: u32,
+    bounds: NodeBounds,
+}
+
+impl<'a> Node<'a> {
+    /// The two children `split` makes of this node.
+    fn children(self, split: Split) -> [Node<'a>; 2] {
+        let (left, right) = self.refs.split_at_mut(split.mid);
+        let depth = self.depth + 1;
+        [
+            Node {
+                refs: left,
+                first: self.first,
+                depth,
+                bounds: split.left,
+            },
+            Node {
+                refs: right,
+                first: self.first + split.mid,
+                depth,
+                bounds: split.right,
+            },
+        ]
+    }
+}
+
+/// The serial top of a build: nodes it split, down to the subtree jobs,
+/// which are numbered in depth-first (left to right) order.
+enum Top {
+    Split {
+        bounds: Aabb,
+        children: Box<[Top; 2]>,
+    },
+    Job,
+}
+
+/// The record of a slot whose node is not built yet.
+const PLACEHOLDER: BvhNode = BvhNode {
+    bounds: Aabb::empty(),
+    kind: NodeKind::Leaf { first: 0, count: 0 },
+    parent: None,
+    depth: 0,
+};
 
 impl BvhBuilder {
     /// Creates a builder with the default configuration (binned SAH,
@@ -114,6 +240,23 @@ impl BvhBuilder {
     ///
     /// Panics when `triangles` is empty.
     pub fn build_owned(&self, triangles: Vec<Triangle>) -> Bvh {
+        self.build_on(triangles, &Inline)
+    }
+
+    /// Builds a BVH over `triangles`, which move into the tree, running
+    /// its subtree jobs on `jobs`. The tree is byte-identical to
+    /// [`BvhBuilder::build_owned`]'s, whatever order or threads the jobs
+    /// ran on.
+    ///
+    /// The top of the tree is split serially: nodes of at least 32,768
+    /// triangles, down to depth 4, so a build has at most 16 jobs and a
+    /// small one a single job, which runs on the calling thread without
+    /// calling `jobs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `triangles` is empty, and re-raises a panic of `jobs`.
+    pub fn build_on(&self, triangles: Vec<Triangle>, jobs: &impl JobMap) -> Bvh {
         assert!(
             !triangles.is_empty(),
             "cannot build a BVH over zero triangles"
@@ -129,127 +272,131 @@ impl BvhBuilder {
             })
             .collect();
 
-        let mut nodes: Vec<BvhNode> = Vec::with_capacity(triangles.len() * 2);
-        let mut tri_order: Vec<u32> = Vec::with_capacity(triangles.len());
-
-        // Reserve the root slot, then build recursively.
-        nodes.push(BvhNode {
-            bounds: Aabb::empty(),
-            kind: NodeKind::Leaf { first: 0, count: 0 },
-            parent: None,
+        let root = Node {
+            bounds: NodeBounds::of(&refs),
+            refs: &mut refs,
+            first: 0,
             depth: 0,
-        });
-        let n = refs.len();
-        self.build_node(&mut nodes, &mut tri_order, &mut refs, 0, n, 0, None, 0);
+        };
+        let mut planned = Vec::new();
+        let top = self.plan(&mut Scratch::default(), root, &mut planned);
+        let run = |job: &Mutex<Option<Node>>| {
+            let job = job.lock().expect("a job's lock is taken once").take();
+            self.build_subtree(job.expect("each subtree job runs once"))
+        };
+        let planned: Vec<_> = planned
+            .into_iter()
+            .map(|job| Mutex::new(Some(job)))
+            .collect();
+        let subtrees = match &planned[..] {
+            [one] => vec![run(one)],
+            all => jobs.map_jobs(all, run),
+        };
+        drop(planned);
+
+        // A leaf's `first` is the start of its ref range, so the final
+        // ref order is the leaf order.
+        let tri_order: Vec<u32> = refs.iter().map(|r| r.index).collect();
         drop(refs);
+
+        // The top is a full binary tree over the jobs: its splits add one
+        // node each beyond the subtrees.
+        let count = subtrees.iter().map(Vec::len).sum::<usize>() + subtrees.len() - 1;
+        let mut nodes = Vec::with_capacity(count);
+        nodes.push(PLACEHOLDER);
+        splice(&top, 0, None, 0, &mut nodes, &mut subtrees.into_iter());
 
         Bvh::from_parts(nodes, tri_order, triangles)
     }
 
-    /// Builds the subtree for `refs[start..end]` into `nodes[slot]`.
-    ///
-    /// An SAH split reads the node's refs three times: one pass folds the
-    /// node and centroid bounds, one bins, one partitions.
-    #[allow(clippy::too_many_arguments)]
-    fn build_node(
-        &self,
-        nodes: &mut Vec<BvhNode>,
-        tri_order: &mut Vec<u32>,
-        refs: &mut [TriRef],
-        start: usize,
-        end: usize,
-        slot: usize,
-        parent: Option<NodeId>,
-        depth: u32,
-    ) {
-        let (bounds, centroid_bounds) = refs[start..end]
-            .iter()
-            .fold((Aabb::empty(), Aabb::empty()), |(b, c), r| {
-                (b.union(&r.bounds), c.grow(r.centroid))
-            });
-        let count = end - start;
-
-        let split = if count <= self.max_leaf_size as usize {
-            None
-        } else {
-            let refs = &mut refs[start..end];
-            match self.split_method {
-                SplitMethod::BinnedSah => self.sah_split(refs, &bounds, &centroid_bounds),
-                SplitMethod::Median => median_split(refs, &centroid_bounds),
-            }
-        };
-
-        match split {
-            None => {
-                let first = tri_order.len() as u32;
-                tri_order.extend(refs[start..end].iter().map(|r| r.index));
-                nodes[slot] = BvhNode {
+    /// Splits the serial top under `node` and appends its subtree jobs
+    /// to `jobs`.
+    fn plan<'a>(&self, scratch: &mut Scratch, mut node: Node<'a>, jobs: &mut Vec<Node<'a>>) -> Top {
+        if node.refs.len() >= JOB_MIN_TRIANGLES && node.depth < JOB_DEPTH {
+            if let Some(split) = self.split(scratch, &mut node) {
+                let bounds = node.bounds.bounds;
+                let [left, right] = node.children(split);
+                let children = [
+                    self.plan(scratch, left, jobs),
+                    self.plan(scratch, right, jobs),
+                ];
+                return Top::Split {
                     bounds,
-                    kind: NodeKind::Leaf {
-                        first,
-                        count: count as u32,
-                    },
-                    parent,
-                    depth,
-                };
-            }
-            Some(mid_rel) => {
-                let mid = start + mid_rel;
-                let left_slot = nodes.len();
-                let right_slot = left_slot + 1;
-                let placeholder = BvhNode {
-                    bounds: Aabb::empty(),
-                    kind: NodeKind::Leaf { first: 0, count: 0 },
-                    parent: Some(NodeId::new(slot as u32)),
-                    depth: depth + 1,
-                };
-                nodes.push(placeholder);
-                nodes.push(placeholder);
-                self.build_node(
-                    nodes,
-                    tri_order,
-                    refs,
-                    start,
-                    mid,
-                    left_slot,
-                    Some(NodeId::new(slot as u32)),
-                    depth + 1,
-                );
-                self.build_node(
-                    nodes,
-                    tri_order,
-                    refs,
-                    mid,
-                    end,
-                    right_slot,
-                    Some(NodeId::new(slot as u32)),
-                    depth + 1,
-                );
-                nodes[slot] = BvhNode {
-                    bounds,
-                    kind: NodeKind::Interior {
-                        left: NodeId::new(left_slot as u32),
-                        right: NodeId::new(right_slot as u32),
-                        left_bounds: nodes[left_slot].bounds,
-                        right_bounds: nodes[right_slot].bounds,
-                    },
-                    parent,
-                    depth,
+                    children: Box::new(children),
                 };
             }
         }
+        jobs.push(node);
+        Top::Job
     }
 
-    /// Partitions `refs`, whose union is `bounds`, with binned SAH;
-    /// returns the split point, or `None` to make a leaf. Falls back to a
-    /// median split when centroids are degenerate, and makes a leaf only
-    /// when SAH says splitting never pays.
+    /// Builds the subtree of `job` with local node ids: its root is node
+    /// 0 (with no parent yet), its descendants follow in build order.
+    fn build_subtree(&self, job: Node) -> Vec<BvhNode> {
+        let mut nodes = Vec::with_capacity(2 * job.refs.len());
+        nodes.push(PLACEHOLDER);
+        self.build_node(&mut Scratch::default(), &mut nodes, job, 0, None);
+        nodes
+    }
+
+    /// Builds the subtree of `node` into `nodes[slot]`: its two children
+    /// take the next two slots, then the left child's descendants, then
+    /// the right's.
+    fn build_node(
+        &self,
+        scratch: &mut Scratch,
+        nodes: &mut Vec<BvhNode>,
+        mut node: Node,
+        slot: usize,
+        parent: Option<NodeId>,
+    ) {
+        let (bounds, depth) = (node.bounds.bounds, node.depth);
+        let Some(split) = self.split(scratch, &mut node) else {
+            nodes[slot] = BvhNode {
+                bounds,
+                kind: NodeKind::Leaf {
+                    first: node.first as u32,
+                    count: node.refs.len() as u32,
+                },
+                parent,
+                depth,
+            };
+            return;
+        };
+        let left_slot = nodes.len();
+        nodes.push(PLACEHOLDER);
+        nodes.push(PLACEHOLDER);
+        let id = Some(NodeId::new(slot as u32));
+        let [left, right] = node.children(split);
+        self.build_node(scratch, nodes, left, left_slot, id);
+        self.build_node(scratch, nodes, right, left_slot + 1, id);
+        nodes[slot] = interior(bounds, left_slot, parent, depth, nodes);
+    }
+
+    /// Splits `node`, or returns `None` to make it a leaf.
+    fn split(&self, scratch: &mut Scratch, node: &mut Node) -> Option<Split> {
+        if node.refs.len() <= self.max_leaf_size as usize {
+            return None;
+        }
+        match self.split_method {
+            SplitMethod::BinnedSah => self.sah_split(scratch, node.refs, &node.bounds),
+            SplitMethod::Median => median_split(node.refs, &node.bounds.centroids),
+        }
+    }
+
+    /// Partitions `refs` with binned SAH; returns the split, or `None` to
+    /// make a leaf. Falls back to a median split when centroids are
+    /// degenerate, and makes a leaf only when SAH says splitting never
+    /// pays. A child's node bounds are the union of its bins' bounds and
+    /// its centroid bounds are folded by the partition pass: min/max
+    /// unions in another order, so the children need no fold of their own.
     fn sah_split(
         &self,
+        scratch: &mut Scratch,
         refs: &mut [TriRef],
-        bounds: &Aabb,
-        centroid_bounds: &Aabb,
-    ) -> Option<usize> {
+        bounds: &NodeBounds,
+    ) -> Option<Split> {
+        let centroid_bounds = &bounds.centroids;
         let axis = centroid_bounds.diagonal().largest_axis();
         let extent = centroid_bounds.diagonal()[axis];
         if extent < 1e-12 {
@@ -259,36 +406,46 @@ impl BvhBuilder {
         }
 
         let nbins = self.bins;
-        let mut bin_bounds = vec![Aabb::empty(); nbins];
-        let mut bin_counts = vec![0usize; nbins];
+        let bins = &mut scratch.bins;
+        bins.clear();
+        bins.resize(
+            nbins,
+            Bin {
+                bounds: Aabb::empty(),
+                count: 0,
+            },
+        );
         let k = nbins as f32 * (1.0 - 1e-6) / extent;
         for r in refs.iter_mut() {
             let b = (((r.centroid[axis] - centroid_bounds.min[axis]) * k) as usize).min(nbins - 1);
             r.bin = b as u32;
-            bin_bounds[b] = bin_bounds[b].union(&r.bounds);
-            bin_counts[b] += 1;
+            let bin = &mut bins[b];
+            bin.bounds = bin.bounds.union(&r.bounds);
+            bin.count += 1;
         }
 
         // Sweep to find the cheapest split boundary.
-        let mut right_area = vec![0.0f32; nbins];
+        let suffix = &mut scratch.suffix;
+        suffix.clear();
+        suffix.resize(nbins, Aabb::empty());
         let mut acc = Aabb::empty();
         for i in (1..nbins).rev() {
-            acc = acc.union(&bin_bounds[i]);
-            right_area[i] = acc.surface_area();
+            acc = acc.union(&bins[i].bounds);
+            suffix[i] = acc;
         }
         let mut best: Option<(usize, f32)> = None;
         let mut left_acc = Aabb::empty();
         let mut left_count = 0usize;
         let total = refs.len();
         for boundary in 1..nbins {
-            left_acc = left_acc.union(&bin_bounds[boundary - 1]);
-            left_count += bin_counts[boundary - 1];
+            left_acc = left_acc.union(&bins[boundary - 1].bounds);
+            left_count += bins[boundary - 1].count;
             let right_count = total - left_count;
             if left_count == 0 || right_count == 0 {
                 continue;
             }
             let cost = left_acc.surface_area() * left_count as f32
-                + right_area[boundary] * right_count as f32;
+                + suffix[boundary].surface_area() * right_count as f32;
             if best.is_none_or(|(_, c)| cost < c) {
                 best = Some((boundary, cost));
             }
@@ -297,7 +454,7 @@ impl BvhBuilder {
 
         // Compare against the cost of not splitting (SAH with traversal
         // cost folded into a 1.2× relative intersection weight).
-        let parent_area = bounds.surface_area();
+        let parent_area = bounds.bounds.surface_area();
         let leaf_cost = total as f32 * parent_area;
         if split_cost / parent_area.max(1e-20) + 1.2 >= leaf_cost / parent_area.max(1e-20)
             && total <= 2 * self.max_leaf_size as usize
@@ -305,25 +462,39 @@ impl BvhBuilder {
             return None;
         }
 
-        // Partition by the bins the binning pass stored.
+        // Partition by the bins the binning pass stored, folding each
+        // side's centroid bounds on the way. Both sides are non-empty:
+        // `best` skips boundaries with an empty side.
+        let mut left = NodeBounds {
+            bounds: bins[..boundary]
+                .iter()
+                .fold(Aabb::empty(), |acc, bin| acc.union(&bin.bounds)),
+            centroids: Aabb::empty(),
+        };
+        let mut right = NodeBounds {
+            bounds: suffix[boundary],
+            centroids: Aabb::empty(),
+        };
         let boundary = boundary as u32;
         let mut mid = 0;
         for j in 0..refs.len() {
-            if refs[j].bin < boundary {
+            let r = refs[j];
+            if r.bin < boundary {
+                left.centroids = left.centroids.grow(r.centroid);
                 refs.swap(mid, j);
                 mid += 1;
+            } else {
+                right.centroids = right.centroids.grow(r.centroid);
             }
         }
-        if mid == 0 || mid == refs.len() {
-            return median_split(refs, centroid_bounds);
-        }
-        Some(mid)
+        Some(Split { mid, left, right })
     }
 }
 
 /// Median split of `refs`, whose centroids span `centroid_bounds`, along
-/// the largest centroid axis.
-fn median_split(refs: &mut [TriRef], centroid_bounds: &Aabb) -> Option<usize> {
+/// the largest centroid axis; the children's bounds are folded from their
+/// refs.
+fn median_split(refs: &mut [TriRef], centroid_bounds: &Aabb) -> Option<Split> {
     if refs.len() < 2 {
         return None;
     }
@@ -334,7 +505,83 @@ fn median_split(refs: &mut [TriRef], centroid_bounds: &Aabb) -> Option<usize> {
             .partial_cmp(&b.centroid[axis])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    Some(mid)
+    Some(Split {
+        mid,
+        left: NodeBounds::of(&refs[..mid]),
+        right: NodeBounds::of(&refs[mid..]),
+    })
+}
+
+/// The interior node over `bounds` whose children sit, already built, in
+/// `nodes[left]` and `nodes[left + 1]`.
+fn interior(
+    bounds: Aabb,
+    left: usize,
+    parent: Option<NodeId>,
+    depth: u32,
+    nodes: &[BvhNode],
+) -> BvhNode {
+    BvhNode {
+        bounds,
+        kind: NodeKind::Interior {
+            left: NodeId::new(left as u32),
+            right: NodeId::new(left as u32 + 1),
+            left_bounds: nodes[left].bounds,
+            right_bounds: nodes[left + 1].bounds,
+        },
+        parent,
+        depth,
+    }
+}
+
+/// Writes the serial top `top` into `nodes[slot]`, numbering as a serial
+/// build does: each split's two children take the next two slots, then
+/// the left child's descendants, then the right's. Each job's subtree,
+/// taken from `subtrees` in job order, is relabelled from local ids and
+/// appended, then dropped.
+fn splice(
+    top: &Top,
+    slot: usize,
+    parent: Option<NodeId>,
+    depth: u32,
+    nodes: &mut Vec<BvhNode>,
+    subtrees: &mut impl Iterator<Item = Vec<BvhNode>>,
+) {
+    match top {
+        Top::Job => {
+            let subtree = subtrees.next().expect("one subtree per job");
+            // Local id 0 is `slot`; local id i > 0 follows what is built.
+            let offset = nodes.len() as u32 - 1;
+            let relabel = |id: NodeId| match id.index() {
+                0 => NodeId::new(slot as u32),
+                i => NodeId::new(i + offset),
+            };
+            let relabelled = |node: &BvhNode| {
+                let mut node = *node;
+                node.parent = node.parent.map(relabel);
+                if let NodeKind::Interior { left, right, .. } = &mut node.kind {
+                    *left = relabel(*left);
+                    *right = relabel(*right);
+                }
+                node
+            };
+            nodes[slot] = BvhNode {
+                parent,
+                ..relabelled(&subtree[0])
+            };
+            nodes.extend(subtree[1..].iter().map(relabelled));
+        }
+        Top::Split { bounds, children } => {
+            let left = nodes.len();
+            nodes.push(PLACEHOLDER);
+            nodes.push(PLACEHOLDER);
+            let id = Some(NodeId::new(slot as u32));
+            for (i, child) in children.iter().enumerate() {
+                splice(child, left + i, id, depth + 1, nodes, subtrees);
+            }
+            nodes[slot] = interior(*bounds, left, parent, depth, nodes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +634,39 @@ mod tests {
             .collect();
         let bvh = BvhBuilder::new().max_leaf_size(2).build(&tris);
         bvh.validate().unwrap();
+    }
+
+    /// Runs jobs last to first, recording each call's job count.
+    #[derive(Default)]
+    struct Reversed(Mutex<Vec<usize>>);
+
+    impl JobMap for Reversed {
+        fn map_jobs<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+            self.0.lock().unwrap().push(items.len());
+            let mut out: Vec<U> = items.iter().rev().map(f).collect();
+            out.reverse();
+            out
+        }
+    }
+
+    #[test]
+    fn jobs_follow_triangle_counts_and_not_their_schedule() {
+        for method in [SplitMethod::BinnedSah, SplitMethod::Median] {
+            let builder = BvhBuilder::new().split_method(method);
+            let small = Reversed::default();
+            builder.build_on(strip(JOB_MIN_TRIANGLES - 1), &small);
+            assert!(small.0.lock().unwrap().is_empty(), "one job runs inline");
+
+            let tris = strip(3 * JOB_MIN_TRIANGLES);
+            let split = Reversed::default();
+            let bvh = builder.build_on(tris.clone(), &split);
+            let calls = split.0.into_inner().unwrap();
+            assert_eq!(calls.len(), 1, "{method:?}: one map per build");
+            assert!((2..=1 << JOB_DEPTH).contains(&calls[0]), "{calls:?}");
+            bvh.validate().unwrap();
+            let encode = crate::serial::encode;
+            assert!(encode(&bvh) == encode(&builder.build(&tris)), "{method:?}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod stream;
 mod traversal;
 mod wide;
 
-pub use builder::{BvhBuilder, SplitMethod};
+pub use builder::{BvhBuilder, JobMap, SplitMethod};
 pub use bvh::Bvh;
 pub use kernel::{StacklessKernel, SteppableKernel, TraversalKernel, WhileWhileKernel, WideKernel};
 pub use layout::{MemoryLayout, NODE_SIZE, TRI_SIZE, WIDE_NODE_SIZE};

@@ -35,6 +35,7 @@ use crate::TraversalStats;
 use rip_math::Ray;
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::{Bytes, PodBuf};
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bumped whenever the encoded layout changes; part of the trace-store
@@ -267,12 +268,27 @@ impl RayTraceSet {
     /// Serializes into a self-contained RIPA v2 buffer. Re-encoding a
     /// decoded set is byte-identical (canonical section layout).
     pub fn encode(&self) -> Vec<u8> {
+        self.with_writer(|w| w.finish())
+    }
+
+    /// Streams the [`RayTraceSet::encode`] bytes to `out` straight from
+    /// the set's sections, without building the file in memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        self.with_writer(|w| w.write_to(out))
+    }
+
+    /// Calls `f` with the artifact writer of this set.
+    fn with_writer<R>(&self, f: impl FnOnce(&RipaWriter) -> R) -> R {
         let mut w = RipaWriter::new(KIND_TRACE);
         w.section(SEC_META, std::slice::from_ref(&self.meta))
             .section(SEC_RECORDS, self.records.as_slice())
             .section(SEC_NODES, self.nodes.as_slice())
             .section(SEC_LEAF_COUNTS, self.leaf_counts.as_slice());
-        w.finish()
+        f(&w)
     }
 
     /// Decodes a RIPA v2 trace artifact **in place**: the record and

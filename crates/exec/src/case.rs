@@ -6,7 +6,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rip_bvh::{Bvh, BvhBuilder, RayBatch};
+use crate::pool::{global_budget, JobPool};
+use rip_bvh::{Bvh, BvhBuilder, JobMap, RayBatch};
 use rip_render::{AoConfig, AoWorkload};
 use rip_scene::{Scene, SceneId, SceneScale};
 
@@ -76,9 +77,16 @@ impl Case {
     }
 
     /// Builds the BVH for an already-synthesized scene; the collected
-    /// triangles move into the tree instead of being copied.
+    /// triangles move into the tree instead of being copied. The build's
+    /// subtree jobs run on the process-wide job budget, so the tree is
+    /// the same at any `--jobs`; a build nested in a saturated map runs
+    /// them inline.
     pub fn from_scene(scene: Scene) -> Self {
-        let bvh = BvhBuilder::new().build_owned(scene.mesh.triangles().collect());
+        let jobs = CaseBuildJobs {
+            scene: scene.id,
+            pool: JobPool::new(global_budget()),
+        };
+        let bvh = BvhBuilder::new().build_on(scene.mesh.triangles().collect(), &jobs);
         Case::from_parts(scene.id, scene, bvh)
     }
 
@@ -106,6 +114,28 @@ impl Case {
             self.ao_batch
                 .get_or_init(|| Arc::new(self.ao_workload().batch())),
         )
+    }
+}
+
+/// The job pool of a case's BVH build, which reports how the build split.
+struct CaseBuildJobs {
+    scene: SceneId,
+    pool: JobPool,
+}
+
+impl JobMap for CaseBuildJobs {
+    fn map_jobs<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        let code = self.scene.code();
+        rip_obs::Obs::global()
+            .event("exec.case", "bvh_jobs")
+            .arg("scene", code)
+            .arg_u64("jobs", items.len() as u64)
+            .stderr(format!(
+                "[rip-exec] {code}: BVH build split into {} subtree jobs",
+                items.len()
+            ))
+            .emit();
+        self.pool.map_jobs(items, f)
     }
 }
 

@@ -305,6 +305,13 @@ impl JobPool {
     }
 }
 
+/// A BVH build's subtree jobs run on the pool like any other map.
+impl rip_bvh::JobMap for JobPool {
+    fn map_jobs<T: Sync, U: Send>(&self, items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+        self.map(items, f)
+    }
+}
+
 impl Default for JobPool {
     fn default() -> Self {
         JobPool::with_available_parallelism()

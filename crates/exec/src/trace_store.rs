@@ -32,7 +32,6 @@ use rip_bvh::ript::RayTraceSet;
 use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_obs::Obs;
 use std::collections::HashMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -328,7 +327,7 @@ impl TraceStore {
                 .emit();
             return None;
         }
-        write_atomic(&self.obs, &path, |out| out.write_all(&set.encode())).then_some(dir)
+        write_atomic(&self.obs, &path, |out| set.write_to(out)).then_some(dir)
     }
 
     fn trace_path(&self, label: &str, kind: TraversalKind) -> Option<PathBuf> {
@@ -439,6 +438,17 @@ mod tests {
             loaded.encode(),
             "round trip must be bit-exact"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_trace_is_the_encoded_set() {
+        let (bvh, batch) = workload();
+        let dir = temp_store("encoded");
+        let store = TraceStore::with_dir(Some(dir.clone()));
+        let set = store.get_or_capture("w", &bvh, &batch, TraversalKind::ClosestHit);
+        let path = store.trace_path("w", TraversalKind::ClosestHit).unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), set.encode());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -53,7 +53,7 @@ impl Aabb {
 
     /// The empty box (identity for [`union`](Aabb::union)).
     #[inline]
-    pub fn empty() -> Self {
+    pub const fn empty() -> Self {
         Aabb {
             min: Vec3::splat(f32::INFINITY),
             max: Vec3::splat(f32::NEG_INFINITY),

@@ -57,8 +57,9 @@ impl From<std::io::Error> for ParseObjError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseObjError`] on I/O failure, unparseable numbers, or
-/// out-of-range indices.
+/// Returns [`ParseObjError`] on I/O failure, unparseable or non-finite
+/// numbers (`nan`, `inf`, or a literal beyond `f32` range such as `1e39`),
+/// or out-of-range indices.
 ///
 /// # Examples
 ///
@@ -86,10 +87,14 @@ pub fn read_obj<R: BufRead>(reader: R) -> Result<TriangleMesh, ParseObjError> {
                         line: lineno,
                         message: "vertex with fewer than 3 coordinates".into(),
                     })?;
-                    *c = tok.parse().map_err(|_| ParseObjError::Malformed {
-                        line: lineno,
-                        message: format!("bad coordinate '{tok}'"),
-                    })?;
+                    *c = tok
+                        .parse()
+                        .ok()
+                        .filter(|c: &f32| c.is_finite())
+                        .ok_or_else(|| ParseObjError::Malformed {
+                            line: lineno,
+                            message: format!("bad coordinate '{tok}'"),
+                        })?;
                 }
                 mesh.push_vertex(rip_math::Vec3::new(coords[0], coords[1], coords[2]));
             }
@@ -189,6 +194,22 @@ mod tests {
     fn rejects_bad_coordinate() {
         let err = read_obj("v 0 zero 0\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for tok in ["nan", "NaN", "inf", "-inf", "infinity", "1e39", "-1e39"] {
+            let src = format!("v 0 0 0\nv 1 {tok} 0\n");
+            assert!(
+                matches!(
+                    read_obj(src.as_bytes()),
+                    Err(ParseObjError::Malformed { line: 2, .. })
+                ),
+                "coordinate '{tok}' must be rejected"
+            );
+        }
+        let mesh = read_obj("v 3.4e38 -1e-45 0\n".as_bytes()).unwrap();
+        assert_eq!(mesh.vertex_count(), 1);
     }
 
     #[test]
