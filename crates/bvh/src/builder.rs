@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use crate::node::{BvhNode, NodeId, NodeKind};
+use crate::node::{BvhNode, NodeId, NO_PARENT};
 use crate::Bvh;
 use rip_math::{Aabb, Triangle, Vec3};
 
@@ -173,22 +173,13 @@ impl<'a> Node<'a> {
 }
 
 /// The serial top of a build: nodes it split, down to the subtree jobs,
-/// which are numbered in depth-first (left to right) order.
-enum Top {
-    Split {
-        bounds: Aabb,
-        children: Box<[Top; 2]>,
-    },
-    Job,
+/// which are numbered in depth-first (left to right) order. Each carries
+/// its bounds, which its parent's record holds.
+struct Top {
+    bounds: Aabb,
+    /// The two children of a split node; `None` for a job.
+    children: Option<Box<[Top; 2]>>,
 }
-
-/// The record of a slot whose node is not built yet.
-const PLACEHOLDER: BvhNode = BvhNode {
-    bounds: Aabb::empty(),
-    kind: NodeKind::Leaf { first: 0, count: 0 },
-    parent: None,
-    depth: 0,
-};
 
 impl BvhBuilder {
     /// Creates a builder with the default configuration (binned SAH,
@@ -303,38 +294,41 @@ impl BvhBuilder {
         // node each beyond the subtrees.
         let count = subtrees.iter().map(Vec::len).sum::<usize>() + subtrees.len() - 1;
         let mut nodes = Vec::with_capacity(count);
-        nodes.push(PLACEHOLDER);
+        nodes.push(BvhNode::PLACEHOLDER);
         splice(&top, 0, None, 0, &mut nodes, &mut subtrees.into_iter());
 
-        Bvh::from_parts(nodes, tri_order, triangles)
+        Bvh::from_parts(nodes, top.bounds, tri_order, triangles)
     }
 
     /// Splits the serial top under `node` and appends its subtree jobs
     /// to `jobs`.
     fn plan<'a>(&self, scratch: &mut Scratch, mut node: Node<'a>, jobs: &mut Vec<Node<'a>>) -> Top {
+        let bounds = node.bounds.bounds;
         if node.refs.len() >= JOB_MIN_TRIANGLES && node.depth < JOB_DEPTH {
             if let Some(split) = self.split(scratch, &mut node) {
-                let bounds = node.bounds.bounds;
                 let [left, right] = node.children(split);
                 let children = [
                     self.plan(scratch, left, jobs),
                     self.plan(scratch, right, jobs),
                 ];
-                return Top::Split {
+                return Top {
                     bounds,
-                    children: Box::new(children),
+                    children: Some(Box::new(children)),
                 };
             }
         }
         jobs.push(node);
-        Top::Job
+        Top {
+            bounds,
+            children: None,
+        }
     }
 
     /// Builds the subtree of `job` with local node ids: its root is node
     /// 0 (with no parent yet), its descendants follow in build order.
     fn build_subtree(&self, job: Node) -> Vec<BvhNode> {
         let mut nodes = Vec::with_capacity(2 * job.refs.len());
-        nodes.push(PLACEHOLDER);
+        nodes.push(BvhNode::PLACEHOLDER);
         self.build_node(&mut Scratch::default(), &mut nodes, job, 0, None);
         nodes
     }
@@ -350,27 +344,21 @@ impl BvhBuilder {
         slot: usize,
         parent: Option<NodeId>,
     ) {
-        let (bounds, depth) = (node.bounds.bounds, node.depth);
+        let depth = node.depth;
         let Some(split) = self.split(scratch, &mut node) else {
-            nodes[slot] = BvhNode {
-                bounds,
-                kind: NodeKind::Leaf {
-                    first: node.first as u32,
-                    count: node.refs.len() as u32,
-                },
-                parent,
-                depth,
-            };
+            let (first, count) = (node.first as u32, node.refs.len() as u32);
+            nodes[slot] = BvhNode::leaf(first, count, parent, depth);
             return;
         };
         let left_slot = nodes.len();
-        nodes.push(PLACEHOLDER);
-        nodes.push(PLACEHOLDER);
+        nodes.push(BvhNode::PLACEHOLDER);
+        nodes.push(BvhNode::PLACEHOLDER);
         let id = Some(NodeId::new(slot as u32));
+        let child_bounds = [split.left.bounds, split.right.bounds];
         let [left, right] = node.children(split);
         self.build_node(scratch, nodes, left, left_slot, id);
         self.build_node(scratch, nodes, right, left_slot + 1, id);
-        nodes[slot] = interior(bounds, left_slot, parent, depth, nodes);
+        nodes[slot] = interior(left_slot, child_bounds, parent, depth);
     }
 
     /// Splits `node`, or returns `None` to make it a leaf.
@@ -512,26 +500,13 @@ fn median_split(refs: &mut [TriRef], centroid_bounds: &Aabb) -> Option<Split> {
     })
 }
 
-/// The interior node over `bounds` whose children sit, already built, in
-/// `nodes[left]` and `nodes[left + 1]`.
-fn interior(
-    bounds: Aabb,
-    left: usize,
-    parent: Option<NodeId>,
-    depth: u32,
-    nodes: &[BvhNode],
-) -> BvhNode {
-    BvhNode {
-        bounds,
-        kind: NodeKind::Interior {
-            left: NodeId::new(left as u32),
-            right: NodeId::new(left as u32 + 1),
-            left_bounds: nodes[left].bounds,
-            right_bounds: nodes[left + 1].bounds,
-        },
-        parent,
-        depth,
-    }
+/// The interior node whose children, bounded by `child_bounds`, sit in
+/// slots `left` and `left + 1`.
+fn interior(left: usize, child_bounds: [Aabb; 2], parent: Option<NodeId>, depth: u32) -> BvhNode {
+    let [left_bounds, right_bounds] = child_bounds;
+    let left = NodeId::new(left as u32);
+    let right = NodeId::new(left.index() + 1);
+    BvhNode::interior(left, right, left_bounds, right_bounds, parent, depth)
 }
 
 /// Writes the serial top `top` into `nodes[slot]`, numbering as a serial
@@ -547,39 +522,40 @@ fn splice(
     nodes: &mut Vec<BvhNode>,
     subtrees: &mut impl Iterator<Item = Vec<BvhNode>>,
 ) {
-    match top {
-        Top::Job => {
+    match &top.children {
+        None => {
             let subtree = subtrees.next().expect("one subtree per job");
             // Local id 0 is `slot`; local id i > 0 follows what is built.
             let offset = nodes.len() as u32 - 1;
-            let relabel = |id: NodeId| match id.index() {
-                0 => NodeId::new(slot as u32),
-                i => NodeId::new(i + offset),
+            let relabel = |id: u32| match id {
+                0 => slot as u32,
+                NO_PARENT => NO_PARENT,
+                i => i + offset,
             };
             let relabelled = |node: &BvhNode| {
                 let mut node = *node;
-                node.parent = node.parent.map(relabel);
-                if let NodeKind::Interior { left, right, .. } = &mut node.kind {
-                    *left = relabel(*left);
-                    *right = relabel(*right);
+                node.parent = relabel(node.parent);
+                if !node.is_leaf() {
+                    node.links = node.links.map(relabel);
                 }
                 node
             };
             nodes[slot] = BvhNode {
-                parent,
+                parent: parent.map_or(NO_PARENT, NodeId::index),
                 ..relabelled(&subtree[0])
             };
             nodes.extend(subtree[1..].iter().map(relabelled));
         }
-        Top::Split { bounds, children } => {
+        Some(children) => {
             let left = nodes.len();
-            nodes.push(PLACEHOLDER);
-            nodes.push(PLACEHOLDER);
+            nodes.push(BvhNode::PLACEHOLDER);
+            nodes.push(BvhNode::PLACEHOLDER);
             let id = Some(NodeId::new(slot as u32));
             for (i, child) in children.iter().enumerate() {
                 splice(child, left + i, id, depth + 1, nodes, subtrees);
             }
-            nodes[slot] = interior(*bounds, left, parent, depth, nodes);
+            let child_bounds = children.each_ref().map(|child| child.bounds);
+            nodes[slot] = interior(left, child_bounds, parent, depth);
         }
     }
 }
@@ -587,6 +563,7 @@ fn splice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeKind;
 
     fn strip(n: usize) -> Vec<Triangle> {
         (0..n)
@@ -612,7 +589,7 @@ mod tests {
                 .max_leaf_size(3)
                 .build(&strip(100));
             for node in bvh.nodes() {
-                if let NodeKind::Leaf { count, .. } = node.kind {
+                if let NodeKind::Leaf { count, .. } = node.kind() {
                     assert!(count <= 6, "{method:?} leaf with {count} tris");
                 }
             }

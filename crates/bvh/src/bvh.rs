@@ -8,8 +8,9 @@ use rip_pod::PodBuf;
 
 /// A built bounding volume hierarchy.
 ///
-/// Owns the node array, the leaf-order triangle permutation and a copy of
-/// the triangles themselves, so traversal needs no external lookups.
+/// Holds the node array, the leaf-order triangle permutation, a copy of the
+/// triangles themselves and the root's box, so traversal needs no external
+/// lookups.
 ///
 /// # Examples
 ///
@@ -28,11 +29,12 @@ use rip_pod::PodBuf;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Bvh {
-    nodes: Vec<BvhNode>,
-    // The flat pod buffers may borrow shared artifact memory (RIPA v2
-    // zero-copy load); every mutation path detaches a private copy.
+    // The pod buffers may borrow shared artifact memory (RIPA zero-copy
+    // load); every mutation path detaches a private copy.
+    nodes: PodBuf<BvhNode>,
     tri_order: PodBuf<u32>,
     triangles: PodBuf<Triangle>,
+    root_bounds: Aabb,
     depth: u32,
     layout: MemoryLayout,
 }
@@ -50,26 +52,31 @@ impl Bvh {
     /// Assembles a BVH from builder output (crate-internal). The pod
     /// buffers may be owned or borrow shared artifact memory.
     pub(crate) fn from_parts(
-        nodes: Vec<BvhNode>,
+        nodes: impl Into<PodBuf<BvhNode>>,
+        root_bounds: Aabb,
         tri_order: impl Into<PodBuf<u32>>,
         triangles: impl Into<PodBuf<Triangle>>,
     ) -> Self {
+        let nodes = nodes.into();
         let tri_order = tri_order.into();
         let triangles = triangles.into();
-        let depth = nodes.iter().map(|n| n.depth).max().unwrap_or(0);
+        let depth = nodes.iter().map(BvhNode::depth).max().unwrap_or(0);
         let layout = MemoryLayout::for_tree(nodes.len(), triangles.len());
         Bvh {
             nodes,
             tri_order,
             triangles,
+            root_bounds,
             depth,
             layout,
         }
     }
 
-    /// Whether any buffer borrows shared artifact memory (diagnostics).
+    /// Whether all three buffers — nodes, leaf order and triangles —
+    /// borrow shared artifact memory, as a tree loaded from disk does
+    /// (diagnostics).
     pub fn is_shared(&self) -> bool {
-        self.tri_order.is_shared() || self.triangles.is_shared()
+        self.nodes.is_shared() && self.tri_order.is_shared() && self.triangles.is_shared()
     }
 
     /// Raw node/order/triangle buffers for serialization (crate-internal).
@@ -99,7 +106,7 @@ impl Bvh {
 
     /// Scene bounds (root bounds).
     pub fn bounds(&self) -> Aabb {
-        self.nodes[0].bounds
+        self.root_bounds
     }
 
     /// Byte-address layout of the node/triangle buffers.
@@ -122,13 +129,26 @@ impl Bvh {
         &self.nodes[id.index() as usize]
     }
 
+    /// Bounds of everything under node `id`: the root's box, or the child
+    /// slot its parent holds for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` is out of range.
+    pub fn node_bounds(&self, id: NodeId) -> Aabb {
+        match self.node(id).parent() {
+            None => self.root_bounds,
+            Some(parent) => self.node(parent).bounds_of_child(id),
+        }
+    }
+
     /// The triangles of a leaf as `(original_index, triangle)` pairs.
     ///
     /// # Panics
     ///
     /// Panics when `id` is not a leaf.
     pub fn leaf_triangles(&self, id: NodeId) -> impl Iterator<Item = (u32, &Triangle)> + '_ {
-        match self.node(id).kind {
+        match self.node(id).kind() {
             NodeKind::Leaf { first, count } => self.tri_order
                 [first as usize..(first + count) as usize]
                 .iter()
@@ -167,7 +187,7 @@ impl Bvh {
     pub fn ancestor(&self, id: NodeId, k: u32) -> NodeId {
         let mut cur = id;
         for _ in 0..k {
-            match self.node(cur).parent {
+            match self.node(cur).parent() {
                 Some(p) => cur = p,
                 None => break,
             }
@@ -180,7 +200,7 @@ impl Bvh {
     pub fn leaf_of_triangle(&self, tri_index: u32) -> Option<NodeId> {
         let mut stack = vec![NodeId::ROOT];
         while let Some(id) = stack.pop() {
-            match self.node(id).kind {
+            match self.node(id).kind() {
                 NodeKind::Leaf { first, count } => {
                     if self.tri_order[first as usize..(first + count) as usize].contains(&tri_index)
                     {
@@ -257,32 +277,33 @@ impl Bvh {
         triangles.extend_from_slice(new_triangles);
         // Nodes were allocated parent-before-child (the builder reserves a
         // slot, then pushes children), so a reverse index sweep visits
-        // children before parents.
-        for idx in (0..self.nodes.len()).rev() {
-            let new_bounds = match self.nodes[idx].kind {
+        // children before parents: each node's box is final when it is
+        // written into its parent's child slot (or, for the root, the
+        // tree's own box).
+        let nodes = self.nodes.to_mut();
+        for idx in (0..nodes.len()).rev() {
+            let node = nodes[idx];
+            let bounds = match node.kind() {
                 NodeKind::Leaf { first, count } => self.tri_order
                     [first as usize..(first + count) as usize]
                     .iter()
                     .fold(Aabb::empty(), |b, &t| {
-                        b.union(&self.triangles[t as usize].bounds())
+                        b.union(&triangles[t as usize].bounds())
                     }),
-                NodeKind::Interior { left, right, .. } => {
-                    let lb = self.node(left).bounds;
-                    let rb = self.node(right).bounds;
-                    // Keep the Aila–Laine-style cached child boxes coherent.
-                    if let NodeKind::Interior {
-                        ref mut left_bounds,
-                        ref mut right_bounds,
-                        ..
-                    } = self.nodes[idx].kind
-                    {
-                        *left_bounds = lb;
-                        *right_bounds = rb;
-                    }
-                    lb.union(&rb)
-                }
+                NodeKind::Interior {
+                    left_bounds,
+                    right_bounds,
+                    ..
+                } => left_bounds.union(&right_bounds),
             };
-            self.nodes[idx].bounds = new_bounds;
+            let id = NodeId::new(idx as u32);
+            match node.parent() {
+                None => self.root_bounds = bounds,
+                Some(p) => {
+                    let parent = &mut nodes[p.index() as usize];
+                    parent.child_bounds[parent.slot_of(id)] = bounds;
+                }
+            }
         }
         Ok(())
     }
@@ -300,10 +321,25 @@ impl Bvh {
         if self.nodes.is_empty() {
             return Err("tree has no nodes".into());
         }
+        if self.nodes[0].parent().is_some() {
+            return Err("root has a parent".into());
+        }
         let mut seen = vec![false; self.triangles.len()];
         for (idx, node) in self.nodes.iter().enumerate() {
             let id = NodeId::new(idx as u32);
-            match node.kind {
+            // A node's box is its parent's child slot, so the parent must
+            // name it as a child before the box can be read.
+            if let Some(p) = node.parent() {
+                let named = self.nodes.get(p.index() as usize).is_some_and(|parent| {
+                    matches!(parent.kind(), NodeKind::Interior { left, right, .. }
+                        if left == id || right == id)
+                });
+                if !named {
+                    return Err(format!("{id} parent link broken"));
+                }
+            }
+            let bounds = inflate(self.node_bounds(id));
+            match node.kind() {
                 NodeKind::Leaf { first, count } => {
                     if count == 0 {
                         return Err(format!("{id} is an empty leaf"));
@@ -322,7 +358,7 @@ impl Bvh {
                         }
                         *slot = true;
                         let tb = self.triangles[t as usize].bounds();
-                        if !inflate(node.bounds).contains_box(&tb) {
+                        if !bounds.contains_box(&tb) {
                             return Err(format!("{id} does not bound triangle {t}"));
                         }
                     }
@@ -338,16 +374,13 @@ impl Bvh {
                             .nodes
                             .get(child.index() as usize)
                             .ok_or_else(|| format!("{id} child {child} out of range"))?;
-                        if cnode.parent != Some(id) {
+                        if cnode.parent() != Some(id) {
                             return Err(format!("{child} parent link broken"));
                         }
-                        if cnode.depth != node.depth + 1 {
+                        if cnode.depth() != node.depth() + 1 {
                             return Err(format!("{child} depth wrong"));
                         }
-                        if cnode.bounds != cb {
-                            return Err(format!("{id} cached child bounds stale for {child}"));
-                        }
-                        if !inflate(node.bounds).contains_box(&cnode.bounds) {
+                        if !bounds.contains_box(&cb) {
                             return Err(format!("{id} does not contain child {child}"));
                         }
                     }
@@ -356,9 +389,6 @@ impl Bvh {
         }
         if let Some(missing) = seen.iter().position(|&s| !s) {
             return Err(format!("triangle {missing} not referenced by any leaf"));
-        }
-        if self.nodes[0].parent.is_some() {
-            return Err("root has a parent".into());
         }
         Ok(())
     }
@@ -402,7 +432,7 @@ mod tests {
         assert_eq!(bvh.ancestor(leaf, 0), leaf);
         assert_eq!(bvh.ancestor(leaf, 100), NodeId::ROOT);
         let parent = bvh.ancestor(leaf, 1);
-        assert_eq!(bvh.node(leaf).parent, Some(parent));
+        assert_eq!(bvh.node(leaf).parent(), Some(parent));
     }
 
     #[test]
@@ -483,7 +513,7 @@ mod tests {
             .map(|t| Triangle::new(t.a + Vec3::Y, t.b + Vec3::Y, t.c + Vec3::Y))
             .collect();
         bvh.refit(&moved).unwrap();
-        // validate() checks cached child bounds == child node bounds.
+        // validate() checks every child box lies in its parent's box.
         bvh.validate().unwrap();
         assert!(bvh.bounds().min.y >= 0.9, "bounds must follow the geometry");
     }

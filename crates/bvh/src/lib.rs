@@ -3,10 +3,10 @@
 //! Implements the acceleration structure the predictor operates on (§2.4):
 //!
 //! * a binned-SAH binary BVH builder ([`BvhBuilder`]),
-//! * an Aila–Laine-style node representation where fetching one interior
-//!   node yields both children's bounding boxes, and where each node carries
-//!   its parent index in the padded space (enabling the Go Up Level of §4.3
-//!   without extra memory traffic),
+//! * a 64-byte Aila–Laine node record ([`BvhNode`]) where fetching one
+//!   interior node yields both children's bounding boxes, and where each
+//!   node carries its parent index in the padded space (enabling the Go Up
+//!   Level of §4.3 without extra memory traffic),
 //! * the while-while traversal loop of Algorithm 1 for both **any-hit**
 //!   (occlusion) and **closest-hit** queries, exposed as a *steppable*
 //!   state machine so the cycle-level simulator can interleave rays,

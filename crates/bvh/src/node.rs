@@ -51,9 +51,10 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Payload of a BVH node: interior (two children with their bounds baked
-/// into this record, Aila–Laine style) or leaf (a contiguous triangle
-/// range in the BVH's permuted triangle index array).
+/// Payload of a BVH node, a by-value view of its [`BvhNode`] record:
+/// interior (two children with their bounds baked into the record,
+/// Aila–Laine style) or leaf (a contiguous triangle range in the BVH's
+/// permuted triangle index array).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NodeKind {
     /// An interior node. Fetching this record yields both child boxes, so
@@ -79,29 +80,149 @@ pub enum NodeKind {
     },
 }
 
-/// One node of the BVH.
+/// `parent` value of the root.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
+/// Tag of an interior node.
+pub(crate) const TAG_INTERIOR: u32 = 0;
+/// Tag of a leaf node.
+pub(crate) const TAG_LEAF: u32 = 1;
+/// Bits of the last word that hold the depth; the tag sits above them.
+const DEPTH_BITS: u32 = 24;
+/// The child boxes of a leaf record: zeroed, so artifact bytes are
+/// deterministic.
+const ZERO_BOX: Aabb = Aabb {
+    min: Vec3::ZERO,
+    max: Vec3::ZERO,
+};
+
+/// One node of the BVH: a 64-byte `#[repr(C)]` Aila–Laine record
+/// (§4.3, Figure 8), the same bytes in the builder's output, in the
+/// artifact file and under traversal.
 ///
-/// `parent` lives in what would be the padded space of a 64-byte
-/// Aila–Laine node (§4.3): retrieving an ancestor for the Go Up Level
-/// therefore costs no additional memory accesses.
+/// * bytes 0–47: the left and right child boxes (zero in a leaf);
+/// * bytes 48–55: the left and right child ids of an interior node, or
+///   the first slot and triangle count of a leaf;
+/// * bytes 56–59: the parent id (`u32::MAX` for the root);
+/// * bytes 60–63: the tag (0 interior, 1 leaf) in the top 8 bits and
+///   the depth below the root in the low 24.
+///
+/// The parent sits in what would otherwise be the record's padding, so
+/// retrieving an ancestor for the Go Up Level costs no additional memory
+/// accesses. A node's own box is the child slot its parent holds for it
+/// ([`Bvh::node_bounds`](crate::Bvh::node_bounds)); the root's is kept by
+/// the [`Bvh`](crate::Bvh).
 #[derive(Clone, Copy, Debug, PartialEq)]
+#[repr(C)]
 pub struct BvhNode {
-    /// Bounds of everything under this node.
-    pub bounds: Aabb,
-    /// Interior/leaf payload.
-    pub kind: NodeKind,
-    /// Parent node, `None` for the root.
-    pub parent: Option<NodeId>,
-    /// Depth below the root (root = 0).
-    pub depth: u32,
+    pub(crate) child_bounds: [Aabb; 2],
+    pub(crate) links: [u32; 2],
+    pub(crate) parent: u32,
+    pub(crate) tag_depth: u32,
 }
 
+// One binary node is exactly one `NODE_SIZE` record with no implicit
+// padding, so the artifact stores the node array verbatim and a load
+// borrows it in place.
+rip_pod::impl_pod!(BvhNode, size = 64, align = 4);
+const _: () = assert!(std::mem::size_of::<BvhNode>() as u64 == crate::layout::NODE_SIZE);
+
 impl BvhNode {
+    /// The record of a slot whose node is not built yet.
+    pub(crate) const PLACEHOLDER: BvhNode = BvhNode {
+        child_bounds: [ZERO_BOX; 2],
+        links: [0; 2],
+        parent: NO_PARENT,
+        tag_depth: 0,
+    };
+
+    /// An interior node over children `left` and `right`, whose boxes it
+    /// holds.
+    pub(crate) fn interior(
+        left: NodeId,
+        right: NodeId,
+        left_bounds: Aabb,
+        right_bounds: Aabb,
+        parent: Option<NodeId>,
+        depth: u32,
+    ) -> Self {
+        BvhNode {
+            child_bounds: [left_bounds, right_bounds],
+            links: [left.index(), right.index()],
+            parent: parent.map_or(NO_PARENT, NodeId::index),
+            tag_depth: pack_tag_depth(TAG_INTERIOR, depth),
+        }
+    }
+
+    /// A leaf over `count` slots of the leaf order from `first`.
+    pub(crate) fn leaf(first: u32, count: u32, parent: Option<NodeId>, depth: u32) -> Self {
+        BvhNode {
+            child_bounds: [ZERO_BOX; 2],
+            links: [first, count],
+            parent: parent.map_or(NO_PARENT, NodeId::index),
+            tag_depth: pack_tag_depth(TAG_LEAF, depth),
+        }
+    }
+
+    /// The interior/leaf payload.
+    #[inline]
+    pub fn kind(&self) -> NodeKind {
+        let [a, b] = self.links;
+        if self.is_leaf() {
+            NodeKind::Leaf { first: a, count: b }
+        } else {
+            NodeKind::Interior {
+                left: NodeId::new(a),
+                right: NodeId::new(b),
+                left_bounds: self.child_bounds[0],
+                right_bounds: self.child_bounds[1],
+            }
+        }
+    }
+
     /// Whether this node is a leaf.
     #[inline]
     pub fn is_leaf(&self) -> bool {
-        matches!(self.kind, NodeKind::Leaf { .. })
+        self.tag() == TAG_LEAF
     }
+
+    /// Parent node, `None` for the root.
+    #[inline]
+    pub fn parent(&self) -> Option<NodeId> {
+        (self.parent != NO_PARENT).then_some(NodeId::new(self.parent))
+    }
+
+    /// Depth below the root (root = 0).
+    #[inline]
+    pub fn depth(&self) -> u32 {
+        self.tag_depth & ((1 << DEPTH_BITS) - 1)
+    }
+
+    /// The raw tag: [`TAG_INTERIOR`], [`TAG_LEAF`], or a corrupt value.
+    #[inline]
+    pub(crate) fn tag(&self) -> u32 {
+        self.tag_depth >> DEPTH_BITS
+    }
+
+    /// The slot this interior node holds for its child `child`: 0 (left)
+    /// when `child` is its left child, 1 (right) otherwise.
+    #[inline]
+    pub(crate) fn slot_of(&self, child: NodeId) -> usize {
+        usize::from(self.links[0] != child.index())
+    }
+
+    /// The box this interior node holds for its child `child`.
+    #[inline]
+    pub(crate) fn bounds_of_child(&self, child: NodeId) -> Aabb {
+        self.child_bounds[self.slot_of(child)]
+    }
+}
+
+fn pack_tag_depth(tag: u32, depth: u32) -> u32 {
+    assert!(
+        depth < 1 << DEPTH_BITS,
+        "depth {depth} does not fit the node record"
+    );
+    tag << DEPTH_BITS | depth
 }
 
 /// Sentinel for an unused child slot of a [`CompressedWideNode`].
@@ -380,24 +501,38 @@ mod tests {
     }
 
     #[test]
-    fn leaf_detection() {
-        let leaf = BvhNode {
-            bounds: Aabb::empty(),
-            kind: NodeKind::Leaf { first: 0, count: 1 },
-            parent: None,
-            depth: 0,
-        };
+    fn node_record_packs_kind_parent_and_depth() {
+        let leaf = BvhNode::leaf(3, 2, Some(NodeId::new(7)), 5);
         assert!(leaf.is_leaf());
-        let interior = BvhNode {
-            kind: NodeKind::Interior {
+        assert_eq!(leaf.kind(), NodeKind::Leaf { first: 3, count: 2 });
+        assert_eq!((leaf.parent(), leaf.depth()), (Some(NodeId::new(7)), 5));
+        let (lb, rb) = (
+            Aabb::new(Vec3::ZERO, Vec3::ONE),
+            Aabb::new(Vec3::ONE, Vec3::X),
+        );
+        let interior = BvhNode::interior(NodeId::new(1), NodeId::new(2), lb, rb, None, 0);
+        assert!(!interior.is_leaf());
+        assert_eq!(interior.parent(), None);
+        assert_eq!(
+            interior.kind(),
+            NodeKind::Interior {
                 left: NodeId::new(1),
                 right: NodeId::new(2),
-                left_bounds: Aabb::empty(),
-                right_bounds: Aabb::empty(),
-            },
-            ..leaf
-        };
-        assert!(!interior.is_leaf());
+                left_bounds: lb,
+                right_bounds: rb,
+            }
+        );
+        assert_eq!(interior.bounds_of_child(NodeId::new(1)), lb);
+        assert_eq!(interior.bounds_of_child(NodeId::new(2)), rb);
+    }
+
+    #[test]
+    fn binary_node_is_one_aila_laine_record() {
+        assert_eq!(
+            std::mem::size_of::<BvhNode>() as u64,
+            crate::layout::NODE_SIZE
+        );
+        assert_eq!(std::mem::align_of::<BvhNode>(), 4);
     }
 
     #[test]

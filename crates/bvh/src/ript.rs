@@ -419,7 +419,7 @@ impl RayTraceSet {
         for i in 0..self.len() {
             let mut counts = self.leaf_prefix_counts(i).iter();
             for &n in self.node_steps(i) {
-                if let NodeKind::Leaf { count, .. } = bvh.node(NodeId::new(n)).kind {
+                if let NodeKind::Leaf { count, .. } = bvh.node(NodeId::new(n)).kind() {
                     match counts.next() {
                         Some(&tested) if tested > count => {
                             return Err(format!(
@@ -652,7 +652,7 @@ impl ReplayCursor {
         }
         let node = NodeId::new(self.set.nodes.as_slice()[self.step_offset + self.pos]);
         self.pos += 1;
-        match bvh.node(node).kind {
+        match bvh.node(node).kind() {
             NodeKind::Interior { .. } => {
                 self.stats.interior_fetches += 1;
                 self.stats.box_tests += 2;

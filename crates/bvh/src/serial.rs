@@ -1,44 +1,41 @@
 //! BVH artifact serialization on the RIPA v2 zero-copy container.
 //!
 //! The artifact cache in `rip-exec` persists built acceleration
-//! structures so repeated experiment runs skip BVH construction. Since
-//! format version 2 an artifact is a [`rip_pod::ripa`] file: flat
-//! `#[repr(C)]` record sections (nodes, leaf-order permutation,
+//! structures so repeated experiment runs skip BVH construction. An
+//! artifact is a [`rip_pod::ripa`] file: flat `#[repr(C)]` record
+//! sections (meta with the root box, nodes, leaf-order permutation,
 //! triangle soup) behind a checksummed header + section table, so
 //! decoding is *validate and cast* instead of an element-wise copy.
-//! [`decode_shared`] borrows the triangle and order sections straight
-//! out of the mapped bytes ([`rip_pod::PodBuf`] storage in [`Bvh`]);
-//! only the node array is materialized, because the in-memory
-//! [`BvhNode`] carries an enum the flat file cannot alias.
+//! The node section holds the 64-byte [`BvhNode`] records verbatim, and
+//! [`decode_shared`] borrows it, the order and the triangle sections
+//! straight out of the mapped bytes ([`rip_pod::PodBuf`] storage in
+//! [`Bvh`]): a load copies no buffer.
 //!
-//! Validation is pure integer work — tags, index ranges, the builder's
-//! parent-before-child allocation order, parent/depth back-links, and
-//! exact leaf coverage of the triangle set — with bit integrity already
-//! guaranteed by the container's per-section FNV checksums, so the
-//! cold-start load path costs no float work. Artifacts of the retired
-//! v1 stream layout are invisible under the v2 cache key and simply
+//! Validation is pure integer work — tags, zeroed leaf fields, index
+//! ranges, the builder's parent-before-child allocation order,
+//! parent/depth back-links, and exact leaf coverage of the triangle set
+//! — with bit integrity already guaranteed by the container's
+//! per-section FNV checksums, so the cold-start load path costs no
+//! float work. Artifacts of older layouts are invisible under the
+//! current cache key (which includes [`FORMAT_VERSION`]) and simply
 //! rebuilt on miss.
 
 use crate::bvh::Bvh;
-use crate::node::{BvhNode, CompressedWideNode, NodeId, NodeKind};
+use crate::node::{BvhNode, CompressedWideNode, NO_PARENT, TAG_INTERIOR, TAG_LEAF};
 use crate::wide::{TriGroup, WideBvh};
-use rip_math::{Aabb, Triangle, Vec3};
+use rip_math::{Aabb, Triangle};
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::Bytes;
 use std::io::{self, Write};
 
 /// Bumped whenever the encoded layout changes; part of the header *and*
 /// of the artifact cache key in `rip-exec`.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// RIPA artifact kind of a binary BVH.
 pub const KIND_BVH: u32 = 2;
 /// RIPA artifact kind of a compressed wide BVH.
 pub const KIND_WIDE: u32 = 3;
-
-const NO_PARENT: u32 = u32::MAX;
-const TAG_INTERIOR: u32 = 0;
-const TAG_LEAF: u32 = 1;
 
 // Section ids of the binary-BVH artifact.
 const SEC_META: u32 = 1;
@@ -52,7 +49,8 @@ const SEC_WIDE_NODES: u32 = 2;
 const SEC_WIDE_GROUPS: u32 = 3;
 
 /// Counts header of the binary artifact, cross-checked against the
-/// actual section lengths.
+/// actual section lengths, plus the root's box (which no node record
+/// holds).
 #[repr(C)]
 #[derive(Clone, Copy)]
 struct BvhMeta {
@@ -60,75 +58,10 @@ struct BvhMeta {
     order_count: u32,
     tri_count: u32,
     reserved: u32,
+    root_bounds: Aabb,
 }
 
-rip_pod::impl_pod!(BvhMeta, size = 16, align = 4);
-
-/// One node as stored on disk: the in-memory [`BvhNode`] enum flattened
-/// into a fixed 96-byte record (`tag` selects the `a`/`b` meaning —
-/// children for interiors, first/count for leaves).
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PodBvhNode {
-    bounds_min: [f32; 3],
-    bounds_max: [f32; 3],
-    left_min: [f32; 3],
-    left_max: [f32; 3],
-    right_min: [f32; 3],
-    right_max: [f32; 3],
-    a: u32,
-    b: u32,
-    parent: u32,
-    depth: u32,
-    tag: u32,
-    reserved: u32,
-}
-
-rip_pod::impl_pod!(PodBvhNode, size = 96, align = 4);
-
-fn flat_vec3(v: Vec3) -> [f32; 3] {
-    [v.x, v.y, v.z]
-}
-
-fn unflat_vec3(v: [f32; 3]) -> Vec3 {
-    Vec3::new(v[0], v[1], v[2])
-}
-
-fn flatten_node(node: &BvhNode) -> PodBvhNode {
-    let (tag, a, b, lmin, lmax, rmin, rmax) = match node.kind {
-        NodeKind::Interior {
-            left,
-            right,
-            left_bounds,
-            right_bounds,
-        } => (
-            TAG_INTERIOR,
-            left.index(),
-            right.index(),
-            flat_vec3(left_bounds.min),
-            flat_vec3(left_bounds.max),
-            flat_vec3(right_bounds.min),
-            flat_vec3(right_bounds.max),
-        ),
-        NodeKind::Leaf { first, count } => (
-            TAG_LEAF, first, count, [0.0; 3], [0.0; 3], [0.0; 3], [0.0; 3],
-        ),
-    };
-    PodBvhNode {
-        bounds_min: flat_vec3(node.bounds.min),
-        bounds_max: flat_vec3(node.bounds.max),
-        left_min: lmin,
-        left_max: lmax,
-        right_min: rmin,
-        right_max: rmax,
-        a,
-        b,
-        parent: node.parent.map_or(NO_PARENT, NodeId::index),
-        depth: node.depth,
-        tag,
-        reserved: 0,
-    }
-}
+rip_pod::impl_pod!(BvhMeta, size = 40, align = 4);
 
 /// Encodes `bvh` into a self-contained RIPA v2 buffer. Re-encoding a
 /// decoded tree is byte-identical (canonical section layout, zeroed
@@ -137,9 +70,8 @@ pub fn encode(bvh: &Bvh) -> Vec<u8> {
     with_writer(bvh, |w| w.finish())
 }
 
-/// Streams the [`encode`] bytes of `bvh` to `out`. Only the node records
-/// are copied (flattened to their file layout); the leaf order and the
-/// triangles go out straight from the tree.
+/// Streams the [`encode`] bytes of `bvh` to `out`, every section
+/// straight from the tree's buffers.
 ///
 /// # Errors
 ///
@@ -151,16 +83,16 @@ pub fn write_to<W: Write>(bvh: &Bvh, out: &mut W) -> io::Result<()> {
 /// Calls `f` with the artifact writer of `bvh`.
 fn with_writer<R>(bvh: &Bvh, f: impl FnOnce(&RipaWriter) -> R) -> R {
     let (nodes, tri_order, triangles) = bvh.raw_parts();
-    let pod_nodes: Vec<PodBvhNode> = nodes.iter().map(flatten_node).collect();
     let meta = BvhMeta {
         node_count: nodes.len() as u32,
         order_count: tri_order.len() as u32,
         tri_count: triangles.len() as u32,
         reserved: 0,
+        root_bounds: bvh.bounds(),
     };
     let mut w = RipaWriter::new(KIND_BVH);
     w.section(SEC_META, std::slice::from_ref(&meta))
-        .section(SEC_NODES, &pod_nodes)
+        .section(SEC_NODES, nodes)
         .section(SEC_ORDER, tri_order)
         .section(SEC_TRIS, triangles);
     f(&w)
@@ -172,10 +104,10 @@ pub fn decode(bytes: &[u8]) -> Result<Bvh, String> {
     decode_shared(Bytes::copy_from_slice(bytes))
 }
 
-/// Decodes a RIPA v2 BVH artifact **in place**: the triangle and
-/// leaf-order sections are borrowed out of `bytes` (owned aligned
-/// buffer or page mapping alike), the node records are materialized,
-/// and the whole structure is validated with integer-only checks.
+/// Decodes a BVH artifact **in place**: the node, leaf-order and
+/// triangle sections are borrowed out of `bytes` (owned aligned buffer
+/// or page mapping alike), and the whole structure is validated with
+/// integer-only checks.
 ///
 /// Any structural problem is reported as `Err` so the caller can
 /// quarantine the artifact and rebuild from geometry instead.
@@ -185,10 +117,10 @@ pub fn decode_shared(bytes: Bytes) -> Result<Bvh, String> {
     if meta.reserved != 0 {
         return Err("reserved meta field is not zero".into());
     }
-    let pod_nodes = file.pod_section::<PodBvhNode>(SEC_NODES)?;
+    let nodes = file.pod_section::<BvhNode>(SEC_NODES)?;
     let order = file.pod_section::<u32>(SEC_ORDER)?;
     let triangles = file.pod_section::<Triangle>(SEC_TRIS)?;
-    if pod_nodes.len() != meta.node_count as usize
+    if nodes.len() != meta.node_count as usize
         || order.len() != meta.order_count as usize
         || triangles.len() != meta.tri_count as usize
     {
@@ -197,40 +129,36 @@ pub fn decode_shared(bytes: Bytes) -> Result<Bvh, String> {
             meta.node_count,
             meta.order_count,
             meta.tri_count,
-            pod_nodes.len(),
+            nodes.len(),
             order.len(),
             triangles.len()
         ));
     }
-    let nodes = unflatten_nodes(pod_nodes.as_slice(), order.len())?;
-    check_leaf_coverage(&nodes, order.as_slice(), triangles.len())?;
-    Ok(Bvh::from_parts(nodes, order, triangles))
+    check_nodes(&nodes, order.len())?;
+    check_leaf_coverage(&nodes, &order, triangles.len())?;
+    Ok(Bvh::from_parts(nodes, meta.root_bounds, order, triangles))
 }
 
-/// Rebuilds the in-memory node array from flat records, validating the
-/// structure with integer-only checks (bit integrity is already covered
-/// by the container checksums):
+/// Validates the node records with integer-only checks (bit integrity
+/// is already covered by the container checksums):
 ///
-/// * tags and reserved fields are well formed;
+/// * tags are known and a leaf's unused child-box bytes are zero;
 /// * interior children are in range and *after* their parent — the
 ///   builder allocates parent-before-child, and this ordering doubles
 ///   as an O(1)-per-edge acyclicity proof;
 /// * leaf ranges fit the order section and are non-empty;
 /// * every non-root node is referenced as a child exactly once, by the
 ///   node its `parent` field names, at `depth` parent + 1.
-fn unflatten_nodes(pods: &[PodBvhNode], order_count: usize) -> Result<Vec<BvhNode>, String> {
-    if pods.is_empty() {
+fn check_nodes(nodes: &[BvhNode], order_count: usize) -> Result<(), String> {
+    if nodes.is_empty() {
         return Err("tree has no nodes".into());
     }
-    let n = pods.len();
-    let mut nodes = Vec::with_capacity(n);
-    for (idx, pod) in pods.iter().enumerate() {
-        if pod.reserved != 0 {
-            return Err(format!("node {idx}: reserved field is not zero"));
-        }
-        let kind = match pod.tag {
+    let n = nodes.len();
+    for (idx, node) in nodes.iter().enumerate() {
+        let [a, b] = node.links;
+        match node.tag() {
             TAG_INTERIOR => {
-                let (left, right) = (pod.a as usize, pod.b as usize);
+                let (left, right) = (a as usize, b as usize);
                 if left >= n || right >= n {
                     return Err(format!("node {idx}: child out of range ({n} nodes)"));
                 }
@@ -239,21 +167,12 @@ fn unflatten_nodes(pods: &[PodBvhNode], order_count: usize) -> Result<Vec<BvhNod
                         "node {idx}: children {left}/{right} violate parent-before-child order"
                     ));
                 }
-                NodeKind::Interior {
-                    left: NodeId::new(pod.a),
-                    right: NodeId::new(pod.b),
-                    left_bounds: Aabb {
-                        min: unflat_vec3(pod.left_min),
-                        max: unflat_vec3(pod.left_max),
-                    },
-                    right_bounds: Aabb {
-                        min: unflat_vec3(pod.right_min),
-                        max: unflat_vec3(pod.right_max),
-                    },
-                }
             }
             TAG_LEAF => {
-                let (first, count) = (pod.a as u64, pod.b as u64);
+                if rip_pod::bytes_of(&node.child_bounds) != [0; 48] {
+                    return Err(format!("node {idx}: reserved leaf field is not zero"));
+                }
+                let (first, count) = (a as u64, b as u64);
                 if count == 0 {
                     return Err(format!("node {idx}: empty leaf"));
                 }
@@ -262,43 +181,30 @@ fn unflatten_nodes(pods: &[PodBvhNode], order_count: usize) -> Result<Vec<BvhNod
                         "node {idx}: leaf range {first}..+{count} exceeds {order_count} slots"
                     ));
                 }
-                NodeKind::Leaf {
-                    first: pod.a,
-                    count: pod.b,
-                }
             }
             tag => return Err(format!("node {idx}: unknown tag {tag}")),
-        };
-        let parent = match (idx, pod.parent) {
-            (0, NO_PARENT) => None,
+        }
+        match (idx, node.parent) {
+            (0, NO_PARENT) => {}
             (0, p) => return Err(format!("root claims parent {p}")),
             (_, NO_PARENT) => return Err(format!("node {idx} has no parent")),
-            (_, p) if (p as usize) < idx => Some(NodeId::new(p)),
+            (_, p) if (p as usize) < idx => {}
             (_, p) => {
                 return Err(format!(
                     "node {idx}: parent {p} violates parent-before-child order"
                 ))
             }
-        };
-        if idx == 0 && pod.depth != 0 {
-            return Err(format!("root depth {} is not zero", pod.depth));
         }
-        nodes.push(BvhNode {
-            bounds: Aabb {
-                min: unflat_vec3(pod.bounds_min),
-                max: unflat_vec3(pod.bounds_max),
-            },
-            kind,
-            parent,
-            depth: pod.depth,
-        });
+    }
+    if nodes[0].depth() != 0 {
+        return Err(format!("root depth {} is not zero", nodes[0].depth()));
     }
     // Back-link pass: derive each node's parent from the interior child
     // references and demand it matches the recorded parent and depth.
     let mut derived: Vec<u32> = vec![NO_PARENT; n];
     for (idx, node) in nodes.iter().enumerate() {
-        if let NodeKind::Interior { left, right, .. } = node.kind {
-            for child in [left.index(), right.index()] {
+        if node.tag() == TAG_INTERIOR {
+            for child in node.links {
                 if derived[child as usize] != NO_PARENT {
                     return Err(format!("node {child} is referenced by two parents"));
                 }
@@ -311,31 +217,30 @@ fn unflatten_nodes(pods: &[PodBvhNode], order_count: usize) -> Result<Vec<BvhNod
         if p == NO_PARENT {
             return Err(format!("node {idx} is not referenced by any parent"));
         }
-        if node.parent != Some(NodeId::new(p)) {
+        if node.parent != p {
             return Err(format!("node {idx}: parent link broken"));
         }
-        if node.depth != nodes[p as usize].depth + 1 {
+        if node.depth() != nodes[p as usize].depth() + 1 {
             return Err(format!("node {idx}: depth wrong"));
         }
     }
-    Ok(nodes)
+    Ok(())
 }
 
 /// Demands the leaf ranges cover every triangle exactly once through
 /// the order permutation (the integer half of `Bvh::validate`).
 fn check_leaf_coverage(nodes: &[BvhNode], order: &[u32], tri_count: usize) -> Result<(), String> {
     let mut seen = vec![false; tri_count];
-    for node in nodes {
-        if let NodeKind::Leaf { first, count } = node.kind {
-            for &t in &order[first as usize..(first + count) as usize] {
-                let slot = seen
-                    .get_mut(t as usize)
-                    .ok_or_else(|| format!("triangle slot {t} out of range ({tri_count})"))?;
-                if *slot {
-                    return Err(format!("triangle {t} appears in two leaves"));
-                }
-                *slot = true;
+    for node in nodes.iter().filter(|node| node.is_leaf()) {
+        let [first, count] = node.links;
+        for &t in &order[first as usize..(first + count) as usize] {
+            let slot = seen
+                .get_mut(t as usize)
+                .ok_or_else(|| format!("triangle slot {t} out of range ({tri_count})"))?;
+            if *slot {
+                return Err(format!("triangle {t} appears in two leaves"));
             }
+            *slot = true;
         }
     }
     if let Some(missing) = seen.iter().position(|&s| !s) {
@@ -443,6 +348,7 @@ pub fn decode_wide_shared(bytes: Bytes) -> Result<WideBvh, String> {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use rip_math::Vec3;
 
     fn sample_bvh(n: usize) -> Bvh {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
@@ -611,9 +517,103 @@ mod tests {
         let (nodes, tri_order, triangles) = bvh.raw_parts();
         let mut corrupt_order = tri_order.to_vec();
         corrupt_order[1] = corrupt_order[0];
-        let corrupt = Bvh::from_parts(nodes.to_vec(), corrupt_order, triangles.to_vec());
+        let corrupt = Bvh::from_parts(
+            nodes.to_vec(),
+            bvh.bounds(),
+            corrupt_order,
+            triangles.to_vec(),
+        );
         assert!(decode(&encode(&corrupt))
             .unwrap_err()
             .contains("two leaves"));
+    }
+
+    /// Decodes `bvh` re-encoded with its node records damaged by `damage`
+    /// (the container checksums are recomputed over the damage).
+    fn decode_damaged(bvh: &Bvh, damage: impl FnOnce(&mut [BvhNode])) -> Result<Bvh, String> {
+        let (nodes, tri_order, triangles) = bvh.raw_parts();
+        let mut nodes = nodes.to_vec();
+        damage(&mut nodes);
+        let damaged = Bvh::from_parts(nodes, bvh.bounds(), tri_order.to_vec(), triangles.to_vec());
+        decode(&encode(&damaged))
+    }
+
+    /// Each structural check of [`check_nodes`] rejects a node array that
+    /// only it catches, with its own message: without the check, the
+    /// damage decodes or fails later with another one.
+    #[test]
+    fn rejects_every_structural_fault() {
+        let bvh = sample_bvh(40);
+        let nodes = bvh.raw_parts().0;
+        assert!(nodes.len() > 8, "the sample tree must have several levels");
+        let order_count = bvh.triangle_count() as u32;
+        let leaf = nodes.iter().position(BvhNode::is_leaf).unwrap();
+        // An interior node below the root whose children are both leaves.
+        let twig = (1..nodes.len())
+            .find(|&i| {
+                !nodes[i].is_leaf() && nodes[i].links.iter().all(|&c| nodes[c as usize].is_leaf())
+            })
+            .unwrap();
+        // A node after the twig that is not its child.
+        let stranger = (twig + 1..nodes.len())
+            .find(|&i| nodes[i].parent as usize != twig)
+            .unwrap() as u32;
+        // A node whose parent is not the root.
+        let grandchild = (1..nodes.len()).find(|&i| nodes[i].parent != 0).unwrap();
+        type Damage = Box<dyn FnOnce(&mut [BvhNode])>;
+        let cases: Vec<(&str, Damage)> = vec![
+            (
+                "reserved leaf field is not zero",
+                Box::new(move |n| n[leaf].child_bounds[1].max.y = 1.0),
+            ),
+            (
+                "unknown tag 5",
+                Box::new(move |n| n[twig].tag_depth += 5 << 24),
+            ),
+            (
+                "child out of range",
+                Box::new(|n| n[0].links[1] = n.len() as u32 + 3),
+            ),
+            ("children 1/1 violate", Box::new(|n| n[0].links[1] = 1)),
+            (
+                "violate parent-before-child order",
+                Box::new(move |n| n[twig].links[0] = twig as u32),
+            ),
+            ("empty leaf", Box::new(move |n| n[leaf].links[1] = 0)),
+            ("exceeds", Box::new(move |n| n[leaf].links[0] = order_count)),
+            ("root claims parent 1", Box::new(|n| n[0].parent = 1)),
+            (
+                "node 1 has no parent",
+                Box::new(|n| n[1].parent = NO_PARENT),
+            ),
+            ("node 2: parent 2 violates", Box::new(|n| n[2].parent = 2)),
+            (
+                "root depth 1 is not zero",
+                Box::new(|n| n[0].tag_depth += 1),
+            ),
+            (
+                "referenced by two parents",
+                Box::new(move |n| n[twig].links[0] = stranger),
+            ),
+            (
+                "is not referenced by any parent",
+                Box::new(move |n| {
+                    // Turn the twig into one leaf over both of its leaves'
+                    // (adjacent) ranges, orphaning them.
+                    let [l, r] = n[twig].links.map(|c| n[c as usize].links);
+                    let (parent, depth) = (n[twig].parent(), n[twig].depth());
+                    n[twig] = BvhNode::leaf(l[0], l[1] + r[1], parent, depth);
+                }),
+            ),
+            (
+                "parent link broken",
+                Box::new(move |n| n[grandchild].parent = 0),
+            ),
+            ("node 1: depth wrong", Box::new(|n| n[1].tag_depth += 4)),
+        ];
+        for (expected, damage) in cases {
+            let err = decode_damaged(&bvh, damage).expect_err(expected);
+            assert!(err.contains(expected), "expected {expected:?}, got {err:?}");
+        }
     }
 }

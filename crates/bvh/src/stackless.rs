@@ -89,7 +89,7 @@ pub fn traverse_with_inv(
 
         loop {
             let node = bvh.node(node_id);
-            match node.kind {
+            match node.kind() {
                 NodeKind::Interior {
                     left,
                     right,

@@ -235,7 +235,7 @@ impl Traversal {
             return LeanStep::Finished;
         };
         let ray_eff = kernel::effective_ray(ray, self.kind, self.best);
-        match bvh.node(node_id).kind {
+        match bvh.node(node_id).kind() {
             NodeKind::Interior {
                 left,
                 right,

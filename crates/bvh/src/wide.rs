@@ -399,7 +399,7 @@ impl WideBvh {
             .position(|&m| !bvh.node(m).is_leaf() && members.len() < WIDE_ARITY)
         {
             let node = bvh.node(members[pos]);
-            let NodeKind::Interior { left, right, .. } = node.kind else {
+            let NodeKind::Interior { left, right, .. } = node.kind() else {
                 unreachable!()
             };
             members.remove(pos);
@@ -408,7 +408,7 @@ impl WideBvh {
         }
 
         let union = members.iter().fold(rip_math::Aabb::empty(), |u, &m| {
-            u.union(&bvh.node(m).bounds)
+            u.union(&bvh.node_bounds(m))
         });
         let frame = QuantFrame::for_bounds(&union);
         let mut node = CompressedWideNode::empty();
@@ -417,12 +417,12 @@ impl WideBvh {
 
         let mut recurse: Vec<(NodeId, u32)> = Vec::new();
         for (i, &member) in members.iter().enumerate() {
-            let (qlo, qhi) = frame.encode_box(&bvh.node(member).bounds);
+            let (qlo, qhi) = frame.encode_box(&bvh.node_bounds(member));
             for axis in 0..3 {
                 node.qlo[axis][i] = qlo[axis];
                 node.qhi[axis][i] = qhi[axis];
             }
-            match bvh.node(member).kind {
+            match bvh.node(member).kind() {
                 NodeKind::Leaf { count: 0, .. } => {
                     // A triangle-less leaf carries nothing: leave the slot
                     // empty so traversal never visits it.
@@ -768,7 +768,7 @@ mod tests {
                 leaf_slots += 1;
                 let decoded = node.child_bounds(i);
                 let leaf = NodeId::new(wide.groups[node.children[i] as usize].leaf);
-                let exact = binary.node(leaf).bounds;
+                let exact = binary.node_bounds(leaf);
                 assert!(
                     decoded.contains_box(&exact),
                     "quantized leaf box {decoded:?} must contain exact bounds {exact:?}"

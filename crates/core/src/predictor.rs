@@ -322,7 +322,7 @@ mod tests {
         assert_eq!(p.unbounded_store_len(), 1);
         // Build the chain leaf → root.
         let mut chain = vec![leaf];
-        while let Some(parent) = bvh.node(*chain.last().unwrap()).parent {
+        while let Some(parent) = bvh.node(*chain.last().unwrap()).parent() {
             chain.push(parent);
         }
         let pred = p

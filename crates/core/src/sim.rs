@@ -11,9 +11,7 @@ use crate::{
     RayOutcome,
 };
 use rip_bvh::ript::{RayTraceSet, RecordedKernel};
-use rip_bvh::{
-    Bvh, NodeId, NodeKind, RayBatch, Traversal, TraversalKind, TraversalStats, WhileWhileKernel,
-};
+use rip_bvh::{Bvh, NodeId, RayBatch, Traversal, TraversalKind, TraversalStats, WhileWhileKernel};
 use rip_math::Ray;
 
 /// Options orthogonal to the predictor configuration.
@@ -422,7 +420,7 @@ impl FunctionalSim {
                             node_seen[idx] = true;
                             report.first_touch_node_fetches += 1;
                         }
-                        if matches!(bvh.node(node_id).kind, NodeKind::Leaf { .. }) {
+                        if bvh.node(node_id).is_leaf() {
                             let tested = counts[leaf_visit] as usize;
                             leaf_visit += 1;
                             for (t, _) in bvh.leaf_triangles(node_id).take(tested) {

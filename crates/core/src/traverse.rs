@@ -68,7 +68,7 @@ pub fn eval_probe(bvh: &Bvh, ray: &Ray, nodes: &[NodeId]) -> TraversalResult {
 /// Builds the leaf-to-root ancestor chain (`chain[0]` = the leaf).
 pub(crate) fn ancestor_chain(bvh: &Bvh, leaf: NodeId) -> Vec<NodeId> {
     let mut chain = vec![leaf];
-    while let Some(p) = bvh.node(*chain.last().expect("nonempty")).parent {
+    while let Some(p) = bvh.node(*chain.last().expect("nonempty")).parent() {
         chain.push(p);
     }
     chain

@@ -331,10 +331,12 @@ impl CaseCache {
     /// failure so the caller can log, quarantine, and rebuild.
     ///
     /// Artifacts are RIPA v2 containers decoded **in place** through
-    /// [`MappedArtifact`]: the mesh and BVH buffer sections stay borrowed
-    /// from the mapping (owned aligned buffer by default, a page mapping
-    /// under the `mmap` feature) for the case's whole lifetime, so a disk
-    /// hit validates checksums and structure but copies almost nothing.
+    /// [`MappedArtifact`]: the mesh buffers and all three BVH buffers
+    /// (nodes, leaf order, triangles) stay borrowed from the mapping
+    /// (owned aligned buffer by default, a page mapping under the `mmap`
+    /// feature) for the case's whole lifetime, so a disk hit copies no
+    /// buffer. It still reads every byte once: the owned backend reads
+    /// the file, and the checksums and structural checks scan it.
     fn try_load(&self, key: CaseKey) -> Result<Case, CacheError> {
         let Some((scene_path, bvh_path)) = self.artifact_paths(key) else {
             return Err(CacheError::Disabled);

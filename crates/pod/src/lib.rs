@@ -21,10 +21,11 @@
 //! * [`ripa`] — the container format itself (header, section table,
 //!   per-section FNV checksums).
 //!
-//! Everything here is safe code built on two `unsafe` primitives (the
-//! slice casts in [`bytes_of_slice`] and [`try_cast_slice`]) whose
-//! preconditions are discharged by the `Pod` contract plus explicit
-//! runtime size/alignment checks.
+//! Everything here is safe code built on three `unsafe` primitives (the
+//! slice casts in [`bytes_of_slice`] and [`try_cast_slice`], and the
+//! view [`PodSlice`] keeps of the latter's result) whose preconditions
+//! are discharged by the `Pod` contract, explicit runtime size/alignment
+//! checks, and the shared ownership of the bytes behind a view.
 
 pub mod ripa;
 
@@ -410,41 +411,57 @@ impl std::fmt::Debug for Bytes {
 // ---------------------------------------------------------------------------
 
 /// A validated typed view over [`Bytes`]: alignment and whole-record
-/// length were checked once at construction, so element access is a
-/// plain slice index.
+/// length were checked once at construction, and the view keeps the
+/// cast's pointer and length, so element access costs what a `Vec`'s
+/// does (traversal reads a loaded BVH's nodes through it).
 #[derive(Clone)]
 pub struct PodSlice<T: Pod> {
-    bytes: Bytes,
-    _marker: std::marker::PhantomData<T>,
+    /// Keeps the source `ptr` points into alive and immutable.
+    _bytes: Bytes,
+    ptr: *const T,
+    len: usize,
 }
+
+// SAFETY: `_bytes` is an `Arc`-backed view of an immutable `ByteSource`
+// (itself `Send + Sync`), and `ptr`/`len` only ever give out `&[T]`, so
+// sending or sharing a view shares `&T` across threads: sound for
+// `T: Sync`. Every `Pod` type is plain data without interior mutability.
+unsafe impl<T: Pod + Sync> Send for PodSlice<T> {}
+// SAFETY: as for `Send` above.
+unsafe impl<T: Pod + Sync> Sync for PodSlice<T> {}
 
 impl<T: Pod> PodSlice<T> {
     /// Wraps `bytes`, refusing misaligned or non-whole-record regions.
     pub fn new(bytes: Bytes) -> Result<Self, CastError> {
-        // Validate eagerly so a bad view is impossible to construct;
-        // as_slice re-derives the same cast from the kept Bytes.
-        try_cast_slice::<T>(bytes.as_slice())?;
+        let slice = try_cast_slice::<T>(bytes.as_slice())?;
+        let (ptr, len) = (slice.as_ptr(), slice.len());
         Ok(PodSlice {
-            bytes,
-            _marker: std::marker::PhantomData,
+            _bytes: bytes,
+            ptr,
+            len,
         })
     }
 
     /// The typed elements.
     pub fn as_slice(&self) -> &[T] {
-        // The constructor proved this cast valid, and the source is
-        // immutable, so it cannot have become invalid since.
-        try_cast_slice::<T>(self.bytes.as_slice()).expect("validated at construction")
+        // SAFETY: `ptr`/`len` come from a checked cast (aligned, whole
+        // records, `T: Pod`) of memory the `ByteSource` behind `_bytes`
+        // lent through a shared borrow. That source sits behind an `Arc`
+        // this view co-owns, so it is neither dropped, moved nor mutably
+        // borrowed while `self` lives, and memory lent through `&self`
+        // must stay valid and unchanged while the source is only shared.
+        // The returned borrow cannot outlive `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     /// Number of `T` records.
     pub fn len(&self) -> usize {
-        self.bytes.len() / std::mem::size_of::<T>()
+        self.len
     }
 
     /// Whether the view holds no records.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 }
 
@@ -606,6 +623,17 @@ mod tests {
         assert!(!buf.is_shared(), "mutation must detach a private copy");
         assert_eq!(&buf[..], &[1, 2, 3, 4, 5]);
         assert_eq!(&snapshot[..], &[1, 2, 3, 4], "clone keeps the original");
+    }
+
+    #[test]
+    fn pod_slice_outlives_its_source_handle() {
+        let bytes = Bytes::copy_from_slice(bytes_of_slice(&[7u32, 8, 9, 10]));
+        let view = PodSlice::<u32>::new(bytes.slice(4, 8)).unwrap();
+        drop(bytes);
+        let clone = view.clone();
+        drop(view);
+        let read = std::thread::spawn(move || clone.to_vec()).join().unwrap();
+        assert_eq!(read, [8, 9]);
     }
 
     #[test]

@@ -21,6 +21,9 @@ pub enum ParseObjError {
         /// Description of the problem.
         message: String,
     },
+    /// The stream holds no faces (for example a file cut before its `f`
+    /// lines), so there is no geometry to build.
+    NoFaces,
 }
 
 impl fmt::Display for ParseObjError {
@@ -30,6 +33,7 @@ impl fmt::Display for ParseObjError {
             ParseObjError::Malformed { line, message } => {
                 write!(f, "malformed obj at line {line}: {message}")
             }
+            ParseObjError::NoFaces => write!(f, "obj has no faces"),
         }
     }
 }
@@ -38,7 +42,7 @@ impl std::error::Error for ParseObjError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ParseObjError::Io(e) => Some(e),
-            ParseObjError::Malformed { .. } => None,
+            ParseObjError::Malformed { .. } | ParseObjError::NoFaces => None,
         }
     }
 }
@@ -59,7 +63,7 @@ impl From<std::io::Error> for ParseObjError {
 ///
 /// Returns [`ParseObjError`] on I/O failure, unparseable or non-finite
 /// numbers (`nan`, `inf`, or a literal beyond `f32` range such as `1e39`),
-/// or out-of-range indices.
+/// out-of-range indices, or a stream without faces.
 ///
 /// # Examples
 ///
@@ -128,6 +132,9 @@ pub fn read_obj<R: BufRead>(reader: R) -> Result<TriangleMesh, ParseObjError> {
             }
             _ => {} // normals, texcoords, groups, materials: ignored
         }
+    }
+    if mesh.triangle_count() == 0 {
+        return Err(ParseObjError::NoFaces);
     }
     Ok(mesh)
 }
@@ -208,8 +215,18 @@ mod tests {
                 "coordinate '{tok}' must be rejected"
             );
         }
-        let mesh = read_obj("v 3.4e38 -1e-45 0\n".as_bytes()).unwrap();
-        assert_eq!(mesh.vertex_count(), 1);
+        let mesh = read_obj("v 3.4e38 -1e-45 0\nv 0 0 0\nv 1 0 0\nf 1 2 3\n".as_bytes()).unwrap();
+        assert_eq!(mesh.positions()[0], Vec3::new(3.4e38, -1e-45, 0.0));
+    }
+
+    #[test]
+    fn rejects_a_stream_without_faces() {
+        for src in ["", "# nothing\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"] {
+            assert!(
+                matches!(read_obj(src.as_bytes()), Err(ParseObjError::NoFaces)),
+                "{src:?} has no faces"
+            );
+        }
     }
 
     #[test]

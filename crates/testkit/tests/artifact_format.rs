@@ -259,7 +259,8 @@ fn mapped_case_digest() -> String {
         );
         assert!(
             case.bvh.is_shared(),
-            "{}: a disk-loaded BVH must borrow the mapped bytes",
+            "{}: a disk-loaded BVH must borrow its nodes, leaf order and \
+             triangles from the mapped bytes",
             key.label()
         );
         let mut fnv = Fnv::new();

@@ -42,13 +42,14 @@ fn snapshot_directory_covers_every_experiment() {
         );
     }
     // Digest snapshots owned by the SIMD differential suite (see
-    // tests/wide_simd.rs) and the artifact-format suite (see
-    // tests/artifact_format.rs) share the directory but are not
-    // experiments.
+    // tests/wide_simd.rs), the artifact-format suite (see
+    // tests/artifact_format.rs) and the tree-identity suite (see
+    // tests/tree_digest.rs) share the directory but are not experiments.
     let digests = [
         "wide_simd_hits.snap",
         "wide_bvh_serial.snap",
         "artifact_case.snap",
+        "tree_digest.snap",
     ];
     for name in digests {
         assert!(

@@ -1,7 +1,7 @@
 //! Malformed OBJ input gets a typed outcome: every [`faultinject`]
 //! mutant of a written OBJ file either fails to parse with a
-//! [`ParseObjError`] or parses to a finite mesh whose BVH validates.
-//! Nothing panics.
+//! [`ParseObjError`] or parses to a finite, non-empty mesh whose BVH
+//! validates. Nothing panics.
 
 use rip_bvh::Bvh;
 use rip_scene::obj::{read_obj, write_obj, ParseObjError};
@@ -24,13 +24,13 @@ fn obj_bytes() -> Vec<u8> {
     bytes
 }
 
-/// Parses `path` and checks the outcome is an error or a finite mesh
-/// whose BVH passes validation; returns whether it parsed.
-fn check_outcome(path: &Path, what: &str) -> bool {
+/// Parses `path`, checks that a parsed mesh is finite and that its BVH
+/// passes validation, and returns the parse error if there was one.
+fn check_outcome(path: &Path, what: &str) -> Option<ParseObjError> {
     let file = std::fs::File::open(path).unwrap();
     let mesh = match read_obj(std::io::BufReader::new(file)) {
         Ok(mesh) => mesh,
-        Err(ParseObjError::Io(_) | ParseObjError::Malformed { .. }) => return false,
+        Err(e) => return Some(e),
     };
     for p in mesh.positions() {
         assert!(
@@ -38,25 +38,38 @@ fn check_outcome(path: &Path, what: &str) -> bool {
             "{what}: non-finite vertex {p:?} parsed"
         );
     }
-    // A file cut before its faces is a valid mesh with nothing to build.
-    if mesh.triangle_count() > 0 {
-        let tris: Vec<_> = mesh.triangles().collect();
-        Bvh::build(&tris)
-            .validate()
-            .unwrap_or_else(|e| panic!("{what}: BVH of the parsed mesh is invalid: {e}"));
-    }
-    true
+    let tris: Vec<_> = mesh.triangles().collect();
+    Bvh::build(&tris)
+        .validate()
+        .unwrap_or_else(|e| panic!("{what}: BVH of the parsed mesh is invalid: {e}"));
+    None
 }
 
 #[test]
 fn every_truncation_is_an_error_or_a_valid_mesh() {
     let bytes = obj_bytes();
+    // Start of the first face line: a file cut there or earlier has no
+    // faces.
+    let first_face = bytes.windows(2).position(|w| w == b"\nf").unwrap() + 1;
     let path = temp_file("truncate");
     let mut parsed = 0;
     for keep in 0..bytes.len() {
         std::fs::write(&path, &bytes).unwrap();
         faultinject::truncate(&path, keep).unwrap();
-        parsed += usize::from(check_outcome(&path, &format!("truncate to {keep}")));
+        let what = format!("truncate to {keep}");
+        match check_outcome(&path, &what) {
+            None => {
+                assert!(keep > first_face, "{what}: a face-less file parsed");
+                parsed += 1;
+            }
+            // A cut inside a vertex line may leave a malformed line; a cut
+            // between lines leaves whole vertices and no face.
+            Some(ParseObjError::Malformed { .. }) if bytes[keep - 1] != b'\n' => {}
+            Some(e) if keep <= first_face => {
+                assert!(matches!(e, ParseObjError::NoFaces), "{what}: {e}")
+            }
+            Some(_) => {}
+        }
     }
     let _ = std::fs::remove_file(&path);
     assert!(parsed > 0, "some cuts fall between lines and must parse");
@@ -70,7 +83,7 @@ fn every_bit_flip_is_an_error_or_a_valid_mesh() {
     for offset in 0..bytes.len() {
         std::fs::write(&path, &bytes).unwrap();
         faultinject::bit_flip(&path, offset).unwrap();
-        if check_outcome(&path, &format!("bit flip at {offset}")) {
+        if check_outcome(&path, &format!("bit flip at {offset}")).is_none() {
             parsed += 1;
         } else {
             rejected += 1;
