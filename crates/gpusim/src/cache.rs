@@ -301,8 +301,8 @@ impl Cache {
     }
 
     /// Looks up `addr` without recording an access: no statistics, no
-    /// LRU reordering, no fill. This is the read-only view the parallel
-    /// per-SM engine takes of the epoch-frozen shared L2 — contents only
+    /// LRU reordering, no fill. This is the read-only view each per-SM
+    /// engine takes of the epoch-frozen shared L2 — contents only
     /// change at epoch barriers, where the authoritative [`Cache::access`]
     /// replays the merged traffic.
     ///

@@ -123,14 +123,6 @@ pub struct GpuConfig {
     pub collector_timeout: u64,
     /// Partial warp collector capacity in ray IDs (§4.4.1: 64).
     pub collector_capacity: usize,
-    /// Epoch length of the parallel per-SM scheduler, in cycles. SMs
-    /// couple only through the shared L2/DRAM; within one epoch every SM
-    /// advances against a frozen snapshot of the shared levels, and the
-    /// logged traffic is merged deterministically at the epoch barrier.
-    /// Smaller epochs tighten shared-state freshness; larger epochs
-    /// amortize barriers. The value changes timing like any other model
-    /// parameter but never affects determinism.
-    pub epoch_cycles: u64,
 }
 
 impl GpuConfig {
@@ -150,7 +142,6 @@ impl GpuConfig {
             repack: RepackMode::Off,
             collector_timeout: 16,
             collector_capacity: 64,
-            epoch_cycles: 256,
         }
     }
 
@@ -192,9 +183,6 @@ impl GpuConfig {
         }
         if self.collector_capacity < self.warp_size {
             return Err("collector must hold at least one full warp".into());
-        }
-        if self.epoch_cycles == 0 {
-            return Err("epoch_cycles must be positive".into());
         }
         Ok(())
     }

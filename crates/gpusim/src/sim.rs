@@ -18,11 +18,11 @@
 //! run needs beyond the BVH and the ray batch does not grow with the
 //! batch.
 //!
-//! # Parallel per-SM epochs
+//! # Per-SM epochs
 //!
 //! SMs couple only through the shared L2 and DRAM, so each SM runs as its
 //! own discrete-event engine ([`SmEngine`]) and the simulation advances in
-//! **epochs** of [`GpuConfig::epoch_cycles`]: within an epoch every SM
+//! **epochs** of [`EPOCH_CYCLES`]: within an epoch every SM, in SM order,
 //! processes its private event heap against (a) its live private RT/L1
 //! caches and (b) an epoch-frozen snapshot of the shared L2 (read with the
 //! non-mutating [`Cache::probe`]) plus a private copy of the DRAM bank
@@ -34,13 +34,9 @@
 //! per cycle, so each log is already in issue-time order and the merge
 //! needs no sort.
 //!
-//! Because each SM's epoch depends only on its own state and the frozen
-//! snapshot, and the barrier merge is a deterministic function of the
-//! per-SM logs, the report is **byte-identical at any `--jobs` count**
-//! (the serial path runs the exact same code). The epoch length is a
-//! timing-model parameter like any cache latency: it bounds how stale a
-//! remote SM's L2 fills and bank pressure may be within an epoch, but it
-//! never affects determinism or functional results.
+//! The epoch length is a timing-model parameter like any cache latency:
+//! it bounds how stale a remote SM's L2 fills and bank pressure may be
+//! within an epoch, but it never affects functional results.
 //!
 //! # Trace replay
 //!
@@ -59,16 +55,19 @@ use crate::{
 use rip_bvh::ript::RayTraceSet;
 use rip_bvh::{Bvh, LeanStep, RayBatch, TraversalKind};
 use rip_core::Predictor;
-use rip_exec::JobPool;
 use rip_math::Ray;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Event kinds, ordered inside the heap tuple after time.
 const EV_WARP_ITER: u8 = 0;
 const EV_WARP_LOOKUP: u8 = 1;
 const EV_COLLECTOR: u8 = 2;
+
+/// Cycles per epoch: how long an SM runs against the frozen shared L2
+/// and DRAM bank timeline before the barrier replays its traffic.
+const EPOCH_CYCLES: u64 = 256;
 
 /// The cycle-level simulator (§5.1, Figure 10).
 ///
@@ -97,7 +96,6 @@ const EV_COLLECTOR: u8 = 2;
 pub struct Simulator {
     config: GpuConfig,
     obs: std::sync::Arc<rip_obs::Obs>,
-    jobs: usize,
     trace: Option<Arc<RayTraceSet>>,
 }
 
@@ -112,7 +110,6 @@ impl Simulator {
         Simulator {
             config,
             obs: std::sync::Arc::clone(rip_obs::Obs::global()),
-            jobs: 1,
             trace: None,
         }
     }
@@ -124,12 +121,11 @@ impl Simulator {
         self
     }
 
-    /// Steps SMs in parallel across up to `jobs` worker threads (drawn
-    /// from the `rip-exec` process-wide budget). The report is
-    /// byte-identical at any job count; `1` (the default) runs the same
-    /// epoch machinery inline.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    /// A no-op: one thread steps every SM. Its only caller is the
+    /// perfbench simulator workload; the next benchmark change removes
+    /// that call and this method together.
+    #[doc(hidden)]
+    pub fn with_jobs(self, _jobs: usize) -> Self {
         self
     }
 
@@ -167,7 +163,7 @@ impl Simulator {
     pub fn run_batch(&self, bvh: &Bvh, batch: &RayBatch) -> SimReport {
         let trace = self.validated_trace(bvh, batch);
         self.observe(batch.len() as u64, || {
-            Engine::new(&self.config, bvh, batch, trace, self.jobs).run()
+            Engine::new(&self.config, bvh, batch, trace).run()
         })
     }
 
@@ -211,7 +207,7 @@ impl Simulator {
 type LoggedRequest = (u64, u64);
 
 /// The authoritative shared memory levels, mutated only at epoch
-/// barriers on the coordinating thread.
+/// barriers.
 struct SharedMemory {
     l2: Cache,
     dram: Dram,
@@ -222,8 +218,7 @@ impl SharedMemory {
     /// Replays one epoch's per-SM request logs merged in canonical
     /// `(issue time, SM id)` order; `heads` is one reusable cursor per
     /// log. The shared-level statistics and the DRAM bank timeline the
-    /// next epoch snapshots are produced here and only here, so they are
-    /// identical no matter how many threads stepped the SMs.
+    /// next epoch snapshots are produced here and only here.
     fn replay(&mut self, logs: &[Vec<LoggedRequest>], heads: &mut [usize]) {
         debug_assert!(
             logs.iter()
@@ -815,20 +810,18 @@ impl<'a> SmEngine<'a> {
     }
 }
 
-/// The epoch coordinator: owns the per-SM engines, the authoritative
-/// shared memory, and the worker pool.
+/// The epoch coordinator: owns the per-SM engines and the authoritative
+/// shared memory, and steps the SMs in order on the calling thread.
 ///
 /// Nothing here or in the engines grows with the batch: each SM reads its
 /// rays from the batch as it dispatches their warps. The barrier
 /// allocates nothing: each SM's log is swapped with an emptied
 /// coordinator buffer, and the replay merges the buffers in place.
 struct Engine<'a> {
-    config: &'a GpuConfig,
     /// The batch size, which every SM's completed rays add up to.
     rays: usize,
-    engines: Vec<Mutex<SmEngine<'a>>>,
+    engines: Vec<SmEngine<'a>>,
     shared: SharedMemory,
-    pool: JobPool,
     /// Per SM, the epoch log taken at the last barrier.
     logs: Vec<Vec<LoggedRequest>>,
     /// Per SM, the replay's cursor into `logs`.
@@ -841,18 +834,16 @@ impl<'a> Engine<'a> {
         bvh: &'a Bvh,
         batch: &'a RayBatch,
         trace: Option<Arc<RayTraceSet>>,
-        jobs: usize,
     ) -> Self {
         let sms = config.num_sms;
         let engines = (0..sms)
             .map(|sm_id| {
                 let mut engine = SmEngine::new(config, bvh, batch, trace.clone(), sm_id);
                 engine.seed();
-                Mutex::new(engine)
+                engine
             })
             .collect();
         Engine {
-            config,
             rays: batch.len(),
             engines,
             shared: SharedMemory {
@@ -860,7 +851,6 @@ impl<'a> Engine<'a> {
                 dram: Dram::new(config.dram, config.l2.line_bytes),
                 latency: config.latency,
             },
-            pool: JobPool::new(jobs),
             logs: vec![Vec::new(); sms],
             heads: vec![0; sms],
         }
@@ -873,43 +863,12 @@ impl<'a> Engine<'a> {
 
     /// Runs epochs until every SM's event heap is empty.
     fn run_to_completion(&mut self) {
-        let indices: Vec<usize> = (0..self.engines.len()).collect();
-        let epoch = self.config.epoch_cycles;
-        loop {
-            let t_min = self
-                .engines
-                .iter_mut()
-                .filter_map(|e| e.get_mut().expect("sm engine lock").peek_time())
-                .min();
-            let Some(t_min) = t_min else { break };
-            let epoch_end = t_min.saturating_add(epoch);
-
-            if indices.len() == 1 || self.pool.jobs() == 1 {
-                // Serial path: identical code against identical state, so
-                // identical results — no threads, no pool overhead.
-                for engine in &mut self.engines {
-                    engine
-                        .get_mut()
-                        .expect("sm engine lock")
-                        .run_epoch(epoch_end, &self.shared);
-                }
-            } else {
-                let engines = &self.engines;
-                let shared = &self.shared;
-                self.pool.map(&indices, |&i| {
-                    engines[i]
-                        .lock()
-                        .expect("sm engine lock")
-                        .run_epoch(epoch_end, shared)
-                });
-            }
-
+        while let Some(t_min) = self.engines.iter().filter_map(SmEngine::peek_time).min() {
+            let epoch_end = t_min.saturating_add(EPOCH_CYCLES);
             for (engine, log) in self.engines.iter_mut().zip(&mut self.logs) {
+                engine.run_epoch(epoch_end, &self.shared);
                 log.clear();
-                std::mem::swap(
-                    log,
-                    &mut engine.get_mut().expect("sm engine lock").shared_log,
-                );
+                std::mem::swap(log, &mut engine.shared_log);
             }
             self.shared.replay(&self.logs, &mut self.heads);
         }
@@ -920,8 +879,7 @@ impl<'a> Engine<'a> {
         let mut report = SimReport::default();
         let mut rt_stats = Vec::new();
         let mut l1_stats = Vec::new();
-        for engine in self.engines {
-            let e = engine.into_inner().expect("sm engine lock");
+        for e in self.engines {
             let r = e.report;
             report.cycles = report.cycles.max(r.cycles);
             report.completed_rays += r.completed_rays;
@@ -1188,26 +1146,9 @@ mod tests {
     }
 
     /// Every field that `SimReport` mirrors, flattened for byte-for-byte
-    /// comparison across job counts and live/replay paths.
+    /// comparison across engine changes and live/replay paths.
     fn fingerprint(r: &SimReport) -> String {
         format!("{r:?}")
-    }
-
-    #[test]
-    fn reports_are_identical_at_any_job_count() {
-        let bvh = occluder_bvh();
-        let rays = ao_rays(2048, 23);
-        let mut c = GpuConfig::with_predictor();
-        c.num_sms = 4;
-        let serial = Simulator::new(c.clone()).run(&bvh, &rays);
-        for jobs in [2, 4, 8] {
-            let parallel = Simulator::new(c.clone()).with_jobs(jobs).run(&bvh, &rays);
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&parallel),
-                "report diverged at --jobs {jobs}"
-            );
-        }
     }
 
     #[test]
@@ -1230,15 +1171,17 @@ mod tests {
         }
     }
 
-    /// The six engine shapes the golden test pins: baseline, predictor
+    /// The seven engine shapes the golden test pins: baseline, predictor
     /// with repacking, an RT cache in front of a small L1 with extra
     /// repack warps, a predictor run replaying a recorded trace, a 16-line
     /// fully associative L1 (in-flight lines are evicted while later
-    /// requests still merge on the MSHR), and a direct-mapped RT cache.
-    fn golden_reports(jobs: usize) -> Vec<String> {
+    /// requests still merge on the MSHR), a direct-mapped RT cache, and a
+    /// predictor run on four SMs (the barrier merges four logs, breaking
+    /// issue-time ties by SM id).
+    fn golden_reports() -> Vec<String> {
         let bvh = occluder_bvh();
         // 4000 rays = 125 warps: an odd warp count splits unevenly over
-        // the two SMs, and the density trains the predictor.
+        // two or four SMs, and the density trains the predictor.
         let rays = ao_rays(4000, 37);
         let batch = RayBatch::from_rays(&rays);
         let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
@@ -1258,6 +1201,8 @@ mod tests {
             line_bytes: 128,
             ways: 1,
         });
+        let mut four_sms = GpuConfig::with_predictor();
+        four_sms.num_sms = 4;
         let sims = [
             Simulator::new(GpuConfig::baseline()),
             Simulator::new(GpuConfig::with_predictor()),
@@ -1265,42 +1210,41 @@ mod tests {
             Simulator::new(GpuConfig::with_predictor()).with_trace(trace),
             Simulator::new(tiny_l1),
             Simulator::new(direct_mapped_rt),
+            Simulator::new(four_sms),
         ];
         sims.into_iter()
-            .map(|sim| fingerprint(&sim.with_jobs(jobs).run_batch(&bvh, &batch)))
+            .map(|sim| fingerprint(&sim.run_batch(&bvh, &batch)))
             .collect()
     }
 
     /// `golden_reports` as the engine produced it before the SM-local ray
-    /// arena and allocation-free steps; any engine refactor must keep it
-    /// byte for byte.
-    const GOLDEN_REPORTS: [&str; 6] = [
+    /// arena and allocation-free steps (the four-SM entry: before the
+    /// worker-thread epoch path was removed, where it read the same at 1, 2
+    /// and 4 threads); any engine refactor must keep it byte for byte.
+    const GOLDEN_REPORTS: [&str; 7] = [
         "SimReport { cycles: 33925, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28748, hits: 28530 }, CacheStats { accesses: 28243, hits: 28022 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 215, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 439, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 2497 }, warps_executed: 125, repacked_warps: 0 }",
         "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
         "SimReport { cycles: 36452, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44215, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88430, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2271, verified: 620, predicted_nodes_evaluated: 2271, prediction_eval_fetches: 6016 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28173, hits: 27203 }, CacheStats { accesses: 27978, hits: 27077 }], l1: [CacheStats { accesses: 970, hits: 223 }, CacheStats { accesses: 901, hits: 228 }], l2: CacheStats { accesses: 1420, hits: 1184 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59550, l2_accesses: 1420, dram_accesses: 236, box_tests: 88430, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48109, stack_ops: 96218, collector_ops: 4542, mshr_merges: 3399 }, warps_executed: 219, repacked_warps: 94 }",
         "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
         "SimReport { cycles: 44088, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14015, hits: 8555 }, CacheStats { accesses: 13308, hits: 8255 }], l2: CacheStats { accesses: 10513, hits: 10277 }, dram: DramStats { accesses: 236, bank_wait_cycles: 325, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 10513, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 32165 }, warps_executed: 125, repacked_warps: 0 }",
         "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28734, hits: 22344 }, CacheStats { accesses: 28302, hits: 22120 }], l1: [CacheStats { accesses: 6390, hits: 6172 }, CacheStats { accesses: 6182, hits: 5961 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
+        "SimReport { cycles: 18192, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44873, leaf_fetches: 3800, tri_fetches: 11065, box_tests: 89746, tri_tests: 11065, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 1174, verified: 289, predicted_nodes_evaluated: 1174, prediction_eval_fetches: 2969 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14090, hits: 13891 }, CacheStats { accesses: 13518, hits: 13318 }, CacheStats { accesses: 13545, hits: 13345 }, CacheStats { accesses: 13571, hits: 13369 }], l2: CacheStats { accesses: 801, hits: 565 }, dram: DramStats { accesses: 236, bank_wait_cycles: 708, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59738, l2_accesses: 801, dram_accesses: 236, box_tests: 89746, tri_tests: 11065, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48673, stack_ops: 97346, collector_ops: 2348, mshr_merges: 5014 }, warps_executed: 184, repacked_warps: 59 }",
     ];
 
     #[test]
-    fn reports_match_golden_at_one_and_two_jobs() {
-        for jobs in [1, 2] {
-            for (i, (got, want)) in golden_reports(jobs).iter().zip(GOLDEN_REPORTS).enumerate() {
-                assert_eq!(got, want, "golden report {i} diverged at --jobs {jobs}");
-            }
+    fn reports_match_golden() {
+        let got = golden_reports();
+        assert_eq!(got.len(), GOLDEN_REPORTS.len());
+        for (i, (got, want)) in got.iter().zip(GOLDEN_REPORTS).enumerate() {
+            assert_eq!(got, want, "golden report {i} diverged");
         }
     }
 
     /// Per SM, the most rays its pool ever held at once.
     fn pool_peaks(config: &GpuConfig, bvh: &Bvh, batch: &RayBatch) -> Vec<usize> {
-        let mut engine = Engine::new(config, bvh, batch, None, 1);
+        let mut engine = Engine::new(config, bvh, batch, None);
         engine.run_to_completion();
-        engine
-            .engines
-            .iter_mut()
-            .map(|e| e.get_mut().expect("sm engine lock").pool.len())
-            .collect()
+        engine.engines.iter().map(|e| e.pool.len()).collect()
     }
 
     #[test]

@@ -4,10 +4,12 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rip_bvh::{Bvh, TraversalKind};
+use rip_bvh::ript::RayTraceSet;
+use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_gpusim::{Cache, CacheConfig, Dram, DramConfig, GpuConfig, RepackMode, Simulator};
 use rip_math::{Ray, Triangle, Vec3};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Reference LRU cache: naive but obviously correct.
 struct ReferenceLru {
@@ -188,4 +190,70 @@ proptest! {
         prop_assert!(slow.cycles >= fast.cycles,
             "slower memory produced fewer cycles: {} vs {}", slow.cycles, fast.cycles);
     }
+}
+
+/// A warp's worth of ordinary rays interleaved with one degenerate ray
+/// after each: a NaN or infinite origin, a NaN, zero or denormal
+/// direction, or an empty interval (`t_min > t_max`).
+fn degenerate_mix() -> Vec<Ray> {
+    let denormal = f32::MIN_POSITIVE / 2.0;
+    rays(64, 43)
+        .into_iter()
+        .enumerate()
+        .map(|(i, ray)| {
+            if i % 2 == 0 {
+                return ray;
+            }
+            let o = ray.origin;
+            match (i / 2) % 6 {
+                0 => Ray {
+                    origin: Vec3::new(f32::NAN, o.y, o.z),
+                    ..ray
+                },
+                1 => Ray {
+                    origin: Vec3::new(o.x, f32::INFINITY, o.z),
+                    ..ray
+                },
+                2 => Ray {
+                    direction: Vec3::new(0.0, f32::NAN, 0.0),
+                    ..ray
+                },
+                3 => Ray {
+                    direction: Vec3::ZERO,
+                    ..ray
+                },
+                4 => Ray {
+                    direction: Vec3::new(denormal, denormal, denormal),
+                    ..ray
+                },
+                _ => Ray::with_interval(o, ray.direction, 5.0, 1.0),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn degenerate_rays_complete_with_functional_hits() {
+    let bvh = scene();
+    let rays = degenerate_mix();
+    let functional = rays
+        .iter()
+        .filter(|r| bvh.intersect(r, TraversalKind::AnyHit).hit.is_some())
+        .count() as u64;
+    assert!(functional > 0, "the ordinary rays must hit something");
+    let batch = RayBatch::from_rays(&rays);
+    let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
+    let obs = Arc::new(rip_obs::Obs::new(rip_obs::ClockMode::Logical));
+    for config in [GpuConfig::baseline(), GpuConfig::with_predictor()] {
+        let live = Simulator::new(config.clone()).run_batch(&bvh, &batch);
+        let replayed = Simulator::new(config)
+            .with_obs(Arc::clone(&obs))
+            .with_trace(Arc::clone(&trace))
+            .run_batch(&bvh, &batch);
+        for report in [&live, &replayed] {
+            assert_eq!(report.completed_rays, rays.len() as u64);
+            assert_eq!(report.hits, functional);
+        }
+    }
+    assert_eq!(obs.get("gpusim.trace.rejected"), 0, "the replay ran live");
 }
