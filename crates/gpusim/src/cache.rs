@@ -301,10 +301,9 @@ impl Cache {
     }
 
     /// Looks up `addr` without recording an access: no statistics, no
-    /// LRU reordering, no fill. This is the read-only view each per-SM
-    /// engine takes of the epoch-frozen shared L2 — contents only
-    /// change at epoch barriers, where the authoritative [`Cache::access`]
-    /// replays the merged traffic.
+    /// LRU reordering, no fill. The simulator does not call it; it lets
+    /// a caller, such as a test comparing against a reference model,
+    /// read the contents without disturbing them.
     ///
     /// # Panics
     ///

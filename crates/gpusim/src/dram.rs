@@ -1,5 +1,7 @@
 //! Banked DRAM timing model.
 
+use std::collections::VecDeque;
+
 /// DRAM geometry and timing (core-clock cycles).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
@@ -71,8 +73,12 @@ impl DramStats {
 ///
 /// Each request maps to a bank by line address, interleaving consecutive
 /// lines of the given size over the banks (the simulator passes the L2
-/// line size); a busy bank delays the request until free. No row-buffer model — the occupancy parameter
-/// captures average activation cost.
+/// line size). A request occupies its bank for `bank_occupancy` cycles,
+/// in the earliest window at or after its own time that overlaps no
+/// window already reserved on that bank: requests need not arrive in
+/// time order, and one issued later for an earlier time does not queue
+/// behind it. No row-buffer model — the occupancy parameter captures
+/// average activation cost.
 ///
 /// # Examples
 ///
@@ -91,7 +97,11 @@ pub struct Dram {
     line_shift: u32,
     /// `banks − 1`: a line's bank is a mask, not a remainder.
     bank_mask: u64,
-    bank_free_at: Vec<u64>,
+    /// Per bank, the start times of its reserved occupancy windows, in
+    /// order; the windows never overlap.
+    windows: Vec<VecDeque<u64>>,
+    /// No request comes earlier than this time (see [`Dram::advance_to`]).
+    horizon: u64,
     stats: DramStats,
 }
 
@@ -117,7 +127,8 @@ impl Dram {
             config,
             line_shift: line_bytes.trailing_zeros(),
             bank_mask: config.banks as u64 - 1,
-            bank_free_at: vec![0; config.banks],
+            windows: vec![VecDeque::new(); config.banks],
+            horizon: 0,
             stats: DramStats {
                 per_bank: vec![0; config.banks],
                 ..Default::default()
@@ -137,20 +148,44 @@ impl Dram {
 
     /// Issues a request for `addr` at time `now`; returns the completion
     /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds when `now` lies before the time last passed
+    /// to [`Dram::advance_to`].
     pub fn access(&mut self, addr: u64, now: u64) -> u64 {
+        debug_assert!(now >= self.horizon, "a request before the horizon");
+        let occupancy = self.config.bank_occupancy;
         let bank = ((addr >> self.line_shift) & self.bank_mask) as usize;
-        let start = now.max(self.bank_free_at[bank]);
+        let windows = &mut self.windows[bank];
+        while windows
+            .front()
+            .is_some_and(|&start| start + occupancy <= self.horizon)
+        {
+            windows.pop_front();
+        }
+        // The first window ending after `now`, then the first gap at or
+        // after `now` that holds a whole window.
+        let mut at = windows.partition_point(|&start| start + occupancy <= now);
+        let mut start = now;
+        while let Some(&taken) = windows.get(at) {
+            if taken >= start + occupancy {
+                break;
+            }
+            start = start.max(taken + occupancy);
+            at += 1;
+        }
+        windows.insert(at, start);
         self.stats.bank_wait_cycles += start - now;
         self.stats.accesses += 1;
         self.stats.per_bank[bank] += 1;
-        self.bank_free_at[bank] = start + self.config.bank_occupancy;
         start + self.config.access_latency
     }
 
-    /// Makes this DRAM's bank timeline a copy of `other`'s, keeping its
-    /// own statistics and allocations. `other` must have as many banks.
-    pub(crate) fn copy_timeline_from(&mut self, other: &Dram) {
-        self.bank_free_at.copy_from_slice(&other.bank_free_at);
+    /// Promises that no later request comes before `now`, so windows
+    /// that end by then can be forgotten.
+    pub fn advance_to(&mut self, now: u64) {
+        self.horizon = self.horizon.max(now);
     }
 }
 
@@ -205,6 +240,32 @@ mod tests {
         let _ = d.access(0, 0);
         let late = d.access(0, 100); // bank long since free
         assert_eq!(late, 150);
+    }
+
+    #[test]
+    fn a_request_takes_the_earliest_free_window() {
+        let mut d = Dram::new(
+            DramConfig {
+                banks: 4,
+                access_latency: 100,
+                bank_occupancy: 16,
+            },
+            128,
+        );
+        assert_eq!(d.access(0, 200), 300);
+        // Issued later but for an earlier time: it fits before the first
+        // window instead of queueing behind it.
+        assert_eq!(d.access(4 * 128, 0), 100);
+        assert_eq!(d.stats().bank_wait_cycles, 0);
+        // A gap too short for a whole window is skipped.
+        assert_eq!(d.access(0, 190), 316);
+        // It waits only for the window it overlaps.
+        assert_eq!(d.access(0, 10), 116);
+        assert_eq!(d.stats().bank_wait_cycles, 26 + 6);
+        // Forgotten windows end by the horizon, so nothing later sees them.
+        d.advance_to(300);
+        assert_eq!(d.access(0, 300), 400);
+        assert_eq!(d.windows[0], [300]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Statistics of the memory hierarchy: (optional RT cache) → per-SM L1 →
-//! shared L2 → banked DRAM (§5.1.4). The simulator's epoch engine
-//! (`sim.rs`) models the hierarchy itself.
+//! shared L2 → banked DRAM (§5.1.4). The simulator's engine (`sim.rs`)
+//! models the hierarchy itself.
 
 use crate::{CacheStats, DramStats};
 

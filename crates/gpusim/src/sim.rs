@@ -18,25 +18,30 @@
 //! run needs beyond the BVH and the ray batch does not grow with the
 //! batch.
 //!
-//! # Per-SM epochs
+//! # Event order
 //!
-//! SMs couple only through the shared L2 and DRAM, so each SM runs as its
-//! own discrete-event engine ([`SmEngine`]) and the simulation advances in
-//! **epochs** of [`EPOCH_CYCLES`]: within an epoch every SM, in SM order,
-//! processes its private event heap against (a) its live private RT/L1
-//! caches and (b) an epoch-frozen snapshot of the shared L2 (read with the
-//! non-mutating [`Cache::probe`]) plus a private copy of the DRAM bank
-//! timeline. Every request that misses the private levels is appended to a
-//! per-SM log; at the epoch barrier the logs are merged in the canonical
-//! `(issue time, SM id)` order and replayed through the authoritative
-//! shared L2/DRAM, which alone own the shared-level statistics and the
-//! bank timeline seen by the next epoch. An SM issues at most one request
-//! per cycle, so each log is already in issue-time order and the merge
-//! needs no sort.
+//! SMs couple only through the shared L2 and DRAM. Each SM keeps its own
+//! event heap ([`SmEngine`]), and the engine processes one event at a
+//! time: always the SM with the earliest pending event, ties to the lower
+//! SM id. A request that misses the SM's RT cache and L1 goes straight to
+//! the one shared L2, whose access decides both the latency charged and
+//! the statistics counted; an L2 miss goes to the DRAM.
 //!
-//! The epoch length is a timing-model parameter like any cache latency:
-//! it bounds how stale a remote SM's L2 fills and bank pressure may be
-//! within an epoch, but it never affects functional results.
+//! One event issues requests ahead of its own time: an SM issues at most
+//! one request per cycle, and a warp's triangle fetches wait for its node
+//! data, up to one L2-miss round trip later. So a request may reach the
+//! shared levels after another SM's request for a later time. Two rules
+//! keep the result causal:
+//!
+//! - **L2 fill wait.** Per L2 line, the shared levels keep the completion
+//!   time of its latest DRAM fill, like the L1 MSHR. An L2 hit on a line
+//!   whose fill is still in flight returns when the fill completes.
+//! - **Earliest free DRAM window.** A request takes the earliest bank
+//!   window at or after its own time that overlaps none already reserved
+//!   ([`Dram::access`]), so a request for a later time never delays an
+//!   earlier one. Each event's time is passed to the DRAM, which then
+//!   forgets the windows that end before it: no later request can issue
+//!   earlier.
 //!
 //! # Trace replay
 //!
@@ -64,10 +69,6 @@ use std::sync::Arc;
 const EV_WARP_ITER: u8 = 0;
 const EV_WARP_LOOKUP: u8 = 1;
 const EV_COLLECTOR: u8 = 2;
-
-/// Cycles per epoch: how long an SM runs against the frozen shared L2
-/// and DRAM bank timeline before the barrier replays its traffic.
-const EPOCH_CYCLES: u64 = 256;
 
 /// The cycle-level simulator (§5.1, Figure 10).
 ///
@@ -202,49 +203,37 @@ impl Simulator {
     }
 }
 
-/// One shared-level request logged during an epoch: issue time, byte
-/// address.
-type LoggedRequest = (u64, u64);
-
-/// The authoritative shared memory levels, mutated only at epoch
-/// barriers.
+/// The shared memory levels every SM reads as it runs.
 struct SharedMemory {
     l2: Cache,
+    /// Per L2 line, the completion time of its latest DRAM fill (0: never
+    /// filled).
+    l2_fill: Vec<u64>,
     dram: Dram,
     latency: LatencyConfig,
 }
 
 impl SharedMemory {
-    /// Replays one epoch's per-SM request logs merged in canonical
-    /// `(issue time, SM id)` order; `heads` is one reusable cursor per
-    /// log. The shared-level statistics and the DRAM bank timeline the
-    /// next epoch snapshots are produced here and only here.
-    fn replay(&mut self, logs: &[Vec<LoggedRequest>], heads: &mut [usize]) {
-        debug_assert!(
-            logs.iter()
-                .all(|log| log.windows(2).all(|pair| pair[0].0 < pair[1].0)),
-            "an SM log is not in strictly increasing issue-time order"
-        );
-        heads.fill(0);
-        loop {
-            // The earliest head; on a tie the lower SM id (scanned first).
-            let mut next: Option<(usize, LoggedRequest)> = None;
-            for (sm, log) in logs.iter().enumerate() {
-                if let Some(&request) = log.get(heads[sm]) {
-                    if next.is_none_or(|(_, best)| request.0 < best.0) {
-                        next = Some((sm, request));
-                    }
-                }
-            }
-            let Some((sm, (t_issue, addr))) = next else {
-                return;
-            };
-            heads[sm] += 1;
-            if !self.l2.access(addr) {
-                let l2_miss_time = t_issue + self.latency.l1_hit + self.latency.l2_hit;
-                self.dram.access(addr, l2_miss_time);
-            }
+    fn new(config: &GpuConfig, space: u64) -> Self {
+        SharedMemory {
+            l2: Cache::new(config.l2, space),
+            l2_fill: vec![0; space.div_ceil(config.l2.line_bytes as u64) as usize],
+            dram: Dram::new(config.dram, config.l2.line_bytes),
+            latency: config.latency,
         }
+    }
+
+    /// Serves an L1 miss that reaches the L2 at `now`; returns the
+    /// data-ready time.
+    fn access(&mut self, addr: u64, now: u64) -> u64 {
+        let line = (addr >> self.l2.config().line_shift()) as usize;
+        let l2_done = now + self.latency.l2_hit;
+        if self.l2.access(addr) {
+            return l2_done.max(self.l2_fill[line]);
+        }
+        let done = self.dram.access(addr, l2_done);
+        self.l2_fill[line] = done;
+        done
     }
 }
 
@@ -263,12 +252,11 @@ impl SharedMemory {
 /// The event loop neither allocates, hashes nor divides per ray or per
 /// memory request: ray state lives in the pool, each warp iteration works
 /// in scratch buffers that are cleared and reused, a retired warp's id
-/// buffer carries the next dispatched warp, and the caches, the MSHR and
-/// the epoch's L2 fills are dense tables indexed by line number over the
-/// BVH's address space (about 16 bytes per 128-byte line: 4 for the L1
-/// index, 8 for the MSHR, 4 for the epoch stamps, plus 4 with an RT
-/// cache). The tables come from zeroed memory, so only the lines a run
-/// touches become resident.
+/// buffer carries the next dispatched warp, and the caches and the MSHR
+/// are dense tables indexed by line number over the BVH's address space
+/// (about 12 bytes per 128-byte line: 4 for the L1 index and 8 for the
+/// MSHR, plus 4 with an RT cache). The tables come from zeroed memory, so
+/// only the lines a run touches become resident.
 struct SmEngine<'a> {
     config: &'a GpuConfig,
     bvh: &'a Bvh,
@@ -300,20 +288,6 @@ struct SmEngine<'a> {
     mshr: Vec<u64>,
     rt_cache: Option<Cache>,
     l1: Cache,
-    /// Per L2 line, the last epoch in which this SM filled it into the
-    /// (frozen) shared L2: such lines are L2 hits for the local latency
-    /// view, matching what the barrier replay will install. Numbering
-    /// epochs from 1 makes the zeroed table empty and a new epoch clear.
-    epoch_stamps: Vec<u32>,
-    /// The current epoch's number.
-    epoch: u32,
-    /// Local DRAM bank-timeline view, re-seeded from the authoritative
-    /// state at each barrier; its statistics are discarded.
-    local_dram: Dram,
-    /// Shared-level requests issued this epoch, in issue order. The
-    /// coordinator swaps it for an emptied buffer at each barrier, so
-    /// both keep their capacity.
-    shared_log: Vec<LoggedRequest>,
     /// (time, kind, payload): payload = slot index (or 0).
     events: BinaryHeap<Reverse<(u64, u8, u32)>>,
     /// Per-SM partial report; shared-level fields are filled at merge.
@@ -337,7 +311,6 @@ impl<'a> SmEngine<'a> {
     ) -> Self {
         let total_slots = config.max_warps_per_rt + config.repack.extra_warps() as usize;
         let space = bvh.layout().footprint_bytes();
-        let lines = |shift: u32| space.div_ceil(1 << shift) as usize;
         SmEngine {
             config,
             bvh,
@@ -362,13 +335,9 @@ impl<'a> SmEngine<'a> {
             },
             repacked_queue: VecDeque::new(),
             collector_event: None,
-            mshr: vec![0; lines(config.l1.line_shift())],
+            mshr: vec![0; space.div_ceil(config.l1.line_bytes as u64) as usize],
             rt_cache: config.rt_cache.map(|rt| Cache::new(rt, space)),
             l1: Cache::new(config.l1, space),
-            epoch_stamps: vec![0; lines(config.l2.line_shift())],
-            epoch: 0,
-            local_dram: Dram::new(config.dram, config.l2.line_bytes),
-            shared_log: Vec::new(),
             events: BinaryHeap::new(),
             report: SimReport::default(),
             node_ready: Vec::new(),
@@ -392,23 +361,16 @@ impl<'a> SmEngine<'a> {
         self.events.peek().map(|Reverse((t, _, _))| *t)
     }
 
-    /// Processes every event strictly before `epoch_end` against the
-    /// frozen `shared` snapshot, logging shared-level requests into
-    /// `shared_log`.
-    fn run_epoch(&mut self, epoch_end: u64, shared: &SharedMemory) {
-        self.local_dram.copy_timeline_from(&shared.dram);
-        self.epoch = self.epoch.checked_add(1).expect("epoch count overflow");
-        while let Some(&Reverse((t, _, _))) = self.events.peek() {
-            if t >= epoch_end {
-                break;
-            }
-            let Reverse((now, kind, payload)) = self.events.pop().expect("peeked event");
-            match kind {
-                EV_WARP_ITER => self.warp_iteration(payload as usize, now, shared),
-                EV_WARP_LOOKUP => self.lookup_phase(payload as usize, now),
-                EV_COLLECTOR => self.collector_tick(now),
-                _ => unreachable!("unknown event kind"),
-            }
+    /// Processes this SM's earliest event against the live `shared`
+    /// levels.
+    fn step(&mut self, shared: &mut SharedMemory) {
+        let Reverse((now, kind, payload)) = self.events.pop().expect("a pending event");
+        shared.dram.advance_to(now);
+        match kind {
+            EV_WARP_ITER => self.warp_iteration(payload as usize, now, shared),
+            EV_WARP_LOOKUP => self.lookup_phase(payload as usize, now),
+            EV_COLLECTOR => self.collector_tick(now),
+            _ => unreachable!("unknown event kind"),
         }
     }
 
@@ -591,7 +553,7 @@ impl<'a> SmEngine<'a> {
     /// outstanding fill instead of re-accessing DRAM, but still occupies
     /// one memory-scheduler slot ("requested from the L1 cache in thread
     /// order"). Returns the data-ready time.
-    fn request_line(&mut self, addr: u64, now: u64, shared: &SharedMemory) -> u64 {
+    fn request_line(&mut self, addr: u64, now: u64, shared: &mut SharedMemory) -> u64 {
         let t_issue = now.max(self.sm.issue_free_at);
         self.sm.issue_free_at = t_issue + 1;
         self.report.activity.l1_accesses += 1;
@@ -607,12 +569,8 @@ impl<'a> SmEngine<'a> {
         done
     }
 
-    /// The private-cache cascade: RT cache → L1 live; on an L1 miss the
-    /// request is logged for the barrier replay (which owns all
-    /// shared-level statistics) and its latency is decided against the
-    /// epoch-frozen shared L2 plus this SM's own fills this epoch, with
-    /// DRAM timing from the local bank-timeline view.
-    fn mem_access(&mut self, addr: u64, now: u64, shared: &SharedMemory) -> u64 {
+    /// The cache cascade: RT cache → L1 → shared L2 → DRAM.
+    fn mem_access(&mut self, addr: u64, now: u64, shared: &mut SharedMemory) -> u64 {
         let latency = &self.config.latency;
         if let Some(rt) = self.rt_cache.as_mut() {
             if rt.access(addr) {
@@ -622,22 +580,14 @@ impl<'a> SmEngine<'a> {
         if self.l1.access(addr) {
             return now + latency.l1_hit;
         }
-        self.shared_log.push((now, addr));
-        let l1_miss_time = now + latency.l1_hit;
-        let stamp = &mut self.epoch_stamps[(addr >> self.config.l2.line_shift()) as usize];
-        if shared.l2.probe(addr) || *stamp == self.epoch {
-            return l1_miss_time + latency.l2_hit;
-        }
-        *stamp = self.epoch;
-        let l2_miss_time = l1_miss_time + latency.l2_hit;
-        self.local_dram.access(addr, l2_miss_time)
+        shared.access(addr, now + latency.l1_hit)
     }
 
     /// One SIMT warp iteration: issue every active ray's next node
     /// request in thread order, step each ray once the data returns, fetch
     /// leaf triangles, run the pipelined intersection tests, and advance
     /// the warp at the pace of its slowest thread.
-    fn warp_iteration(&mut self, slot: usize, now: u64, shared: &SharedMemory) {
+    fn warp_iteration(&mut self, slot: usize, now: u64, shared: &mut SharedMemory) {
         let warp_rays = std::mem::take(&mut self.warp_mut(slot).rays);
         let layout = *self.bvh.layout();
 
@@ -810,22 +760,16 @@ impl<'a> SmEngine<'a> {
     }
 }
 
-/// The epoch coordinator: owns the per-SM engines and the authoritative
-/// shared memory, and steps the SMs in order on the calling thread.
+/// Owns the per-SM engines and the shared memory levels, and steps the
+/// SMs' events in one `(time, SM id)` order on the calling thread.
 ///
 /// Nothing here or in the engines grows with the batch: each SM reads its
-/// rays from the batch as it dispatches their warps. The barrier
-/// allocates nothing: each SM's log is swapped with an emptied
-/// coordinator buffer, and the replay merges the buffers in place.
+/// rays from the batch as it dispatches their warps.
 struct Engine<'a> {
     /// The batch size, which every SM's completed rays add up to.
     rays: usize,
     engines: Vec<SmEngine<'a>>,
     shared: SharedMemory,
-    /// Per SM, the epoch log taken at the last barrier.
-    logs: Vec<Vec<LoggedRequest>>,
-    /// Per SM, the replay's cursor into `logs`.
-    heads: Vec<usize>,
 }
 
 impl<'a> Engine<'a> {
@@ -835,8 +779,7 @@ impl<'a> Engine<'a> {
         batch: &'a RayBatch,
         trace: Option<Arc<RayTraceSet>>,
     ) -> Self {
-        let sms = config.num_sms;
-        let engines = (0..sms)
+        let engines = (0..config.num_sms)
             .map(|sm_id| {
                 let mut engine = SmEngine::new(config, bvh, batch, trace.clone(), sm_id);
                 engine.seed();
@@ -846,13 +789,7 @@ impl<'a> Engine<'a> {
         Engine {
             rays: batch.len(),
             engines,
-            shared: SharedMemory {
-                l2: Cache::new(config.l2, bvh.layout().footprint_bytes()),
-                dram: Dram::new(config.dram, config.l2.line_bytes),
-                latency: config.latency,
-            },
-            logs: vec![Vec::new(); sms],
-            heads: vec![0; sms],
+            shared: SharedMemory::new(config, bvh.layout().footprint_bytes()),
         }
     }
 
@@ -861,16 +798,17 @@ impl<'a> Engine<'a> {
         self.into_report()
     }
 
-    /// Runs epochs until every SM's event heap is empty.
+    /// Processes events until every SM's event heap is empty: always the
+    /// earliest, on a tie the lower SM id's.
     fn run_to_completion(&mut self) {
-        while let Some(t_min) = self.engines.iter().filter_map(SmEngine::peek_time).min() {
-            let epoch_end = t_min.saturating_add(EPOCH_CYCLES);
-            for (engine, log) in self.engines.iter_mut().zip(&mut self.logs) {
-                engine.run_epoch(epoch_end, &self.shared);
-                log.clear();
-                std::mem::swap(log, &mut engine.shared_log);
-            }
-            self.shared.replay(&self.logs, &mut self.heads);
+        while let Some((_, sm)) = self
+            .engines
+            .iter()
+            .enumerate()
+            .filter_map(|(sm, engine)| Some((engine.peek_time()?, sm)))
+            .min()
+        {
+            self.engines[sm].step(&mut self.shared);
         }
     }
 
@@ -1152,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_is_byte_identical_to_live() {
+    fn trace_replay_is_byte_identical_to_live() {
         let bvh = occluder_bvh();
         let rays = ao_rays(1024, 29);
         let batch = RayBatch::from_rays(&rays);
@@ -1171,13 +1109,34 @@ mod tests {
         }
     }
 
+    /// A predictor behind a 16 KB RT cache and an 8 KB L1, with two extra
+    /// repack warps.
+    fn rt_cached() -> GpuConfig {
+        let mut config = GpuConfig::with_predictor();
+        config.rt_cache = Some(crate::CacheConfig {
+            size_bytes: 16 * 1024,
+            line_bytes: 128,
+            ways: 4,
+        });
+        config.l1 = config.l1.with_size(8 * 1024);
+        config.repack = RepackMode::WithExtraWarps(2);
+        config
+    }
+
+    /// The baseline with a 2 KB L1.
+    fn tiny_l1() -> GpuConfig {
+        let mut config = GpuConfig::baseline();
+        config.l1 = config.l1.with_size(2 * 1024);
+        config
+    }
+
     /// The seven engine shapes the golden test pins: baseline, predictor
     /// with repacking, an RT cache in front of a small L1 with extra
     /// repack warps, a predictor run replaying a recorded trace, a 16-line
     /// fully associative L1 (in-flight lines are evicted while later
     /// requests still merge on the MSHR), a direct-mapped RT cache, and a
-    /// predictor run on four SMs (the barrier merges four logs, breaking
-    /// issue-time ties by SM id).
+    /// predictor run on four SMs (events interleave across four heaps,
+    /// ties broken by SM id).
     fn golden_reports() -> Vec<String> {
         let bvh = occluder_bvh();
         // 4000 rays = 125 warps: an odd warp count splits unevenly over
@@ -1185,16 +1144,6 @@ mod tests {
         let rays = ao_rays(4000, 37);
         let batch = RayBatch::from_rays(&rays);
         let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
-        let mut rt_cached = GpuConfig::with_predictor();
-        rt_cached.rt_cache = Some(crate::CacheConfig {
-            size_bytes: 16 * 1024,
-            line_bytes: 128,
-            ways: 4,
-        });
-        rt_cached.l1 = rt_cached.l1.with_size(8 * 1024);
-        rt_cached.repack = RepackMode::WithExtraWarps(2);
-        let mut tiny_l1 = GpuConfig::baseline();
-        tiny_l1.l1 = tiny_l1.l1.with_size(2 * 1024);
         let mut direct_mapped_rt = GpuConfig::with_predictor();
         direct_mapped_rt.rt_cache = Some(crate::CacheConfig {
             size_bytes: 4 * 1024,
@@ -1206,9 +1155,9 @@ mod tests {
         let sims = [
             Simulator::new(GpuConfig::baseline()),
             Simulator::new(GpuConfig::with_predictor()),
-            Simulator::new(rt_cached),
+            Simulator::new(rt_cached()),
             Simulator::new(GpuConfig::with_predictor()).with_trace(trace),
-            Simulator::new(tiny_l1),
+            Simulator::new(tiny_l1()),
             Simulator::new(direct_mapped_rt),
             Simulator::new(four_sms),
         ];
@@ -1217,18 +1166,16 @@ mod tests {
             .collect()
     }
 
-    /// `golden_reports` as the engine produced it before the SM-local ray
-    /// arena and allocation-free steps (the four-SM entry: before the
-    /// worker-thread epoch path was removed, where it read the same at 1, 2
-    /// and 4 threads); any engine refactor must keep it byte for byte.
+    /// `golden_reports` as the live shared L2 and DRAM first produced it;
+    /// any engine refactor must keep it byte for byte.
     const GOLDEN_REPORTS: [&str; 7] = [
-        "SimReport { cycles: 33925, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28748, hits: 28530 }, CacheStats { accesses: 28243, hits: 28022 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 215, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 439, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 2497 }, warps_executed: 125, repacked_warps: 0 }",
-        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
-        "SimReport { cycles: 36452, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44215, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88430, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2271, verified: 620, predicted_nodes_evaluated: 2271, prediction_eval_fetches: 6016 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28173, hits: 27203 }, CacheStats { accesses: 27978, hits: 27077 }], l1: [CacheStats { accesses: 970, hits: 223 }, CacheStats { accesses: 901, hits: 228 }], l2: CacheStats { accesses: 1420, hits: 1184 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59550, l2_accesses: 1420, dram_accesses: 236, box_tests: 88430, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48109, stack_ops: 96218, collector_ops: 4542, mshr_merges: 3399 }, warps_executed: 219, repacked_warps: 94 }",
-        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28734, hits: 28516 }, CacheStats { accesses: 28302, hits: 28081 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
-        "SimReport { cycles: 44088, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14015, hits: 8555 }, CacheStats { accesses: 13308, hits: 8255 }], l2: CacheStats { accesses: 10513, hits: 10277 }, dram: DramStats { accesses: 236, bank_wait_cycles: 325, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 10513, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 32165 }, warps_executed: 125, repacked_warps: 0 }",
-        "SimReport { cycles: 33870, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44196, leaf_fetches: 3894, tri_fetches: 11441, box_tests: 88392, tri_tests: 11441, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2272, verified: 623, predicted_nodes_evaluated: 2272, prediction_eval_fetches: 6021 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28734, hits: 22344 }, CacheStats { accesses: 28302, hits: 22120 }], l1: [CacheStats { accesses: 6390, hits: 6172 }, CacheStats { accesses: 6182, hits: 5961 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 227, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59531, l2_accesses: 439, dram_accesses: 236, box_tests: 88392, tri_tests: 11441, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48090, stack_ops: 96180, collector_ops: 4544, mshr_merges: 2495 }, warps_executed: 219, repacked_warps: 94 }",
-        "SimReport { cycles: 18192, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44873, leaf_fetches: 3800, tri_fetches: 11065, box_tests: 89746, tri_tests: 11065, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 1174, verified: 289, predicted_nodes_evaluated: 1174, prediction_eval_fetches: 2969 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14090, hits: 13891 }, CacheStats { accesses: 13518, hits: 13318 }, CacheStats { accesses: 13545, hits: 13345 }, CacheStats { accesses: 13571, hits: 13369 }], l2: CacheStats { accesses: 801, hits: 565 }, dram: DramStats { accesses: 236, bank_wait_cycles: 708, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59738, l2_accesses: 801, dram_accesses: 236, box_tests: 89746, tri_tests: 11065, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48673, stack_ops: 97346, collector_ops: 2348, mshr_merges: 5014 }, warps_executed: 184, repacked_warps: 59 }",
+        "SimReport { cycles: 34075, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28748, hits: 28530 }, CacheStats { accesses: 28217, hits: 27996 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 168, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 439, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 2523 }, warps_executed: 125, repacked_warps: 0 }",
+        "SimReport { cycles: 34022, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44193, leaf_fetches: 3900, tri_fetches: 11465, box_tests: 88386, tri_tests: 11465, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2273, verified: 625, predicted_nodes_evaluated: 2273, prediction_eval_fetches: 6065 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28684, hits: 28466 }, CacheStats { accesses: 28352, hits: 28131 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 191, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59558, l2_accesses: 439, dram_accesses: 236, box_tests: 88386, tri_tests: 11465, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48093, stack_ops: 96186, collector_ops: 4546, mshr_merges: 2522 }, warps_executed: 218, repacked_warps: 93 }",
+        "SimReport { cycles: 36515, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44208, leaf_fetches: 3897, tri_fetches: 11453, box_tests: 88416, tri_tests: 11453, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2270, verified: 622, predicted_nodes_evaluated: 2270, prediction_eval_fetches: 6026 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28240, hits: 27266 }, CacheStats { accesses: 27938, hits: 27037 }], l1: [CacheStats { accesses: 974, hits: 236 }, CacheStats { accesses: 901, hits: 238 }], l2: CacheStats { accesses: 1401, hits: 1165 }, dram: DramStats { accesses: 236, bank_wait_cycles: 191, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59558, l2_accesses: 1401, dram_accesses: 236, box_tests: 88416, tri_tests: 11453, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48105, stack_ops: 96210, collector_ops: 4540, mshr_merges: 3380 }, warps_executed: 219, repacked_warps: 94 }",
+        "SimReport { cycles: 34022, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44193, leaf_fetches: 3900, tri_fetches: 11465, box_tests: 88386, tri_tests: 11465, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2273, verified: 625, predicted_nodes_evaluated: 2273, prediction_eval_fetches: 6065 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 28684, hits: 28466 }, CacheStats { accesses: 28352, hits: 28131 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 191, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59558, l2_accesses: 439, dram_accesses: 236, box_tests: 88386, tri_tests: 11465, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48093, stack_ops: 96186, collector_ops: 4546, mshr_merges: 2522 }, warps_executed: 218, repacked_warps: 93 }",
+        "SimReport { cycles: 44072, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 14295, hits: 8935 }, CacheStats { accesses: 12799, hits: 7528 }], l2: CacheStats { accesses: 10631, hits: 10395 }, dram: DramStats { accesses: 236, bank_wait_cycles: 152, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 10631, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 32394 }, warps_executed: 125, repacked_warps: 0 }",
+        "SimReport { cycles: 34022, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44193, leaf_fetches: 3900, tri_fetches: 11465, box_tests: 88386, tri_tests: 11465, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 2273, verified: 625, predicted_nodes_evaluated: 2273, prediction_eval_fetches: 6065 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 28684, hits: 22215 }, CacheStats { accesses: 28352, hits: 22189 }], l1: [CacheStats { accesses: 6469, hits: 6251 }, CacheStats { accesses: 6163, hits: 5942 }], l2: CacheStats { accesses: 439, hits: 203 }, dram: DramStats { accesses: 236, bank_wait_cycles: 191, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59558, l2_accesses: 439, dram_accesses: 236, box_tests: 88386, tri_tests: 11465, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48093, stack_ops: 96186, collector_ops: 4546, mshr_merges: 2522 }, warps_executed: 218, repacked_warps: 93 }",
+        "SimReport { cycles: 18140, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 44851, leaf_fetches: 3797, tri_fetches: 11053, box_tests: 89702, tri_tests: 11053, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 1169, verified: 288, predicted_nodes_evaluated: 1169, prediction_eval_fetches: 2938 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 13965, hits: 13766 }, CacheStats { accesses: 13489, hits: 13289 }, CacheStats { accesses: 13500, hits: 13300 }, CacheStats { accesses: 13649, hits: 13447 }], l2: CacheStats { accesses: 801, hits: 565 }, dram: DramStats { accesses: 236, bank_wait_cycles: 167, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59701, l2_accesses: 801, dram_accesses: 236, box_tests: 89702, tri_tests: 11053, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 48648, stack_ops: 97296, collector_ops: 2338, mshr_merges: 5098 }, warps_executed: 185, repacked_warps: 60 }",
     ];
 
     #[test]
@@ -1237,6 +1184,59 @@ mod tests {
         assert_eq!(got.len(), GOLDEN_REPORTS.len());
         for (i, (got, want)) in got.iter().zip(GOLDEN_REPORTS).enumerate() {
             assert_eq!(got, want, "golden report {i} diverged");
+        }
+    }
+
+    /// One-SM runs of four engine shapes (baseline, predictor, an RT
+    /// cache in front of an 8 KB L1 with extra repack warps, a 2 KB L1),
+    /// each live and then replaying a recorded trace.
+    fn one_sm_reports() -> Vec<String> {
+        let bvh = occluder_bvh();
+        let batch = RayBatch::from_rays(&ao_rays(4000, 37));
+        let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
+        let mut reports = Vec::new();
+        for mut config in [
+            GpuConfig::baseline(),
+            GpuConfig::with_predictor(),
+            rt_cached(),
+            tiny_l1(),
+        ] {
+            config.num_sms = 1;
+            let live = Simulator::new(config.clone()).run_batch(&bvh, &batch);
+            let replayed = Simulator::new(config)
+                .with_trace(Arc::clone(&trace))
+                .run_batch(&bvh, &batch);
+            reports.push(fingerprint(&live));
+            reports.push(fingerprint(&replayed));
+        }
+        reports
+    }
+
+    /// `one_sm_reports` as the frozen-L2 epoch engine produced it, one
+    /// entry per engine shape (live and replay each read the same). One SM
+    /// issues its requests in time order and this scene never evicts an
+    /// L2 line, so that engine's snapshot plus the SM's own fills was the
+    /// live L2: the live shared L2 and DRAM must reproduce it byte for
+    /// byte.
+    const ONE_SM_GOLDEN_REPORTS: [&str; 4] = [
+        "SimReport { cycles: 64876, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 58213, hits: 57977 }], l2: CacheStats { accesses: 236, hits: 0 }, dram: DramStats { accesses: 236, bank_wait_cycles: 93, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 236, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 1275 }, warps_executed: 125, repacked_warps: 0 }",
+        "SimReport { cycles: 64577, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 43696, leaf_fetches: 3929, tri_fetches: 11581, box_tests: 87392, tri_tests: 11581, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 3012, verified: 821, predicted_nodes_evaluated: 3012, prediction_eval_fetches: 7895 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 57931, hits: 57695 }], l2: CacheStats { accesses: 236, hits: 0 }, dram: DramStats { accesses: 236, bank_wait_cycles: 97, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59206, l2_accesses: 236, dram_accesses: 236, box_tests: 87392, tri_tests: 11581, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 47625, stack_ops: 95250, collector_ops: 6024, mshr_merges: 1275 }, warps_executed: 234, repacked_warps: 109 }",
+        "SimReport { cycles: 69423, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 43654, leaf_fetches: 3928, tri_fetches: 11577, box_tests: 87308, tri_tests: 11577, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 3011, verified: 832, predicted_nodes_evaluated: 3011, prediction_eval_fetches: 7915 }, memory: MemoryStats { rt_cache: [CacheStats { accesses: 57219, hits: 55415 }], l1: [CacheStats { accesses: 1804, hits: 497 }], l2: CacheStats { accesses: 1307, hits: 1071 }, dram: DramStats { accesses: 236, bank_wait_cycles: 97, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59159, l2_accesses: 1307, dram_accesses: 236, box_tests: 87308, tri_tests: 11577, predictor_lookups: 4000, predictor_updates: 2725, ray_buffer_accesses: 47582, stack_ops: 95164, collector_ops: 6022, mshr_merges: 1940 }, warps_executed: 235, repacked_warps: 110 }",
+        "SimReport { cycles: 86289, completed_rays: 4000, hits: 2725, traversal: TraversalStats { interior_fetches: 45153, leaf_fetches: 3694, tri_fetches: 10641, box_tests: 90306, tri_tests: 10641, stack_spills: 0 }, prediction: PredictionStats { rays: 4000, hits: 2725, predicted: 0, verified: 0, predicted_nodes_evaluated: 0, prediction_eval_fetches: 0 }, memory: MemoryStats { rt_cache: [], l1: [CacheStats { accesses: 27861, hits: 16948 }], l2: CacheStats { accesses: 10913, hits: 10677 }, dram: DramStats { accesses: 236, bank_wait_cycles: 70, per_bank: [16, 15, 14, 15, 18, 16, 16, 13, 14, 14, 13, 16, 14, 15, 14, 13] } }, activity: ActivityCounts { l1_accesses: 59488, l2_accesses: 10913, dram_accesses: 236, box_tests: 90306, tri_tests: 10641, predictor_lookups: 0, predictor_updates: 0, ray_buffer_accesses: 48847, stack_ops: 97694, collector_ops: 0, mshr_merges: 31627 }, warps_executed: 125, repacked_warps: 0 }",
+    ];
+
+    #[test]
+    fn one_sm_reports_match_golden() {
+        let got = one_sm_reports();
+        assert_eq!(got.len(), 2 * ONE_SM_GOLDEN_REPORTS.len());
+        for (i, got) in got.iter().enumerate() {
+            let leg = if i % 2 == 0 { "live" } else { "replay" };
+            assert_eq!(
+                got.as_str(),
+                ONE_SM_GOLDEN_REPORTS[i / 2],
+                "one-SM golden report {} ({leg}) diverged",
+                i / 2
+            );
         }
     }
 
@@ -1266,17 +1266,11 @@ mod tests {
     fn split_line_requests(config: &GpuConfig) -> (u64, Vec<u64>) {
         let bvh = occluder_bvh();
         let batch = RayBatch::from_rays(&[]);
-        let shared = SharedMemory {
-            l2: Cache::new(config.l2, bvh.layout().footprint_bytes()),
-            dram: Dram::new(config.dram, config.l2.line_bytes),
-            latency: config.latency,
-        };
+        let mut shared = SharedMemory::new(config, bvh.layout().footprint_bytes());
         let mut engine = SmEngine::new(config, &bvh, &batch, None, 0);
-        // Opens epoch 1: a zero epoch stamp means "not filled".
-        engine.run_epoch(0, &shared);
-        engine.request_line(0, 0, &shared);
-        engine.request_line(64, 0, &shared);
-        let per_bank = engine.local_dram.stats().per_bank.clone();
+        engine.request_line(0, 0, &mut shared);
+        engine.request_line(64, 0, &mut shared);
+        let per_bank = shared.dram.stats().per_bank.clone();
         (engine.report.activity.mshr_merges, per_bank)
     }
 
@@ -1296,6 +1290,24 @@ mod tests {
         let (merges, per_bank) = split_line_requests(&GpuConfig::baseline());
         assert_eq!(merges, 1, "one 128-byte line must merge");
         assert_eq!(per_bank.iter().sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn an_l2_hit_waits_for_the_fill_in_flight() {
+        let bvh = occluder_bvh();
+        let batch = RayBatch::from_rays(&[]);
+        let config = GpuConfig::baseline();
+        let mut shared = SharedMemory::new(&config, bvh.layout().footprint_bytes());
+        let mut first = SmEngine::new(&config, &bvh, &batch, None, 0);
+        let mut second = SmEngine::new(&config, &bvh, &batch, None, 1);
+        let fill = first.request_line(0, 0, &mut shared);
+        let latency = config.latency;
+        assert!(fill > 5 + latency.l1_hit + latency.l2_hit, "not an L2 miss");
+        // The second SM's L1 misses and its L2 access hits the line the
+        // first SM's miss installed, but the data is still on its way.
+        assert_eq!(second.request_line(0, 5, &mut shared), fill);
+        assert_eq!(shared.l2.stats().hits, 1);
+        assert_eq!(shared.dram.stats().accesses, 1);
     }
 
     #[test]

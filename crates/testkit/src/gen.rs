@@ -236,6 +236,36 @@ pub fn edge_rays(tris: &[Triangle], n: usize, seed: u64) -> Vec<Ray> {
         .collect()
 }
 
+/// `rays` with every odd-indexed ray replaced by a degenerate copy of
+/// itself, cycling through eight defects: a NaN, +∞ or −∞ origin
+/// coordinate; a NaN, zero, all-axis denormal or single-axis denormal
+/// direction; and an empty interval (`t_min > t_max`). The ordinary rays
+/// in between keep a batch's warps, hashes and traces realistic.
+pub fn degenerate_mix(rays: Vec<Ray>) -> Vec<Ray> {
+    let denormal = f32::MIN_POSITIVE / 2.0;
+    rays.into_iter()
+        .enumerate()
+        .map(|(i, ray)| {
+            if i % 2 == 0 {
+                return ray;
+            }
+            let o = ray.origin;
+            let with_origin = |origin| Ray { origin, ..ray };
+            let with_direction = |direction| Ray { direction, ..ray };
+            match (i / 2) % 8 {
+                0 => with_origin(Vec3::new(f32::NAN, o.y, o.z)),
+                1 => with_origin(Vec3::new(o.x, f32::INFINITY, o.z)),
+                2 => with_origin(Vec3::new(o.x, o.y, f32::NEG_INFINITY)),
+                3 => with_direction(Vec3::new(0.0, f32::NAN, 0.0)),
+                4 => with_direction(Vec3::ZERO),
+                5 => with_direction(Vec3::splat(denormal)),
+                6 => with_direction(Vec3::new(0.0, denormal, 0.0)),
+                _ => Ray::with_interval(o, ray.direction, 5.0, 1.0),
+            }
+        })
+        .collect()
+}
+
 /// A deterministic camera framing `bounds` from a seeded direction.
 pub fn camera(bounds: &Aabb, width: u32, height: u32, seed: u64) -> Camera {
     let mut r = rng(seed ^ 0xCAFE);

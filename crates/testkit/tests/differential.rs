@@ -4,9 +4,17 @@
 //! index) — the kernels share the tie-break rule of
 //! `rip_bvh::Hit::closer_than`, so visitation order must not matter.
 
+use rip_bvh::ript::RayTraceSet;
+use rip_bvh::{
+    RayBatch, StacklessKernel, SteppableKernel, TraversalKernel, TraversalKind, WhileWhileKernel,
+    WideKernel,
+};
+use rip_core::{FunctionalSim, Predicted, PredictorConfig, SimOptions};
+use rip_gpusim::{GpuConfig, Simulator};
 use rip_math::{Ray, Triangle, Vec3};
-use rip_testkit::diff::{assert_kernels_agree, DiffOracle};
+use rip_testkit::diff::{self, assert_batch_matches_scalar, assert_kernels_agree, DiffOracle};
 use rip_testkit::gen::{self, SceneRecipe};
+use std::sync::Arc;
 
 /// Per-recipe batch: mixed probing rays + guaranteed hits + tie-break
 /// provokers aimed exactly at shared vertices and edge midpoints.
@@ -140,5 +148,106 @@ fn finite_segments_and_custom_intervals_agree() {
         let d = rip_math::sampling::uniform_sphere(r.gen(), r.gen());
         let (t0, t1) = (r.gen_range(0.0..3.0f32), r.gen_range(3.0..25.0f32));
         oracle.check_ray(&Ray::with_interval(o, d, t0, t1)).unwrap();
+    }
+}
+
+/// A recipe's batch with every other ray degenerate ([`gen::degenerate_mix`]).
+fn degenerate_batch(recipe: SceneRecipe) -> (Vec<Triangle>, Vec<Ray>) {
+    let (tris, rays) = batch_for(recipe, 6);
+    (tris, gen::degenerate_mix(rays))
+}
+
+/// A predictor that trains on every hit at once, so the second pass over
+/// a batch probes predictions for the degenerate rays too.
+fn eager() -> PredictorConfig {
+    PredictorConfig {
+        update_delay: 0,
+        ..PredictorConfig::paper_default()
+    }
+}
+
+/// The hit a ray's answer is compared on: the exact closest hit, or
+/// whether an any-hit query found something.
+fn answer(kind: TraversalKind, result: &rip_bvh::TraversalResult) -> Option<(u32, u32)> {
+    match kind {
+        TraversalKind::ClosestHit => result.hit.map(|h| (h.tri_index, h.t.to_bits())),
+        TraversalKind::AnyHit => result.hit.map(|_| (0, 0)),
+    }
+}
+
+#[test]
+fn degenerate_rays_agree_across_kernels_and_batches() {
+    for recipe in gen::ALL_RECIPES {
+        let (tris, rays) = degenerate_batch(recipe);
+        assert_kernels_agree(recipe.name(), &tris, &rays);
+        assert_batch_matches_scalar(recipe.name(), &tris, &rays);
+    }
+}
+
+#[test]
+fn degenerate_rays_keep_their_answers_under_the_predictor() {
+    for recipe in gen::ALL_RECIPES {
+        let (tris, rays) = degenerate_batch(recipe);
+        let oracle = DiffOracle::new(&tris);
+        let (bvh, wide) = (&oracle.bvh, &oracle.wide);
+        let batch = RayBatch::from_rays(&rays);
+        let predicted: Vec<Box<dyn TraversalKernel + '_>> = vec![
+            Box::new(Predicted::new(bvh, eager(), WhileWhileKernel::new(bvh))),
+            Box::new(Predicted::new(bvh, eager(), StacklessKernel::new(bvh))),
+            Box::new(Predicted::new(bvh, eager(), WideKernel::new(wide, bvh))),
+            Box::new(Predicted::new(bvh, eager(), SteppableKernel::new(bvh))),
+        ];
+        for (mut plain, mut predicted) in diff::kernels(&oracle).into_iter().zip(predicted) {
+            for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
+                let want = plain.trace_batch(&batch, kind);
+                // Cold (training), then warm (probing predictions).
+                for pass in 0..2 {
+                    let got = predicted.trace_batch(&batch, kind);
+                    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            answer(kind, got),
+                            answer(kind, want),
+                            "[{}] {} ray {i} ({kind:?}) pass {pass}: the predictor changed the answer",
+                            recipe.name(),
+                            plain.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_rays_replay_as_they_ran_live() {
+    for recipe in gen::ALL_RECIPES {
+        let label = recipe.name();
+        let (tris, rays) = degenerate_batch(recipe);
+        let bvh = rip_bvh::Bvh::build(&tris);
+        let batch = RayBatch::from_rays(&rays);
+        let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
+        let any_hit = |r: &&Ray| bvh.intersect_brute_force(r, TraversalKind::AnyHit);
+        let hits = rays.iter().filter(|r| any_hit(r).is_some()).count() as u64;
+
+        let functional = FunctionalSim::new(eager(), SimOptions::default());
+        let live = functional.run_batch(&bvh, &batch);
+        let replayed = functional
+            .run_batch_replay(&bvh, &batch, &trace)
+            .expect("the trace matches its batch");
+        assert_eq!(format!("{live:?}"), format!("{replayed:?}"), "[{label}]");
+        assert_eq!(live.prediction.hits, hits, "[{label}]");
+
+        let obs = Arc::new(rip_obs::Obs::new(rip_obs::ClockMode::Logical));
+        for config in [GpuConfig::baseline(), GpuConfig::with_predictor()] {
+            let live = Simulator::new(config.clone()).run_batch(&bvh, &batch);
+            let replayed = Simulator::new(config)
+                .with_obs(Arc::clone(&obs))
+                .with_trace(Arc::clone(&trace))
+                .run_batch(&bvh, &batch);
+            assert_eq!(format!("{live:?}"), format!("{replayed:?}"), "[{label}]");
+            assert_eq!(live.completed_rays, rays.len() as u64, "[{label}]");
+            assert_eq!(live.hits, hits, "[{label}]");
+        }
+        assert_eq!(obs.get("gpusim.trace.rejected"), 0, "[{label}] ran live");
     }
 }
