@@ -16,7 +16,9 @@
 //! * the batched ray-stream layer: the SoA [`RayBatch`] with its
 //!   un-sortable [`StreamPermutation`] ([`stream`]), and the unified
 //!   [`TraversalKernel`] trait fronting the while-while, stackless and
-//!   4-wide traversal loops ([`kernel`]).
+//!   4-wide traversal loops ([`kernel`]),
+//! * the process-wide job budget that every parallel user in the
+//!   workspace takes its extra threads from ([`budget`]).
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod budget;
 mod builder;
 mod bvh;
 pub mod kernel;

@@ -36,7 +36,8 @@ use rip_math::Ray;
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::{Bytes, PodBuf};
 use std::io::{self, Write};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// Bumped whenever the encoded layout changes; part of the trace-store
 /// cache key in `rip-exec`.
@@ -97,64 +98,144 @@ pub fn ray_digest(batch: &RayBatch) -> u64 {
     batch.content_digest()
 }
 
-/// One contiguous ray range's capture output, with chunk-local stream
-/// offsets; [`RayTraceSet::capture_parallel`] rebases and concatenates
-/// chunks in ray-index order.
-struct CaptureChunk {
+/// Set on a [`RecordedLegs`] step whose node is a leaf. Node indices stay
+/// below it: a tree with 2³¹ nodes would need 128 GiB of node records.
+pub const LEAF_STEP: u32 = 1 << 31;
+
+/// The virgin full traversals of a contiguous range of a batch's rays,
+/// recorded step by step: RIPT capture records every ray in such ranges,
+/// and the cycle simulator's look-ahead thread records one warp at a
+/// time.
+///
+/// Each step is the fetched node's index, with [`LEAF_STEP`] set on a
+/// leaf, so a reader tells leaf from interior steps without fetching the
+/// node. When recorded with triangles, every leaf step's tested triangle
+/// indices are kept too, so a reader needs no node record at all.
+#[derive(Debug)]
+pub struct RecordedLegs {
+    /// Per ray, with offsets local to this range.
     records: Vec<TraceRecord>,
-    nodes: Vec<u32>,
+    steps: Vec<u32>,
     leaf_counts: Vec<u32>,
+    /// Per ray, the end of its window into `triangles` (empty when the
+    /// triangles were not recorded).
+    triangle_ends: Vec<u32>,
+    triangles: Vec<u32>,
 }
 
-/// Captures rays `start..end` of `batch` as a standalone chunk.
-fn capture_chunk(
-    bvh: &Bvh,
-    batch: &RayBatch,
-    kind: TraversalKind,
-    start: usize,
-    end: usize,
-) -> CaptureChunk {
-    let len = end - start;
-    let mut records = Vec::with_capacity(len);
-    // Typical AO traversals visit a few dozen nodes; reserving up front
-    // keeps the growth reallocations off the capture loop.
-    let mut nodes: Vec<u32> = Vec::with_capacity(len * 32);
-    let mut leaf_counts: Vec<u32> = Vec::with_capacity(len * 8);
-    for i in start..end {
-        let ray = batch.ray(i);
-        let step_offset = nodes.len() as u64;
-        let leaf_offset = leaf_counts.len() as u64;
-        // One virgin full traversal, driven a step at a time: record
-        // each fetched node id and each leaf visit's tested count.
-        let mut traversal = Traversal::new(kind);
-        loop {
-            match traversal.step_lean(bvh, &ray) {
-                LeanStep::Interior { node, .. } => nodes.push(node.index()),
-                LeanStep::Leaf {
-                    node, tris_tested, ..
-                } => {
-                    nodes.push(node.index());
-                    leaf_counts.push(tris_tested);
+impl RecordedLegs {
+    /// Runs the virgin full traversal of rays `rays` of `batch`, one
+    /// [`Traversal`] step at a time, and records each step, each leaf
+    /// visit's tested-triangle count and each outcome; with `triangles`,
+    /// also the tested triangle indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rays` reaches past the batch.
+    pub fn record(
+        bvh: &Bvh,
+        batch: &RayBatch,
+        kind: TraversalKind,
+        rays: Range<usize>,
+        triangles: bool,
+    ) -> RecordedLegs {
+        let len = rays.len();
+        // Typical AO traversals visit a few dozen nodes; reserving up front
+        // keeps the growth reallocations off the recording loop.
+        let mut legs = RecordedLegs {
+            records: Vec::with_capacity(len),
+            steps: Vec::with_capacity(len * 32),
+            leaf_counts: Vec::with_capacity(len * 8),
+            triangle_ends: Vec::with_capacity(if triangles { len } else { 0 }),
+            triangles: Vec::with_capacity(if triangles { len * 16 } else { 0 }),
+        };
+        for i in rays {
+            let ray = batch.ray(i);
+            let step_offset = legs.steps.len() as u64;
+            let leaf_offset = legs.leaf_counts.len() as u64;
+            let mut traversal = Traversal::new(kind);
+            loop {
+                let step = if triangles {
+                    traversal.step(bvh, &ray, &mut legs.triangles)
+                } else {
+                    traversal.step_lean(bvh, &ray)
+                };
+                match step {
+                    LeanStep::Interior { node, .. } => legs.steps.push(node.index()),
+                    LeanStep::Leaf {
+                        node, tris_tested, ..
+                    } => {
+                        legs.steps.push(node.index() | LEAF_STEP);
+                        legs.leaf_counts.push(tris_tested);
+                    }
+                    LeanStep::Finished => break,
                 }
-                LeanStep::Finished => break,
             }
+            if triangles {
+                legs.triangle_ends.push(legs.triangles.len() as u32);
+            }
+            let hit = traversal.best_hit();
+            legs.records.push(TraceRecord {
+                step_offset,
+                leaf_offset,
+                step_count: (legs.steps.len() as u64 - step_offset) as u32,
+                leaf_count: (legs.leaf_counts.len() as u64 - leaf_offset) as u32,
+                hit_tri: hit.map_or(NO_HIT, |h| h.tri_index),
+                hit_leaf: hit.map_or(NO_HIT, |h| h.leaf.index()),
+                hit_t: hit.map_or(0.0, |h| h.t),
+                stack_spills: traversal.stats().stack_spills as u32,
+            });
         }
-        let hit = traversal.best_hit();
-        records.push(TraceRecord {
-            step_offset,
-            leaf_offset,
-            step_count: (nodes.len() as u64 - step_offset) as u32,
-            leaf_count: (leaf_counts.len() as u64 - leaf_offset) as u32,
-            hit_tri: hit.map_or(NO_HIT, |h| h.tri_index),
-            hit_leaf: hit.map_or(NO_HIT, |h| h.leaf.index()),
-            hit_t: hit.map_or(0.0, |h| h.t),
-            stack_spills: traversal.stats().stack_spills as u32,
-        });
+        legs
     }
-    CaptureChunk {
-        records,
-        nodes,
-        leaf_counts,
+
+    /// The steps of the `i`-th recorded ray: node indices, leaves flagged
+    /// with [`LEAF_STEP`].
+    pub fn steps(&self, i: usize) -> &[u32] {
+        self.records[i].steps(&self.steps)
+    }
+
+    /// The tested-triangle count of each leaf visit of the `i`-th ray.
+    pub fn leaf_counts(&self, i: usize) -> &[u32] {
+        self.records[i].leaf_counts(&self.leaf_counts)
+    }
+
+    /// The tested triangle indices of the `i`-th ray, leaf visit after
+    /// leaf visit; empty unless recorded with triangles.
+    pub fn triangles(&self, i: usize) -> &[u32] {
+        let Some(&end) = self.triangle_ends.get(i) else {
+            return &[];
+        };
+        let start = if i == 0 { 0 } else { self.triangle_ends[i - 1] };
+        &self.triangles[start as usize..end as usize]
+    }
+
+    /// The `i`-th ray's intersection.
+    pub fn hit(&self, i: usize) -> Option<Hit> {
+        self.records[i].hit()
+    }
+
+    /// The stack spills of the `i`-th ray's traversal.
+    pub fn stack_spills(&self, i: usize) -> u64 {
+        u64::from(self.records[i].stack_spills)
+    }
+}
+
+impl TraceRecord {
+    fn steps<'s>(&self, stream: &'s [u32]) -> &'s [u32] {
+        &stream[self.step_offset as usize..(self.step_offset + u64::from(self.step_count)) as usize]
+    }
+
+    fn leaf_counts<'s>(&self, stream: &'s [u32]) -> &'s [u32] {
+        &stream[self.leaf_offset as usize..(self.leaf_offset + u64::from(self.leaf_count)) as usize]
+    }
+
+    fn hit(&self) -> Option<Hit> {
+        (self.hit_tri != NO_HIT).then(|| Hit {
+            t: self.hit_t,
+            tri_index: self.hit_tri,
+            leaf: NodeId::new(self.hit_leaf),
+        })
     }
 }
 
@@ -189,7 +270,7 @@ impl RayTraceSet {
     /// [`Traversal`] always tests a *prefix* of the leaf's triangle order
     /// (any-hit early-out is the only way to stop short), so the count
     /// alone reconstructs the tested indices.
-    /// [`ReplayCursor`] rebuilds them from `Bvh::leaf_triangles`, and the
+    /// A replayer rebuilds them from `Bvh::leaf_triangles`, and the
     /// capture/replay round-trip tests pin the equivalence.
     pub fn capture(bvh: &Bvh, batch: &RayBatch, kind: TraversalKind) -> RayTraceSet {
         Self::capture_parallel(bvh, batch, kind, 1)
@@ -208,10 +289,12 @@ impl RayTraceSet {
     ) -> RayTraceSet {
         let threads = threads.clamp(1, batch.len().max(1));
         let chunk_len = batch.len().div_ceil(threads);
-        let chunks: Vec<CaptureChunk> = if threads == 1 {
-            vec![capture_chunk(bvh, batch, kind, 0, batch.len())]
+        let record = |rays| RecordedLegs::record(bvh, batch, kind, rays, false);
+        let chunks: Vec<RecordedLegs> = if threads == 1 {
+            vec![record(0..batch.len())]
         } else {
             std::thread::scope(|scope| {
+                let record = &record;
                 let handles: Vec<_> = (0..threads)
                     .map(|t| {
                         // Both bounds are clamped: with a chunk length of
@@ -220,7 +303,7 @@ impl RayTraceSet {
                         // ranges rather than underflow.
                         let start = (t * chunk_len).min(batch.len());
                         let end = (start + chunk_len).min(batch.len());
-                        scope.spawn(move || capture_chunk(bvh, batch, kind, start, end))
+                        scope.spawn(move || record(start..end))
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -229,7 +312,7 @@ impl RayTraceSet {
 
         let mut records = Vec::with_capacity(chunks.iter().map(|c| c.records.len()).sum::<usize>());
         let mut nodes: Vec<u32> =
-            Vec::with_capacity(chunks.iter().map(|c| c.nodes.len()).sum::<usize>());
+            Vec::with_capacity(chunks.iter().map(|c| c.steps.len()).sum::<usize>());
         let mut leaf_counts: Vec<u32> =
             Vec::with_capacity(chunks.iter().map(|c| c.leaf_counts.len()).sum::<usize>());
         for chunk in chunks {
@@ -239,7 +322,9 @@ impl RayTraceSet {
                 r.leaf_offset += leaf_base;
                 r
             }));
-            nodes.extend_from_slice(&chunk.nodes);
+            // The encoding stores bare node indices; replay reads the node
+            // kinds from the BVH.
+            nodes.extend(chunk.steps.iter().map(|&step| step & !LEAF_STEP));
             leaf_counts.extend_from_slice(&chunk.leaf_counts);
         }
         RayTraceSet {
@@ -474,26 +559,22 @@ impl RayTraceSet {
 
     /// Recorded node-visit sequence of ray `i` (raw node indices).
     pub fn node_steps(&self, i: usize) -> &[u32] {
-        let r = self.record(i);
-        &self.nodes.as_slice()
-            [r.step_offset as usize..(r.step_offset + u64::from(r.step_count)) as usize]
+        self.record(i).steps(self.nodes.as_slice())
     }
 
     /// Recorded per-leaf-visit tested-triangle counts of ray `i`.
     pub fn leaf_prefix_counts(&self, i: usize) -> &[u32] {
-        let r = self.record(i);
-        &self.leaf_counts.as_slice()
-            [r.leaf_offset as usize..(r.leaf_offset + u64::from(r.leaf_count)) as usize]
+        self.record(i).leaf_counts(self.leaf_counts.as_slice())
     }
 
     /// The recorded final intersection of ray `i`.
     pub fn hit(&self, i: usize) -> Option<Hit> {
-        let r = self.record(i);
-        (r.hit_tri != NO_HIT).then(|| Hit {
-            t: r.hit_t,
-            tri_index: r.hit_tri,
-            leaf: NodeId::new(r.hit_leaf),
-        })
+        self.record(i).hit()
+    }
+
+    /// The recorded stack spills of ray `i`'s traversal.
+    pub fn stack_spills(&self, i: usize) -> u64 {
+        u64::from(self.record(i).stack_spills)
     }
 
     /// The full traversal's outcome for ray `i`, reconstructed without
@@ -565,120 +646,6 @@ impl RayTraceSet {
                 tri_tests: tris,
                 stack_spills: u64::from(r.stack_spills),
             },
-        }
-    }
-}
-
-/// Steppable replay of one recorded full traversal, mirroring the
-/// [`Traversal`] driving surface (`current_request` /
-/// `step` / `is_done` / `best_hit` / `stats`) so the cycle-level simulator can
-/// drive recorded and live rays through the same warp machinery.
-///
-/// The synthesized steps carry everything the timing model consumes —
-/// the node id, the tested-triangle count and (appended to the caller's
-/// buffer) the tested-triangle indices, reconstructed as a leaf-order
-/// prefix. `child_hits` is not recorded and is reported as 0.
-#[derive(Clone, Debug)]
-pub struct ReplayCursor {
-    set: Arc<RayTraceSet>,
-    step_offset: usize,
-    leaf_offset: usize,
-    step_count: usize,
-    pos: usize,
-    leaf_pos: usize,
-    hit: Option<Hit>,
-    stats: TraversalStats,
-}
-
-impl ReplayCursor {
-    /// A cursor over ray `i` of `set`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn new(set: Arc<RayTraceSet>, i: usize) -> ReplayCursor {
-        let hit = set.hit(i);
-        let r = *set.record(i);
-        ReplayCursor {
-            set,
-            step_offset: r.step_offset as usize,
-            leaf_offset: r.leaf_offset as usize,
-            step_count: r.step_count as usize,
-            pos: 0,
-            leaf_pos: 0,
-            hit,
-            stats: TraversalStats {
-                stack_spills: u64::from(r.stack_spills),
-                ..TraversalStats::default()
-            },
-        }
-    }
-
-    /// The node the replayed traversal needs next, or `None` when done.
-    #[inline]
-    pub fn current_request(&self) -> Option<NodeId> {
-        (self.pos < self.step_count)
-            .then(|| NodeId::new(self.set.nodes.as_slice()[self.step_offset + self.pos]))
-    }
-
-    /// Whether the replay has consumed every recorded step.
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.pos >= self.step_count
-    }
-
-    /// The recorded intersection — surfaced only once the replay is
-    /// done, matching the live any-hit traversal (whose best hit is set
-    /// by its final leaf step).
-    pub fn best_hit(&self) -> Option<Hit> {
-        if !self.is_done() {
-            return None;
-        }
-        self.hit
-    }
-
-    /// Statistics accumulated so far; includes the recorded stack-spill
-    /// total (live traversals report spills-so-far, but the simulator
-    /// only reads stats at leg completion).
-    pub fn stats(&self) -> TraversalStats {
-        self.stats
-    }
-
-    /// Consumes the next recorded step, appending a leaf's tested
-    /// triangle indices to `tested` exactly as [`Traversal::step`] would.
-    pub fn step(&mut self, bvh: &Bvh, tested: &mut Vec<u32>) -> LeanStep {
-        if self.pos >= self.step_count {
-            return LeanStep::Finished;
-        }
-        let node = NodeId::new(self.set.nodes.as_slice()[self.step_offset + self.pos]);
-        self.pos += 1;
-        match bvh.node(node).kind() {
-            NodeKind::Interior { .. } => {
-                self.stats.interior_fetches += 1;
-                self.stats.box_tests += 2;
-                LeanStep::Interior {
-                    node,
-                    child_hits: 0,
-                }
-            }
-            NodeKind::Leaf { .. } => {
-                let count = self.set.leaf_counts.as_slice()[self.leaf_offset + self.leaf_pos];
-                self.leaf_pos += 1;
-                self.stats.leaf_fetches += 1;
-                self.stats.tri_fetches += u64::from(count);
-                self.stats.tri_tests += u64::from(count);
-                tested.extend(
-                    bvh.leaf_triangles(node)
-                        .take(count as usize)
-                        .map(|(t, _)| t),
-                );
-                let found = self.best_hit().filter(|h| h.leaf == node);
-                LeanStep::Leaf {
-                    node,
-                    tris_tested: count,
-                    found,
-                }
-            }
         }
     }
 }
@@ -794,51 +761,38 @@ mod tests {
     }
 
     #[test]
-    fn cursor_steps_like_a_live_traversal() {
+    fn recorded_legs_step_like_a_live_traversal() {
         let (bvh, batch) = occluded_scene();
-        let set = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
-        let (mut live_tested, mut replay_tested) = (Vec::new(), Vec::new());
+        let legs = RecordedLegs::record(&bvh, &batch, TraversalKind::AnyHit, 0..batch.len(), true);
+        let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit);
+        let mut tested = Vec::new();
         for i in 0..batch.len() {
             let ray = batch.ray(i);
             let mut live = Traversal::new(TraversalKind::AnyHit);
-            let mut cursor = ReplayCursor::new(Arc::clone(&set), i);
+            let (mut steps, mut leaf_counts, mut triangles) = (Vec::new(), Vec::new(), Vec::new());
             loop {
-                assert_eq!(cursor.current_request(), live.current_request());
-                assert_eq!(cursor.is_done(), live.is_done());
-                if live.is_done() {
-                    break;
-                }
-                live_tested.clear();
-                replay_tested.clear();
-                let live_step = live.step(&bvh, &ray, &mut live_tested);
-                let replay_step = cursor.step(&bvh, &mut replay_tested);
-                // Everything the timing model consumes must agree; only
-                // child_hits (unrecorded) and mid-leaf `found` hits may
-                // differ.
-                match (live_step, replay_step) {
-                    (LeanStep::Interior { node: a, .. }, LeanStep::Interior { node: b, .. }) => {
-                        assert_eq!(a, b)
+                tested.clear();
+                match live.step(&bvh, &ray, &mut tested) {
+                    LeanStep::Interior { node, .. } => steps.push(node.index()),
+                    LeanStep::Leaf {
+                        node, tris_tested, ..
+                    } => {
+                        steps.push(node.index() | LEAF_STEP);
+                        leaf_counts.push(tris_tested);
+                        triangles.extend_from_slice(&tested);
                     }
-                    (
-                        LeanStep::Leaf {
-                            node: a,
-                            tris_tested: ca,
-                            ..
-                        },
-                        LeanStep::Leaf {
-                            node: b,
-                            tris_tested: cb,
-                            ..
-                        },
-                    ) => {
-                        assert_eq!((a, ca), (b, cb));
-                        assert_eq!(live_tested, replay_tested);
-                    }
-                    other => panic!("step shape diverged: {other:?}"),
+                    LeanStep::Finished => break,
                 }
             }
-            assert_eq!(cursor.best_hit(), live.best_hit(), "ray {i}");
-            assert_eq!(cursor.stats(), live.stats(), "ray {i}");
+            assert_eq!(legs.steps(i), steps, "ray {i}");
+            assert_eq!(legs.leaf_counts(i), leaf_counts, "ray {i}");
+            assert_eq!(legs.triangles(i), triangles, "ray {i}");
+            assert_eq!(legs.hit(i), live.best_hit(), "ray {i}");
+            assert_eq!(legs.stack_spills(i), live.stats().stack_spills, "ray {i}");
+            // RIPT keeps the same steps, without the leaf flags.
+            let bare: Vec<u32> = steps.iter().map(|s| s & !LEAF_STEP).collect();
+            assert_eq!(set.node_steps(i), bare, "ray {i}");
+            assert_eq!(set.leaf_prefix_counts(i), leaf_counts, "ray {i}");
         }
     }
 

@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_build_once() {
-        let _budget = crate::pool::budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let cache = CaseCache::in_memory_only();
         let pool = JobPool::new(4);
         let keys = [tiny_key(18); 8];

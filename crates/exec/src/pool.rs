@@ -8,96 +8,23 @@
 //!    matter how the work interleaved. Output is byte-identical to a
 //!    serial run.
 //! 2. **Deadlock-free nesting**: pools at any nesting depth draw *extra*
-//!    worker threads from one process-wide budget with a non-blocking
-//!    `try_acquire`. The calling thread always participates in its own
+//!    worker threads from one process-wide budget ([`rip_bvh::budget`],
+//!    re-exported here) with a non-blocking `try_acquire`. The calling thread always participates in its own
 //!    `map`, so even when the budget is exhausted every pool still makes
 //!    progress — nested parallelism degrades to serial execution instead
 //!    of deadlocking or oversubscribing the machine.
 
 use crate::fault::{panic_message, Fault};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use rip_bvh::budget::{release, try_acquire};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Sentinel meaning "budget not configured yet" (lazily defaults to
-/// `available_parallelism() - 1` extra threads on first use).
-const UNCONFIGURED: isize = -1;
-
-/// Total extra worker threads the whole process may run at once.
-static BUDGET_TOTAL: AtomicIsize = AtomicIsize::new(UNCONFIGURED);
-/// Extra worker threads currently running.
-static BUDGET_USED: AtomicIsize = AtomicIsize::new(0);
+pub use rip_bvh::budget::{available_parallelism, global_budget, set_global_budget};
 
 /// Per-unit result slot of [`JobPool::map_units`]: the unit's outcome
 /// and wall-clock time, written once by whichever thread records it.
 type UnitSlot<U> = Mutex<Option<(Result<U, Fault>, Duration)>>;
-
-/// The machine's available parallelism (1 when unknown).
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Sets the process-wide job budget: at most `jobs` worker threads in
-/// total across all pools, however they nest (the budget stores
-/// `jobs - 1` *extra* threads beyond each pool's calling thread).
-///
-/// Takes effect for permits acquired after the call; threads already
-/// running are not interrupted.
-pub fn set_global_budget(jobs: usize) {
-    let extras = jobs.max(1) as isize - 1;
-    BUDGET_TOTAL.store(extras, Ordering::SeqCst);
-}
-
-/// The configured process-wide job count (extra threads + 1).
-pub fn global_budget() -> usize {
-    budget_total() as usize + 1
-}
-
-fn budget_total() -> isize {
-    let total = BUDGET_TOTAL.load(Ordering::SeqCst);
-    if total != UNCONFIGURED {
-        return total;
-    }
-    let default = available_parallelism() as isize - 1;
-    // Racing first users compute the same default; either CAS winning is fine.
-    let _ =
-        BUDGET_TOTAL.compare_exchange(UNCONFIGURED, default, Ordering::SeqCst, Ordering::SeqCst);
-    BUDGET_TOTAL.load(Ordering::SeqCst)
-}
-
-/// Takes up to `want` permits from the global budget without blocking;
-/// returns how many were granted.
-fn try_acquire(want: usize) -> usize {
-    let want = want as isize;
-    loop {
-        let total = budget_total();
-        let used = BUDGET_USED.load(Ordering::SeqCst);
-        let grant = want.min(total - used).max(0);
-        if grant == 0 {
-            return 0;
-        }
-        if BUDGET_USED
-            .compare_exchange(used, used + grant, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return grant as usize;
-        }
-    }
-}
-
-fn release(granted: usize) {
-    BUDGET_USED.fetch_sub(granted as isize, Ordering::SeqCst);
-}
-
-/// Serializes the tests that take global budget permits: the budget is
-/// process-wide, so a test asserting that every permit came back must
-/// not overlap another test still holding some.
-#[cfg(test)]
-pub(crate) fn budget_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A `should_panic` test poisons the lock; the guarded data is `()`.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A job pool running closures over a slice of work items.
 ///
@@ -324,7 +251,7 @@ mod tests {
 
     #[test]
     fn map_preserves_input_order() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(8);
         let items: Vec<u64> = (0..200).collect();
         let out = pool.map(&items, |&x| {
@@ -338,7 +265,7 @@ mod tests {
 
     #[test]
     fn serial_pool_matches_parallel_pool() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let items: Vec<u64> = (0..64).collect();
         let f = |x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(13);
         assert_eq!(
@@ -349,7 +276,7 @@ mod tests {
 
     #[test]
     fn nested_maps_complete() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(4);
         let outer: Vec<u64> = (0..6).collect();
         let out = pool.map(&outer, |&o| {
@@ -373,7 +300,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom 3")]
     fn worker_panic_propagates() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..16).collect();
         pool.map(&items, |&x| {
@@ -386,7 +313,7 @@ mod tests {
 
     #[test]
     fn map_panic_is_a_named_error_and_does_not_poison_the_pool() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..16).collect();
         let result = std::panic::catch_unwind(|| {
@@ -406,12 +333,14 @@ mod tests {
         // budget permits starving later runs.
         let out = pool.map(&items, |&x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(BUDGET_USED.load(Ordering::SeqCst), 0, "permits leaked");
+        let extras = global_budget() - 1;
+        assert_eq!(try_acquire(extras), extras, "permits leaked");
+        release(extras);
     }
 
     #[test]
     fn map_caught_isolates_panics_per_job() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(4);
         let items: Vec<u32> = (0..8).collect();
         let results = pool.map_caught(&items, |&x| {
@@ -431,7 +360,7 @@ mod tests {
 
     #[test]
     fn map_units_times_out_stuck_units_and_drains_the_rest() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(2);
         let items: Vec<u64> = (0..6).collect();
         let out = pool.map_units(
@@ -457,7 +386,7 @@ mod tests {
 
     #[test]
     fn map_units_catches_panics_and_typed_faults() {
-        let _budget = budget_test_lock();
+        let _budget = rip_bvh::budget::test_lock();
         let pool = JobPool::new(3);
         let items: Vec<u32> = (0..9).collect();
         let out = pool.map_units(

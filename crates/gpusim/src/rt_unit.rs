@@ -1,11 +1,10 @@
 //! RT-unit state: per-ray work items, warps and per-SM state (Figure 10).
 
 use crate::PartialWarpCollector;
-use rip_bvh::ript::{RayTraceSet, ReplayCursor};
+use rip_bvh::ript::{RayTraceSet, RecordedLegs, LEAF_STEP};
 use rip_bvh::{Bvh, Hit, LeanStep, NodeId, Traversal, TraversalKind, TraversalStats};
 use rip_core::{Prediction, Predictor};
 use rip_math::Ray;
-use std::sync::Arc;
 
 /// Which leg of the §3 flow a ray is executing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,58 +20,86 @@ pub(crate) enum RayPhase {
     Done,
 }
 
-/// One traversal leg as the RT unit drives it: either a live stepped
-/// [`Traversal`] or a [`ReplayCursor`] over a recorded full traversal.
-/// Both expose the same request/step/done/hit/stats surface, so the warp
-/// machinery is oblivious to which one it is feeding.
+/// One traversal leg as the RT unit drives it: a live stepped
+/// [`Traversal`], or a cursor over the ray's [`FedLeg`], a recorded full
+/// traversal. Both give the same request/step/done/hit/stats answers
+/// ([`RayWork`] dispatches), so the warp machinery is oblivious to which
+/// one it is feeding.
 ///
 /// Predicted legs are always [`Live`](TraversalLeg::Live) (they start
-/// from predictor-supplied nodes, which no trace records); full legs —
+/// from predictor-supplied nodes, which nothing records); full legs —
 /// the baseline leg, the not-predicted leg and misprediction recovery —
-/// are virgin root traversals and replay from the trace when one is
-/// attached.
+/// are virgin root traversals and replay their fed leg when one is
+/// loaded.
+// The leg lives inline in a pooled ray-buffer slot that a live leg fills
+// anyway; boxing the traversal would allocate once per live leg.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub(crate) enum TraversalLeg {
     Live(Traversal),
-    Replay(ReplayCursor),
+    /// Replay progress: steps, leaf visits and tested triangles consumed.
+    Fed {
+        pos: u32,
+        leaf: u32,
+        tri: u32,
+    },
 }
 
-impl TraversalLeg {
-    pub fn current_request(&self) -> Option<NodeId> {
-        match self {
-            TraversalLeg::Live(t) => t.current_request(),
-            TraversalLeg::Replay(c) => c.current_request(),
-        }
+/// A ray's recorded virgin full traversal, copied into its ray-buffer
+/// slot at dispatch: steps (node indices, leaves flagged with
+/// [`LEAF_STEP`]), each leaf visit's tested triangles, and the outcome.
+/// Replaying it reads no BVH node record. The buffers outlive the ray, so
+/// a recycled slot reuses them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FedLeg {
+    loaded: bool,
+    steps: Vec<u32>,
+    leaf_counts: Vec<u32>,
+    triangles: Vec<u32>,
+    hit: Option<Hit>,
+    stack_spills: u64,
+}
+
+impl FedLeg {
+    /// Loads the `i`-th ray of a warp's recorded legs.
+    pub fn load_recorded(&mut self, legs: &RecordedLegs, i: usize) {
+        self.steps.clear();
+        self.steps.extend_from_slice(legs.steps(i));
+        self.leaf_counts.clear();
+        self.leaf_counts.extend_from_slice(legs.leaf_counts(i));
+        self.triangles.clear();
+        self.triangles.extend_from_slice(legs.triangles(i));
+        self.hit = legs.hit(i);
+        self.stack_spills = legs.stack_spills(i);
+        self.loaded = true;
     }
 
-    /// Steps the leg once, appending a leaf's tested triangle indices to
-    /// `tested`.
-    pub fn step(&mut self, bvh: &Bvh, ray: &Ray, tested: &mut Vec<u32>) -> LeanStep {
-        match self {
-            TraversalLeg::Live(t) => t.step(bvh, ray, tested),
-            TraversalLeg::Replay(c) => c.step(bvh, tested),
+    /// Loads ray `i` of an attached trace, which stores bare node indices
+    /// and counts: the node kinds and the tested triangles come from the
+    /// BVH the trace was checked against.
+    pub fn load_trace(&mut self, set: &RayTraceSet, i: usize, bvh: &Bvh) {
+        self.steps.clear();
+        self.leaf_counts.clear();
+        self.triangles.clear();
+        let mut counts = set.leaf_prefix_counts(i).iter();
+        for &n in set.node_steps(i) {
+            let node = NodeId::new(n);
+            if !bvh.node(node).is_leaf() {
+                self.steps.push(n);
+                continue;
+            }
+            let count = *counts.next().expect("attach checked the leaf counts");
+            self.steps.push(n | LEAF_STEP);
+            self.leaf_counts.push(count);
+            self.triangles.extend(
+                bvh.leaf_triangles(node)
+                    .take(count as usize)
+                    .map(|(t, _)| t),
+            );
         }
-    }
-
-    pub fn is_done(&self) -> bool {
-        match self {
-            TraversalLeg::Live(t) => t.is_done(),
-            TraversalLeg::Replay(c) => c.is_done(),
-        }
-    }
-
-    pub fn best_hit(&self) -> Option<Hit> {
-        match self {
-            TraversalLeg::Live(t) => t.best_hit(),
-            TraversalLeg::Replay(c) => c.best_hit(),
-        }
-    }
-
-    pub fn stats(&self) -> TraversalStats {
-        match self {
-            TraversalLeg::Live(t) => t.stats(),
-            TraversalLeg::Replay(c) => c.stats(),
-        }
+        self.hit = set.hit(i);
+        self.stack_spills = set.stack_spills(i);
+        self.loaded = true;
     }
 }
 
@@ -93,15 +120,32 @@ pub(crate) struct RayWork {
     pub hit: Option<Hit>,
     /// Stats of completed traversal legs (accumulated at leg boundaries).
     pub finished_stats: TraversalStats,
-    /// Recorded trace backing this ray's full legs (replay mode), with
-    /// the ray's index into the set.
-    pub trace: Option<(Arc<RayTraceSet>, usize)>,
+    /// The recorded full leg, when one was fed ([`RayWork::load_fed`]).
+    fed: FedLeg,
 }
 
 impl RayWork {
     /// Creates a ray work item that will start with a full traversal
     /// (baseline) unless a lookup phase intervenes.
     pub fn new(ray: Ray, needs_lookup: bool) -> Self {
+        Self::with_fed(ray, needs_lookup, FedLeg::default())
+    }
+
+    /// Turns a recycled slot into a fresh work item for `ray`, keeping
+    /// the fed leg's buffers (and unloading it).
+    pub fn reset(&mut self, ray: Ray, needs_lookup: bool) {
+        let fed = std::mem::take(&mut self.fed);
+        *self = Self::with_fed(
+            ray,
+            needs_lookup,
+            FedLeg {
+                loaded: false,
+                ..fed
+            },
+        );
+    }
+
+    fn with_fed(ray: Ray, needs_lookup: bool, fed: FedLeg) -> Self {
         RayWork {
             ray,
             traversal: TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit)),
@@ -118,25 +162,112 @@ impl RayWork {
             prediction_fetches: 0,
             hit: None,
             finished_stats: TraversalStats::default(),
-            trace: None,
+            fed,
         }
     }
 
-    /// Backs this ray's full legs with a recorded trace. Replaces the
-    /// current leg when it is an (unstarted) full traversal.
-    pub fn attach_trace(&mut self, set: Arc<RayTraceSet>, index: usize) {
-        self.trace = Some((set, index));
+    /// Loads the ray's recorded full traversal with `load`; a baseline
+    /// ray starts its full leg on it at once.
+    pub fn load_fed(&mut self, load: impl FnOnce(&mut FedLeg)) {
+        load(&mut self.fed);
         if self.phase == RayPhase::Full {
             self.traversal = self.fresh_full_leg();
         }
     }
 
-    /// A virgin full-traversal leg: a replay cursor when a trace is
-    /// attached, a live root traversal otherwise.
+    /// A virgin full-traversal leg: the fed leg when one is loaded, a
+    /// live root traversal otherwise.
     pub fn fresh_full_leg(&self) -> TraversalLeg {
-        match &self.trace {
-            Some((set, index)) => TraversalLeg::Replay(ReplayCursor::new(Arc::clone(set), *index)),
-            None => TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit)),
+        if self.fed.loaded {
+            TraversalLeg::Fed {
+                pos: 0,
+                leaf: 0,
+                tri: 0,
+            }
+        } else {
+            TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit))
+        }
+    }
+
+    /// The node the current leg needs next, or `None` when it is done.
+    #[inline]
+    pub fn current_request(&self) -> Option<NodeId> {
+        match &self.traversal {
+            TraversalLeg::Live(t) => t.current_request(),
+            TraversalLeg::Fed { pos, .. } => self
+                .fed
+                .steps
+                .get(*pos as usize)
+                .map(|&step| NodeId::new(step & !LEAF_STEP)),
+        }
+    }
+
+    /// Steps the current leg once, appending a leaf's tested triangle
+    /// indices to `tested`.
+    pub fn step(&mut self, bvh: &Bvh, tested: &mut Vec<u32>) -> LeanStep {
+        let (pos, leaf, tri) = match &mut self.traversal {
+            TraversalLeg::Live(t) => return t.step(bvh, &self.ray, tested),
+            TraversalLeg::Fed { pos, leaf, tri } => (pos, leaf, tri),
+        };
+        let fed = &self.fed;
+        let Some(&step) = fed.steps.get(*pos as usize) else {
+            return LeanStep::Finished;
+        };
+        *pos += 1;
+        let node = NodeId::new(step & !LEAF_STEP);
+        if step & LEAF_STEP == 0 {
+            return LeanStep::Interior {
+                node,
+                child_hits: 0,
+            };
+        }
+        let count = fed.leaf_counts[*leaf as usize];
+        *leaf += 1;
+        let start = *tri as usize;
+        tested.extend_from_slice(&fed.triangles[start..start + count as usize]);
+        *tri += count;
+        // Like a live any-hit leg, the hit surfaces with the final step.
+        let done = *pos as usize == fed.steps.len();
+        LeanStep::Leaf {
+            node,
+            tris_tested: count,
+            found: fed.hit.filter(|h| done && h.leaf == node),
+        }
+    }
+
+    /// Whether the current leg has finished.
+    pub fn leg_done(&self) -> bool {
+        match &self.traversal {
+            TraversalLeg::Live(t) => t.is_done(),
+            TraversalLeg::Fed { pos, .. } => *pos as usize >= self.fed.steps.len(),
+        }
+    }
+
+    /// The current leg's intersection, once it has finished.
+    pub fn leg_hit(&self) -> Option<Hit> {
+        match &self.traversal {
+            TraversalLeg::Live(t) => t.best_hit(),
+            TraversalLeg::Fed { .. } => self.fed.hit.filter(|_| self.leg_done()),
+        }
+    }
+
+    /// The current leg's statistics so far (a fed leg counts its recorded
+    /// stack spills from the start; the engine reads them when the leg
+    /// has finished).
+    pub fn leg_stats(&self) -> TraversalStats {
+        match &self.traversal {
+            TraversalLeg::Live(t) => t.stats(),
+            &TraversalLeg::Fed { pos, leaf, tri } => {
+                let interior = u64::from(pos - leaf);
+                TraversalStats {
+                    interior_fetches: interior,
+                    leaf_fetches: u64::from(leaf),
+                    tri_fetches: u64::from(tri),
+                    box_tests: 2 * interior,
+                    tri_tests: u64::from(tri),
+                    stack_spills: self.fed.stack_spills,
+                }
+            }
         }
     }
 

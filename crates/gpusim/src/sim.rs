@@ -51,19 +51,54 @@
 //! the BVH, byte-identical to the live run; predicted legs (the `k·m`
 //! verification work) still run live because they start from
 //! predictor-supplied nodes that no trace records.
+//!
+//! # Full legs traced ahead
+//!
+//! A full leg's node visits, tested triangles and hit depend only on the
+//! ray and the BVH, never on the timing model. So without a trace,
+//! [`Simulator::run_batch`] records them ahead of the engine on a second,
+//! scoped thread. The look-ahead thread walks the batch in warp order
+//! and runs each ray's virgin any-hit traversal through the same
+//! [`RecordedLegs::record`] loop that RIPT capture uses. It sends each
+//! warp's legs to its SM through a bounded channel, skips the warps its
+//! SM has already dispatched, and waits once it holds
+//! `LOOKAHEAD_WARPS` warps of one SM ready.
+//!
+//! When an SM dispatches a warp whose legs have arrived, each ray's
+//! legs are copied into its ray-buffer slot, and its full leg replays
+//! them as a trace would, without reading a node record. A warp whose
+//! legs have not arrived runs live. A fed leg steps through the same
+//! nodes and triangles to the same hit as a live one, so the report does
+//! not depend on which warps were fed, nor on thread timing.
+//!
+//! - **The engine never waits.** It only polls the channel when it
+//!   dispatches a warp. When the look-ahead thread falls behind, the
+//!   engine runs those warps live, and the thread skips them.
+//! - **The permit rule.** The look-ahead thread runs only when the run
+//!   can take a permit from the process-wide job budget
+//!   ([`rip_bvh::budget`]) without waiting, and gives it back when the
+//!   run ends. So `--jobs 1`, and simulations inside a job pool that
+//!   holds every permit, keep to one thread.
 
 use crate::rt_unit::{RayPhase, RayWork, SmState, WarpState};
 use crate::{
     ActivityCounts, Cache, Dram, GpuConfig, LatencyConfig, MemoryStats, PartialWarpCollector,
     SimReport,
 };
-use rip_bvh::ript::RayTraceSet;
+use rip_bvh::budget;
+use rip_bvh::ript::{RayTraceSet, RecordedLegs};
 use rip_bvh::{Bvh, LeanStep, RayBatch, TraversalKind};
 use rip_core::Predictor;
 use rip_math::Ray;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{self, AtomicUsize};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+
+/// How many warps' legs the look-ahead thread may hold ready per SM (in
+/// the channel) before it waits for the SM to dispatch.
+const LOOKAHEAD_WARPS: usize = 8;
 
 /// Event kinds, ordered inside the heap tuple after time.
 const EV_WARP_ITER: u8 = 0;
@@ -161,24 +196,85 @@ impl Simulator {
     /// Simulates an occlusion workload supplied as an SoA ray batch — the
     /// RT unit consumes the stream in batch order, so `run_batch(bvh,
     /// &RayBatch::from_rays(rays))` is identical to `run(bvh, rays)`.
+    ///
+    /// Without a trace, the run traces full legs ahead on a second
+    /// thread when the process-wide job budget has a permit to spare
+    /// (see the module docs); the report is the same either way.
     pub fn run_batch(&self, bvh: &Bvh, batch: &RayBatch) -> SimReport {
         let trace = self.validated_trace(bvh, batch);
+        let permit = trace.is_none().then(Permit::try_take).flatten();
+        self.observe(batch.len() as u64, || match permit {
+            Some(_) => self.run_ahead(bvh, batch, None, None),
+            None => Engine::new(&self.config, bvh, batch, trace, Vec::new()).run(),
+        })
+    }
+
+    /// Runs like [`Simulator::run_batch`], but always with the look-ahead
+    /// thread, and feeds exactly the warps `fed` selects by batch warp
+    /// index: the engine waits for their legs and drops every other
+    /// warp's, so a test chooses which warps arrive fed. The report must
+    /// not depend on `fed`.
+    #[doc(hidden)]
+    pub fn run_batch_fed(
+        &self,
+        bvh: &Bvh,
+        batch: &RayBatch,
+        fed: &(dyn Fn(usize) -> bool + Sync),
+    ) -> SimReport {
+        let trace = self.validated_trace(bvh, batch);
         self.observe(batch.len() as u64, || {
-            Engine::new(&self.config, bvh, batch, trace).run()
+            self.run_ahead(bvh, batch, trace, Some(fed))
+        })
+    }
+
+    /// Runs the engine with a scoped look-ahead thread that records the
+    /// full legs of the warps no SM has dispatched yet; `wait_for` is
+    /// [`Simulator::run_batch_fed`]'s choice of warps.
+    fn run_ahead(
+        &self,
+        bvh: &Bvh,
+        batch: &RayBatch,
+        trace: Option<&RayTraceSet>,
+        wait_for: Option<&(dyn Fn(usize) -> bool + Sync)>,
+    ) -> SimReport {
+        let config = &self.config;
+        // A waiting engine must never block the look-ahead thread on a
+        // full channel of another SM, so chosen warps get room for all.
+        let capacity = match wait_for {
+            Some(_) => batch.len().div_ceil(config.warp_size).max(1),
+            None => LOOKAHEAD_WARPS,
+        };
+        let next: Vec<AtomicUsize> = (0..config.num_sms).map(AtomicUsize::new).collect();
+        let (senders, feeds): (Vec<_>, Vec<_>) = next
+            .iter()
+            .map(|next| {
+                let (send, legs) = mpsc::sync_channel(capacity);
+                let feed = Feed {
+                    legs,
+                    early: None,
+                    next,
+                    wait_for,
+                };
+                ((send, next), feed)
+            })
+            .unzip();
+        std::thread::scope(|scope| {
+            scope.spawn(|| look_ahead(bvh, batch, config.warp_size, senders));
+            Engine::new(config, bvh, batch, trace, feeds).run()
         })
     }
 
     /// Cross-checks the attached trace against the live workload; a
     /// mismatch is counted and the run proceeds live.
-    fn validated_trace(&self, bvh: &Bvh, batch: &RayBatch) -> Option<Arc<RayTraceSet>> {
-        let set = self.trace.as_ref()?;
+    fn validated_trace(&self, bvh: &Bvh, batch: &RayBatch) -> Option<&RayTraceSet> {
+        let set = self.trace.as_deref()?;
         let problem = if set.kind() != TraversalKind::AnyHit {
             Some("closest-hit trace on an occlusion workload".to_string())
         } else {
             set.attach(bvh, batch).err()
         };
         match problem {
-            None => Some(Arc::clone(set)),
+            None => Some(set),
             Some(_) => {
                 self.obs.add("gpusim.trace.rejected", 1);
                 None
@@ -200,6 +296,116 @@ impl Simulator {
         drop(span);
         report.mirror_into(&self.obs);
         report
+    }
+}
+
+/// A permit from the process-wide job budget for the look-ahead thread,
+/// given back when dropped.
+struct Permit;
+
+impl Permit {
+    /// Takes a permit if one is free, without waiting. Unit tests take
+    /// none unless they ask to, so a test that counts permits never races
+    /// another test's run.
+    fn try_take() -> Option<Permit> {
+        #[cfg(test)]
+        if !tests::takes_permits() {
+            return None;
+        }
+        // Not `then_some(Permit)`: that builds the permit either way, and
+        // dropping an ungranted one would give back a permit never taken.
+        let permit = if budget::try_acquire(1) == 1 {
+            Some(Permit)
+        } else {
+            None
+        };
+        #[cfg(test)]
+        tests::count_permit(permit.is_some());
+        permit
+    }
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        budget::release(1);
+    }
+}
+
+/// One warp's recorded full legs, by batch warp index.
+struct WarpLegs {
+    warp: usize,
+    legs: RecordedLegs,
+}
+
+/// The look-ahead thread: in warp order, records the full legs of every
+/// warp its SM has not dispatched yet and sends them to that SM; each
+/// SM's bounded channel keeps it at most `LOOKAHEAD_WARPS` warps of that
+/// SM ahead. It ends when the batch is done or the engine hangs up.
+fn look_ahead(
+    bvh: &Bvh,
+    batch: &RayBatch,
+    warp_size: usize,
+    sms: Vec<(SyncSender<WarpLegs>, &AtomicUsize)>,
+) {
+    for warp in 0..batch.len().div_ceil(warp_size) {
+        let (send, next) = &sms[warp % sms.len()];
+        if warp < next.load(atomic::Ordering::Relaxed) {
+            continue; // already dispatched live
+        }
+        let start = warp * warp_size;
+        let rays = start..(start + warp_size).min(batch.len());
+        let legs = RecordedLegs::record(bvh, batch, TraversalKind::AnyHit, rays, true);
+        if send.send(WarpLegs { warp, legs }).is_err() {
+            return;
+        }
+    }
+}
+
+/// An SM's end of the look-ahead channel.
+struct Feed<'a> {
+    legs: Receiver<WarpLegs>,
+    /// Legs of a warp the SM has not dispatched yet.
+    early: Option<WarpLegs>,
+    /// The SM's next undispatched warp, published for the look-ahead
+    /// thread, which skips the warps below it. It publishes no other
+    /// data, so it is relaxed.
+    next: &'a AtomicUsize,
+    /// [`Simulator::run_batch_fed`]'s choice: warps whose legs the SM
+    /// waits for; every other warp's are dropped. `None` never waits.
+    wait_for: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
+}
+
+impl Feed<'_> {
+    /// The legs of `warp`, which the SM is dispatching, if they have
+    /// arrived; `next` is the SM's next undispatched warp after it.
+    fn take(&mut self, warp: usize, next: usize) -> Option<RecordedLegs> {
+        let wait = self.wait_for.map(|chosen| chosen(warp));
+        let mut found = None;
+        loop {
+            let arrived = match self.early.take() {
+                Some(arrived) => Ok(arrived),
+                None if wait == Some(true) => self.legs.recv().map_err(drop),
+                None => self.legs.try_recv().map_err(drop),
+            };
+            let Ok(arrived) = arrived else { break };
+            match arrived.warp.cmp(&warp) {
+                // A warp that was dispatched live before its legs came.
+                Ordering::Less => {}
+                Ordering::Equal => {
+                    found = Some(arrived.legs);
+                    break;
+                }
+                Ordering::Greater => {
+                    self.early = Some(arrived);
+                    break;
+                }
+            }
+        }
+        self.next.store(next, atomic::Ordering::Relaxed);
+        let found = found.filter(|_| wait != Some(false));
+        #[cfg(test)]
+        tests::count_fed(found.is_some());
+        found
     }
 }
 
@@ -243,27 +449,32 @@ impl SharedMemory {
 /// Like the RT unit's ray buffer, the engine holds state only for rays in
 /// flight. The SM's share of the batch (every `num_sms`-th warp, dealt
 /// round-robin) waits as a cursor of batch indices; a ray's [`RayWork`]
-/// is created when its warp is dispatched, in a slot of a pool that a
-/// LIFO free list recycles once the ray's warp retires. The pool
-/// therefore never holds more rays than the SM had in flight at once:
-/// the resident warps, the collector and the repacked warps waiting for a
-/// slot, independent of the batch size.
+/// is set up when its warp is dispatched, in a slot of a pool that a LIFO
+/// free list recycles once the ray's warp retires. The pool therefore
+/// never holds more rays than the SM had in flight at once: the resident
+/// warps, the collector and the repacked warps waiting for a slot,
+/// independent of the batch size.
 ///
 /// The event loop neither allocates, hashes nor divides per ray or per
-/// memory request: ray state lives in the pool, each warp iteration works
-/// in scratch buffers that are cleared and reused, a retired warp's id
-/// buffer carries the next dispatched warp, and the caches and the MSHR
-/// are dense tables indexed by line number over the BVH's address space
-/// (about 12 bytes per 128-byte line: 4 for the L1 index and 8 for the
-/// MSHR, plus 4 with an RT cache). The tables come from zeroed memory, so
-/// only the lines a run touches become resident.
+/// memory request: ray state lives in the pool, a recycled slot keeps its
+/// fed-leg buffers, each warp iteration works in scratch buffers that are
+/// cleared and reused, a retired warp's id buffer carries the next
+/// dispatched warp, and the caches and the MSHR are dense tables indexed
+/// by line number over the BVH's address space (about 12 bytes per
+/// 128-byte line: 4 for the L1 index and 8 for the MSHR, plus 4 with an
+/// RT cache). The tables come from zeroed memory, so only the lines a run
+/// touches become resident. The only per-warp heap traffic is freeing a
+/// fed warp's legs once they are copied into its slots.
 struct SmEngine<'a> {
     config: &'a GpuConfig,
     bvh: &'a Bvh,
     /// The whole workload; this SM reads only its own warps' rays.
     batch: &'a RayBatch,
     /// Recorded traversals backing the full legs, by batch index.
-    trace: Option<Arc<RayTraceSet>>,
+    trace: Option<&'a RayTraceSet>,
+    /// Full legs traced ahead for this SM's warps, when a look-ahead
+    /// thread runs.
+    feed: Option<Feed<'a>>,
     /// The batch-wide index of this SM's next undispatched warp; it
     /// advances by `num_sms` (warps are dealt round-robin and never
     /// migrate between SMs).
@@ -306,7 +517,8 @@ impl<'a> SmEngine<'a> {
         config: &'a GpuConfig,
         bvh: &'a Bvh,
         batch: &'a RayBatch,
-        trace: Option<Arc<RayTraceSet>>,
+        trace: Option<&'a RayTraceSet>,
+        feed: Option<Feed<'a>>,
         sm_id: usize,
     ) -> Self {
         let total_slots = config.max_warps_per_rt + config.repack.extra_warps() as usize;
@@ -316,6 +528,7 @@ impl<'a> SmEngine<'a> {
             bvh,
             batch,
             trace,
+            feed,
             next_warp: sm_id,
             pool: Vec::new(),
             free: Vec::new(),
@@ -385,36 +598,47 @@ impl<'a> SmEngine<'a> {
         let Some(slot) = self.sm.free_slot(false) else {
             return false;
         };
+        let warp = self.next_warp;
         self.next_warp += self.config.num_sms;
+        let legs = self
+            .feed
+            .as_mut()
+            .and_then(|feed| feed.take(warp, warp + self.config.num_sms));
         let end = (start + warp_size).min(self.batch.len());
         let mut ids = self
             .spare_ids
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(warp_size));
         for index in start..end {
-            ids.push(self.admit(index));
+            ids.push(self.admit(index, legs.as_ref().map(|legs| (legs, index - start))));
         }
         self.place(slot, ids, false, now);
         true
     }
 
     /// Creates the state of batch ray `index` in a pool slot and returns
-    /// the slot.
-    fn admit(&mut self, index: usize) -> u32 {
-        let mut rw = RayWork::new(self.batch.ray(index), self.config.predictor.is_some());
-        if let Some(set) = &self.trace {
-            rw.attach_trace(Arc::clone(set), index);
-        }
-        match self.free.pop() {
+    /// the slot. Its full leg replays the `i`-th of its warp's `legs`
+    /// traced ahead, else the attached trace, else runs live.
+    fn admit(&mut self, index: usize, legs: Option<(&RecordedLegs, usize)>) -> u32 {
+        let ray = self.batch.ray(index);
+        let needs_lookup = self.config.predictor.is_some();
+        let id = match self.free.pop() {
             Some(id) => {
-                self.pool[id as usize] = rw;
+                self.pool[id as usize].reset(ray, needs_lookup);
                 id
             }
             None => {
-                self.pool.push(rw);
+                self.pool.push(RayWork::new(ray, needs_lookup));
                 (self.pool.len() - 1) as u32
             }
+        };
+        let rw = &mut self.pool[id as usize];
+        match (legs, self.trace) {
+            (Some((legs, i)), _) => rw.load_fed(|fed| fed.load_recorded(legs, i)),
+            (None, Some(set)) => rw.load_fed(|fed| fed.load_trace(set, index, self.bvh)),
+            (None, None) => {}
         }
+        id
     }
 
     /// Places a warp into the free `slot` and schedules its first event.
@@ -600,10 +824,7 @@ impl<'a> SmEngine<'a> {
             if !rw.is_active() {
                 continue;
             }
-            let node = rw
-                .traversal
-                .current_request()
-                .expect("active ray must want a node");
+            let node = rw.current_request().expect("active ray must want a node");
             let done = self.request_line(layout.node_address(node), now, shared);
             self.report.activity.ray_buffer_accesses += 1;
             node_ready.push((rid, done));
@@ -624,7 +845,7 @@ impl<'a> SmEngine<'a> {
             data_ready = data_ready.max(ready);
             tested.clear();
             let rw = &mut self.pool[rid as usize];
-            let step = rw.traversal.step(self.bvh, &rw.ray, &mut tested);
+            let step = rw.step(self.bvh, &mut tested);
             self.report.activity.stack_ops += 2;
             if rw.phase == RayPhase::Predicted {
                 rw.prediction_fetches += 1;
@@ -636,11 +857,11 @@ impl<'a> SmEngine<'a> {
                 }
                 LeanStep::Finished => {}
             }
-            if rw.traversal.is_done() {
-                rw.finished_stats += rw.traversal.stats();
+            if rw.leg_done() {
+                rw.finished_stats += rw.leg_stats();
                 match rw.phase {
                     RayPhase::Predicted => {
-                        if let Some(hit) = rw.traversal.best_hit() {
+                        if let Some(hit) = rw.leg_hit() {
                             rw.was_verified = true;
                             rw.hit = Some(hit);
                             rw.phase = RayPhase::Done;
@@ -651,7 +872,7 @@ impl<'a> SmEngine<'a> {
                         }
                     }
                     RayPhase::Full => {
-                        rw.hit = rw.traversal.best_hit();
+                        rw.hit = rw.leg_hit();
                         rw.phase = RayPhase::Done;
                     }
                     RayPhase::AwaitingLookup | RayPhase::Done => unreachable!(),
@@ -761,7 +982,8 @@ impl<'a> SmEngine<'a> {
 }
 
 /// Owns the per-SM engines and the shared memory levels, and steps the
-/// SMs' events in one `(time, SM id)` order on the calling thread.
+/// SMs' events in one `(time, SM id)` order on the calling thread (the
+/// look-ahead thread, when one runs, only records legs).
 ///
 /// Nothing here or in the engines grows with the batch: each SM reads its
 /// rays from the batch as it dispatches their warps.
@@ -773,15 +995,19 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// The engines of every SM, each seeded with its first warps; `feeds`
+    /// holds one look-ahead channel per SM, or none.
     fn new(
         config: &'a GpuConfig,
         bvh: &'a Bvh,
         batch: &'a RayBatch,
-        trace: Option<Arc<RayTraceSet>>,
+        trace: Option<&'a RayTraceSet>,
+        feeds: Vec<Feed<'a>>,
     ) -> Self {
+        let mut feeds = feeds.into_iter();
         let engines = (0..config.num_sms)
             .map(|sm_id| {
-                let mut engine = SmEngine::new(config, bvh, batch, trace.clone(), sm_id);
+                let mut engine = SmEngine::new(config, bvh, batch, trace, feeds.next(), sm_id);
                 engine.seed();
                 engine
             })
@@ -869,6 +1095,43 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use rip_math::{Triangle, Vec3};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Whether this thread's runs may take a budget permit.
+        static TAKES_PERMITS: Cell<bool> = const { Cell::new(false) };
+        /// Budget permits this thread's runs took.
+        static PERMITS_TAKEN: Cell<usize> = const { Cell::new(0) };
+        /// Warps this thread's engines dispatched with fed legs.
+        static FED_WARPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn takes_permits() -> bool {
+        TAKES_PERMITS.with(Cell::get)
+    }
+
+    pub(super) fn count_permit(taken: bool) {
+        PERMITS_TAKEN.with(|n| n.set(n.get() + usize::from(taken)));
+    }
+
+    pub(super) fn count_fed(fed: bool) {
+        FED_WARPS.with(|n| n.set(n.get() + usize::from(fed)));
+    }
+
+    /// Runs `sim` as production does, permit rule included; returns the
+    /// report, the permits the run took and the warps it fed.
+    fn run_with_budget(sim: &Simulator, bvh: &Bvh, batch: &RayBatch) -> (SimReport, usize, usize) {
+        TAKES_PERMITS.with(|t| t.set(true));
+        PERMITS_TAKEN.with(|n| n.set(0));
+        FED_WARPS.with(|n| n.set(0));
+        let report = sim.run_batch(bvh, batch);
+        TAKES_PERMITS.with(|t| t.set(false));
+        (
+            report,
+            PERMITS_TAKEN.with(Cell::get),
+            FED_WARPS.with(Cell::get),
+        )
+    }
 
     /// An open scene: floor tiles plus scattered occluder boxes, so a
     /// realistic fraction of AO rays miss (as in the paper's workloads).
@@ -1083,6 +1346,9 @@ mod tests {
         assert!(report.memory.l2.accesses < report.activity.l1_accesses);
     }
 
+    /// How a golden test runs a simulator on a batch.
+    type Run<'a> = dyn Fn(&Simulator, &Bvh, &RayBatch) -> SimReport + 'a;
+
     /// Every field that `SimReport` mirrors, flattened for byte-for-byte
     /// comparison across engine changes and live/replay paths.
     fn fingerprint(r: &SimReport) -> String {
@@ -1137,7 +1403,7 @@ mod tests {
     /// requests still merge on the MSHR), a direct-mapped RT cache, and a
     /// predictor run on four SMs (events interleave across four heaps,
     /// ties broken by SM id).
-    fn golden_reports() -> Vec<String> {
+    fn golden_reports(run: &Run<'_>) -> Vec<String> {
         let bvh = occluder_bvh();
         // 4000 rays = 125 warps: an odd warp count splits unevenly over
         // two or four SMs, and the density trains the predictor.
@@ -1161,8 +1427,8 @@ mod tests {
             Simulator::new(direct_mapped_rt),
             Simulator::new(four_sms),
         ];
-        sims.into_iter()
-            .map(|sim| fingerprint(&sim.run_batch(&bvh, &batch)))
+        sims.iter()
+            .map(|sim| fingerprint(&run(sim, &bvh, &batch)))
             .collect()
     }
 
@@ -1180,7 +1446,7 @@ mod tests {
 
     #[test]
     fn reports_match_golden() {
-        let got = golden_reports();
+        let got = golden_reports(&|sim, bvh, batch| sim.run_batch(bvh, batch));
         assert_eq!(got.len(), GOLDEN_REPORTS.len());
         for (i, (got, want)) in got.iter().zip(GOLDEN_REPORTS).enumerate() {
             assert_eq!(got, want, "golden report {i} diverged");
@@ -1190,7 +1456,7 @@ mod tests {
     /// One-SM runs of four engine shapes (baseline, predictor, an RT
     /// cache in front of an 8 KB L1 with extra repack warps, a 2 KB L1),
     /// each live and then replaying a recorded trace.
-    fn one_sm_reports() -> Vec<String> {
+    fn one_sm_reports(run: &Run<'_>) -> Vec<String> {
         let bvh = occluder_bvh();
         let batch = RayBatch::from_rays(&ao_rays(4000, 37));
         let trace = Arc::new(RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit));
@@ -1202,12 +1468,10 @@ mod tests {
             tiny_l1(),
         ] {
             config.num_sms = 1;
-            let live = Simulator::new(config.clone()).run_batch(&bvh, &batch);
-            let replayed = Simulator::new(config)
-                .with_trace(Arc::clone(&trace))
-                .run_batch(&bvh, &batch);
-            reports.push(fingerprint(&live));
-            reports.push(fingerprint(&replayed));
+            let live = Simulator::new(config.clone());
+            let replayed = Simulator::new(config).with_trace(Arc::clone(&trace));
+            reports.push(fingerprint(&run(&live, &bvh, &batch)));
+            reports.push(fingerprint(&run(&replayed, &bvh, &batch)));
         }
         reports
     }
@@ -1227,22 +1491,144 @@ mod tests {
 
     #[test]
     fn one_sm_reports_match_golden() {
-        let got = one_sm_reports();
+        assert_one_sm_golden(
+            &one_sm_reports(&|sim, bvh, batch| sim.run_batch(bvh, batch)),
+            "live",
+        );
+    }
+
+    fn assert_one_sm_golden(got: &[String], how: &str) {
         assert_eq!(got.len(), 2 * ONE_SM_GOLDEN_REPORTS.len());
         for (i, got) in got.iter().enumerate() {
             let leg = if i % 2 == 0 { "live" } else { "replay" };
             assert_eq!(
                 got.as_str(),
                 ONE_SM_GOLDEN_REPORTS[i / 2],
-                "one-SM golden report {} ({leg}) diverged",
+                "one-SM golden report {} ({leg}, {how}) diverged",
                 i / 2
             );
         }
     }
 
+    /// Whether a warp arrives fed, by batch warp index.
+    type FeedPattern = fn(usize) -> bool;
+
+    /// Which warps arrive fed, by batch warp index: all, none, every
+    /// other one, or only those from warp 60 on (of 125).
+    const FEED_PATTERNS: [(&str, FeedPattern); 4] = [
+        ("all fed", |_| true),
+        ("none fed", |_| false),
+        ("alternate warps fed", |warp| warp % 2 == 1),
+        ("fed after warp 60", |warp| warp >= 60),
+    ];
+
+    #[test]
+    fn fed_legs_match_golden_under_every_pattern() {
+        for (how, fed) in FEED_PATTERNS {
+            let run: &Run<'_> = &|sim, bvh, batch| sim.run_batch_fed(bvh, batch, &fed);
+            for (i, (got, want)) in golden_reports(run).iter().zip(GOLDEN_REPORTS).enumerate() {
+                assert_eq!(got, want, "golden report {i} diverged ({how})");
+            }
+            assert_one_sm_golden(&one_sm_reports(run), how);
+        }
+    }
+
+    #[test]
+    fn run_batch_gives_its_permit_back() {
+        let _lock = budget::test_lock();
+        let before = budget::global_budget();
+        budget::set_global_budget(2);
+        let (bvh, batch) = (occluder_bvh(), RayBatch::from_rays(&ao_rays(4000, 37)));
+        let (report, permits, _) =
+            run_with_budget(&Simulator::new(GpuConfig::baseline()), &bvh, &batch);
+        assert_eq!(fingerprint(&report), GOLDEN_REPORTS[0]);
+        assert_eq!(permits, 1, "a free permit went untaken");
+        assert_eq!(budget::try_acquire(1), 1, "the permit was not given back");
+        budget::release(1);
+        budget::set_global_budget(before);
+    }
+
+    #[test]
+    fn a_budget_of_one_feeds_no_warp() {
+        let _lock = budget::test_lock();
+        let before = budget::global_budget();
+        budget::set_global_budget(1);
+        let (bvh, batch) = (occluder_bvh(), RayBatch::from_rays(&ao_rays(4000, 37)));
+        let (report, permits, fed) =
+            run_with_budget(&Simulator::new(GpuConfig::baseline()), &bvh, &batch);
+        assert_eq!(fingerprint(&report), GOLDEN_REPORTS[0]);
+        assert_eq!((permits, fed), (0, 0));
+        budget::set_global_budget(before);
+    }
+
+    #[test]
+    fn a_run_inside_a_saturated_pool_takes_no_permit() {
+        let _lock = budget::test_lock();
+        let before = budget::global_budget();
+        budget::set_global_budget(2);
+        let (bvh, batch) = (occluder_bvh(), RayBatch::from_rays(&ao_rays(1000, 41)));
+        // Two jobs on two threads: the pool holds the one extra permit
+        // while both simulations run.
+        let runs = rip_exec::JobPool::new(2).map(&[0, 1], |_| {
+            let (report, permits, fed) =
+                run_with_budget(&Simulator::new(GpuConfig::with_predictor()), &bvh, &batch);
+            (fingerprint(&report), permits, fed)
+        });
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!((runs[0].1, runs[0].2), (0, 0), "a run took a held permit");
+        assert_eq!(
+            budget::try_acquire(1),
+            1,
+            "the pool's permit was not given back"
+        );
+        budget::release(1);
+        budget::set_global_budget(before);
+    }
+
+    /// The arrival orders thread timing can produce, on one SM of two:
+    /// legs of a warp dispatched live come late, and legs of a later warp
+    /// come early.
+    #[test]
+    fn a_feed_hands_each_warp_only_its_own_legs() {
+        let (bvh, batch) = (occluder_bvh(), RayBatch::from_rays(&ao_rays(256, 43)));
+        let legs = |warp: usize| {
+            let rays = warp * 32..(warp + 1) * 32;
+            RecordedLegs::record(&bvh, &batch, TraversalKind::AnyHit, rays, true)
+        };
+        let next = AtomicUsize::new(0);
+        let (send, receive) = mpsc::sync_channel(LOOKAHEAD_WARPS);
+        let mut feed = Feed {
+            legs: receive,
+            early: None,
+            next: &next,
+            wait_for: None,
+        };
+        let arrive = |warp| {
+            send.send(WarpLegs {
+                warp,
+                legs: legs(warp),
+            })
+            .unwrap()
+        };
+        assert!(feed.take(0, 2).is_none(), "nothing has arrived");
+        arrive(0);
+        arrive(2);
+        let got = feed.take(2, 4).expect("warp 2's legs arrived");
+        assert_eq!(
+            got.steps(5),
+            legs(2).steps(5),
+            "warp 0's late legs were used"
+        );
+        assert_eq!(next.load(atomic::Ordering::Relaxed), 4);
+        arrive(6);
+        assert!(feed.take(4, 6).is_none(), "warp 6's legs went to warp 4");
+        let got = feed.take(6, 8).expect("warp 6's early legs were kept");
+        assert_eq!(got.triangles(5), legs(6).triangles(5));
+    }
+
     /// Per SM, the most rays its pool ever held at once.
     fn pool_peaks(config: &GpuConfig, bvh: &Bvh, batch: &RayBatch) -> Vec<usize> {
-        let mut engine = Engine::new(config, bvh, batch, None);
+        let mut engine = Engine::new(config, bvh, batch, None, Vec::new());
         engine.run_to_completion();
         engine.engines.iter().map(|e| e.pool.len()).collect()
     }
@@ -1267,7 +1653,7 @@ mod tests {
         let bvh = occluder_bvh();
         let batch = RayBatch::from_rays(&[]);
         let mut shared = SharedMemory::new(config, bvh.layout().footprint_bytes());
-        let mut engine = SmEngine::new(config, &bvh, &batch, None, 0);
+        let mut engine = SmEngine::new(config, &bvh, &batch, None, None, 0);
         engine.request_line(0, 0, &mut shared);
         engine.request_line(64, 0, &mut shared);
         let per_bank = shared.dram.stats().per_bank.clone();
@@ -1298,8 +1684,8 @@ mod tests {
         let batch = RayBatch::from_rays(&[]);
         let config = GpuConfig::baseline();
         let mut shared = SharedMemory::new(&config, bvh.layout().footprint_bytes());
-        let mut first = SmEngine::new(&config, &bvh, &batch, None, 0);
-        let mut second = SmEngine::new(&config, &bvh, &batch, None, 1);
+        let mut first = SmEngine::new(&config, &bvh, &batch, None, None, 0);
+        let mut second = SmEngine::new(&config, &bvh, &batch, None, None, 1);
         let fill = first.request_line(0, 0, &mut shared);
         let latency = config.latency;
         assert!(fill > 5 + latency.l1_hit + latency.l2_hit, "not an L2 miss");

@@ -240,11 +240,14 @@ fn degenerate_rays_replay_as_they_ran_live() {
         let obs = Arc::new(rip_obs::Obs::new(rip_obs::ClockMode::Logical));
         for config in [GpuConfig::baseline(), GpuConfig::with_predictor()] {
             let live = Simulator::new(config.clone()).run_batch(&bvh, &batch);
-            let replayed = Simulator::new(config)
+            let replayed = Simulator::new(config.clone())
                 .with_obs(Arc::clone(&obs))
                 .with_trace(Arc::clone(&trace))
                 .run_batch(&bvh, &batch);
             assert_eq!(format!("{live:?}"), format!("{replayed:?}"), "[{label}]");
+            // Every warp's full legs traced ahead on the look-ahead thread.
+            let fed = Simulator::new(config).run_batch_fed(&bvh, &batch, &|_| true);
+            assert_eq!(format!("{live:?}"), format!("{fed:?}"), "[{label}] fed");
             assert_eq!(live.completed_rays, rays.len() as u64, "[{label}]");
             assert_eq!(live.hits, hits, "[{label}]");
         }
