@@ -2,7 +2,7 @@
 //! simulator and the cycle-level timing simulator, baseline vs predictor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rip_bvh::Bvh;
+use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_core::{FunctionalSim, PredictorConfig, SimOptions};
 use rip_gpusim::{GpuConfig, Simulator};
 use rip_math::Triangle;
@@ -30,7 +30,13 @@ fn end_to_end(c: &mut Criterion) {
                     ..SimOptions::default()
                 },
             );
-            b.iter(|| sim.run(&bvh, std::hint::black_box(rays)).memory_savings())
+            let batch = RayBatch::from_rays(rays);
+            b.iter(|| {
+                let batch = std::hint::black_box(&batch);
+                sim.run(&bvh, batch, TraversalKind::AnyHit, None, None)
+                    .expect("no trace to reject")
+                    .memory_savings()
+            })
         },
     );
     group.bench_with_input(BenchmarkId::new("timing", "baseline"), &rays, |b, rays| {

@@ -6,6 +6,7 @@
 //! rate/savings metrics.
 
 use crate::{fmt_pct, Context, Report, Table};
+use rip_bvh::TraversalKind;
 use rip_core::{FunctionalSim, PredictorConfig, SimOptions};
 use rip_render::{ShadowConfig, ShadowWorkload};
 
@@ -33,7 +34,10 @@ pub fn run(ctx: &Context) -> Report {
                 ..SimOptions::default()
             },
         );
-        let r = sim.run_batch(&case.bvh, &workload.batch());
+        let batch = workload.batch();
+        let r = sim
+            .run(&case.bvh, &batch, TraversalKind::AnyHit, None, None)
+            .expect("no trace to reject");
         Some((
             workload.rays.len(),
             r.prediction.hit_rate(),

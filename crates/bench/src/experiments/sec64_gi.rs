@@ -2,6 +2,7 @@
 //! where predicted intersections trim each ray's maximum length.
 
 use crate::{fmt_pct, Context, Report, Table};
+use rip_bvh::TraversalKind;
 use rip_core::{FunctionalSim, PredictorConfig, SimOptions};
 use rip_render::{GiConfig, GiWorkload};
 
@@ -35,7 +36,10 @@ pub fn run(ctx: &Context) -> Report {
                 ..SimOptions::default()
             },
         );
-        let r = sim.run_closest_batch(&case.bvh, &gi.batch());
+        let batch = gi.batch();
+        let r = sim
+            .run(&case.bvh, &batch, TraversalKind::ClosestHit, None, None)
+            .expect("no trace to reject");
         (
             gi.rays.len(),
             r.node_savings(),

@@ -26,8 +26,8 @@ pub use rip_exec::Case;
 /// `Capture` runs every experiment live but records each workload's
 /// traversal trace into the [`TraceStore`] (memory tier plus
 /// `$RIP_TRACE_DIR` disk tier). `Replay` resolves the trace — capturing
-/// on a miss — and feeds it back through the replay entry points
-/// (`FunctionalSim::run_batch_replay`, `Simulator::with_trace`), so a
+/// on a miss — and feeds it back to the simulators
+/// (`FunctionalSim::run`'s trace, `Simulator::with_trace`), so a
 /// parameter sweep pays for one functional traversal per workload
 /// instead of one per configuration. Replayed results are byte-identical
 /// to live runs; `rip-testkit`'s differential suite holds both paths to
@@ -451,20 +451,19 @@ impl Context {
         case: &Case,
         batch: &RayBatch,
     ) -> FunctionalReport {
+        let kind = TraversalKind::AnyHit;
         let hashes = self.workload_hashes(sim, case, batch);
-        match self.workload_trace(case, "ao", batch, TraversalKind::AnyHit) {
-            Some(set) => sim
-                .run_batch_replay_hashed(&case.bvh, batch, &set, &hashes)
-                .unwrap_or_else(|e| {
-                    eprintln!(
-                        "warning: replay rejected for {}: {e}; running live",
-                        case.id.code()
-                    );
-                    self.obs.add("bench.trace.replay_fallback", 1);
-                    sim.run_batch_hashed(&case.bvh, batch, &hashes)
-                }),
-            None => sim.run_batch_hashed(&case.bvh, batch, &hashes),
-        }
+        let trace = self.workload_trace(case, "ao", batch, kind);
+        sim.run(&case.bvh, batch, kind, Some(&hashes), trace.as_deref())
+            .unwrap_or_else(|e| {
+                eprintln!(
+                    "warning: replay rejected for {}: {e}; running live",
+                    case.id.code()
+                );
+                self.obs.add("bench.trace.replay_fallback", 1);
+                sim.run(&case.bvh, batch, kind, Some(&hashes), None)
+                    .expect("no trace to reject")
+            })
     }
 
     /// The memoized ray-hash stream for `batch` under `sim`'s hasher.

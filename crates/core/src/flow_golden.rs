@@ -7,14 +7,14 @@
 //! against recorded values. Any change to what the flow computes,
 //! records, rewards or trains shows up here as a changed digest.
 
-use crate::sim::memoized_probe;
+use crate::sim::trace_ray;
 use crate::{
-    trace, trace_with, ConcurrentPredictorTable, HashFunction, NodeReplacement, OracleMode,
-    Predicted, Predictor, PredictorConfig,
+    ConcurrentPredictorTable, HashFunction, NodeReplacement, OracleMode, Predicted, Predictor,
+    PredictorConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rip_bvh::ript::{RayTraceSet, RecordedKernel};
+use rip_bvh::ript::RayTraceSet;
 use rip_bvh::{Bvh, RayBatch, TraversalKind, WhileWhileKernel};
 use rip_math::{Ray, Triangle, Vec3};
 use std::fmt::Write;
@@ -203,16 +203,8 @@ fn run(
 ) -> u64 {
     let mut log = String::new();
     for (i, ray) in rays.iter().enumerate() {
-        let trace = match replay {
-            None => trace(p, bvh, ray, kind),
-            Some(set) => {
-                let hash = p.hash_ray(ray);
-                let mut kernel = RecordedKernel::new(bvh, set, i, ray);
-                trace_with(p, bvh, &mut kernel, ray, kind, hash, &mut |n| {
-                    memoized_probe(set, i, bvh, ray, n)
-                })
-            }
-        };
+        let hash = p.hash_ray(ray);
+        let trace = trace_ray(p, bvh, ray, i, kind, hash, replay);
         writeln!(log, "{trace:?}").unwrap();
     }
     fnv1a(&log)

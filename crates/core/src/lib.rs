@@ -16,10 +16,12 @@
 //!   configurable entries, ways, nodes-per-entry and node replacement
 //!   policies (§4.1, §6.1),
 //! * [`Predictor`] — table + hash + Go Up Level (§4.3) + training,
-//! * [`trace_with`] — the full §3 prediction / verification / fallback
-//!   flow for occlusion and closest-hit (GI, §6.4) rays, generic over the
-//!   fallback kernel and the probe evaluator; [`trace`] binds the
-//!   while-while fallback,
+//! * [`PredictedRay`] — one ray's §3 prediction / verification /
+//!   fallback / training decisions, resumable one traversal leg at a
+//!   time; both the functional and the timing simulator drive it,
+//! * [`trace_with`] — runs that flow to completion for occlusion and
+//!   closest-hit (GI, §6.4) rays, generic over the fallback kernel and
+//!   the probe evaluator; [`trace`] binds the while-while fallback,
 //! * [`Predicted`] — the predictor as a composable wrapper kernel: wraps
 //!   any [`rip_bvh::TraversalKernel`] (while-while, stackless, wide) with
 //!   the prediction flow, itself implementing the kernel trait,
@@ -73,4 +75,4 @@ pub use shared::ConcurrentPredictorTable;
 pub use sim::{FunctionalReport, FunctionalSim, SimOptions};
 pub use stats::PredictionStats;
 pub use table::{NodeCandidates, PredictorTable, TableStats, INLINE_CANDIDATES};
-pub use traverse::{eval_probe, trace, trace_with, PredictedTrace, RayOutcome};
+pub use traverse::{eval_probe, trace, trace_with, Leg, PredictedRay, PredictedTrace, RayOutcome};

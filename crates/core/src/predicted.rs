@@ -181,11 +181,9 @@ impl<K: TraversalKernel> TraversalKernel for Predicted<'_, K> {
 
     fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
         let trace = self.trace_detailed(ray, kind);
-        let mut stats = trace.prediction_stats;
-        stats += trace.fallback_stats;
         TraversalResult {
             hit: trace.hit,
-            stats,
+            stats: trace.total_stats(),
         }
     }
 }

@@ -4,11 +4,14 @@
 //! 1-left, 2, 14; Tables 5–8 rates) it does not need cycle timing — only
 //! faithful counting of traversal work with and without the predictor.
 //! [`FunctionalSim`] provides exactly that; the cycle-level model lives in
-//! `rip-gpusim`.
+//! `rip-gpusim`. Its one driver, [`FunctionalSim::run`], traces each ray
+//! through [`trace_with`] — the same [`PredictedRay`](crate::PredictedRay)
+//! flow the cycle-level model steps — live or replaying a recorded trace,
+//! and adds the baseline traversal and the first-touch classification.
 
 use crate::{
-    eval_probe, trace_with, Eq1Model, PredictionStats, Predictor, PredictorConfig, RayHasher,
-    RayOutcome,
+    eval_probe, trace_with, Eq1Model, PredictedTrace, PredictionStats, Predictor, PredictorConfig,
+    RayHasher, RayOutcome,
 };
 use rip_bvh::ript::{RayTraceSet, RecordedKernel};
 use rip_bvh::{Bvh, NodeId, RayBatch, Traversal, TraversalKind, TraversalStats, WhileWhileKernel};
@@ -180,17 +183,6 @@ impl FunctionalSim {
         FunctionalSim { config, options }
     }
 
-    /// Runs an occlusion (any-hit) workload; the paper's primary AO
-    /// experiment. Convenience wrapper over [`FunctionalSim::run_batch`].
-    pub fn run(&self, bvh: &Bvh, rays: &[Ray]) -> FunctionalReport {
-        self.run_batch(bvh, &RayBatch::from_rays(rays))
-    }
-
-    /// Runs an occlusion (any-hit) workload over an SoA ray batch.
-    pub fn run_batch(&self, bvh: &Bvh, batch: &RayBatch) -> FunctionalReport {
-        self.run_kind(bvh, batch, TraversalKind::AnyHit, None, None)
-    }
-
     /// The ray hasher this simulator's predictors use over `bvh`'s scene
     /// bounds. Exposed so batch drivers can precompute and memoize a
     /// workload's hash stream (see [`FunctionalSim::hash_batch`]) keyed
@@ -200,10 +192,10 @@ impl FunctionalSim {
     }
 
     /// Hashes every ray of `batch` with this simulator's hasher — the
-    /// stream accepted by the `*_hashed` run entry points. The hash is a
-    /// pure per-ray function, so one stream serves every run of the same
-    /// workload under the same hash configuration (a parameter sweep
-    /// re-hashes nothing).
+    /// stream [`FunctionalSim::run`] accepts. The hash is a pure per-ray
+    /// function, so one stream serves every run of the same workload
+    /// under the same hash configuration (a parameter sweep re-hashes
+    /// nothing).
     pub fn hash_batch(&self, bvh: &Bvh, batch: &RayBatch) -> Vec<u32> {
         let hasher = self.hasher(bvh);
         (0..batch.len())
@@ -211,141 +203,61 @@ impl FunctionalSim {
             .collect()
     }
 
-    /// [`FunctionalSim::run_batch`] with a precomputed hash stream from
-    /// [`FunctionalSim::hash_batch`]. The report is byte-identical to the
-    /// unhashed run.
+    /// Traces `batch` as a `kind` workload: occlusion rays (the paper's
+    /// primary AO experiment) for `AnyHit`, closest-hit rays with
+    /// prediction-based trimming (GI, §6.4) for `ClosestHit`.
+    ///
+    /// - `hashes` is the batch's precomputed hash stream from
+    ///   [`FunctionalSim::hash_batch`]; without it each ray is hashed
+    ///   here. The report is the same either way.
+    /// - `trace` replays every full traversal — the baseline and the
+    ///   not-predicted / mispredicted fallbacks — from a recorded
+    ///   [`RayTraceSet`] instead of stepping the BVH. The report is
+    ///   byte-identical to the live run: the trace records the exact
+    ///   node/triangle streams, and the prediction probes and trimmed
+    ///   legs, which depend on live predictor state, still traverse.
+    ///
+    /// # Errors
+    ///
+    /// Returns the mismatch when `trace` was not captured for `kind` over
+    /// exactly this BVH and batch.
     ///
     /// # Panics
     ///
     /// Panics when `hashes` does not cover the batch.
-    pub fn run_batch_hashed(
-        &self,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        hashes: &[u32],
-    ) -> FunctionalReport {
-        self.check_hashes(bvh, batch, hashes);
-        self.run_kind(bvh, batch, TraversalKind::AnyHit, None, Some(hashes))
-    }
-
-    fn check_hashes(&self, bvh: &Bvh, batch: &RayBatch, hashes: &[u32]) {
-        assert_eq!(
-            hashes.len(),
-            batch.len(),
-            "hash stream does not cover the batch"
-        );
-        // Spot-check the stream against this simulator's hasher; a full
-        // check would cost what the precomputation saved.
-        if let Some(first) = hashes.first() {
-            debug_assert_eq!(
-                *first,
-                self.hasher(bvh).hash(&batch.ray(0)),
-                "hash stream was computed by a different hasher"
-            );
-        }
-    }
-
-    /// [`FunctionalSim::run_batch`] with every full traversal — the
-    /// baseline and the not-predicted / mispredicted fallbacks — replayed
-    /// from a recorded [`RayTraceSet`] instead of stepping the BVH. The
-    /// report is byte-identical to the live run (the trace records the
-    /// exact node/triangle streams); only prediction probes and trimmed
-    /// legs, which depend on live predictor state, still traverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns the mismatch when `trace` was not captured for any-hit
-    /// over exactly this BVH and batch.
-    pub fn run_batch_replay(
-        &self,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        trace: &RayTraceSet,
-    ) -> Result<FunctionalReport, String> {
-        self.check_trace(bvh, batch, trace, TraversalKind::AnyHit)?;
-        Ok(self.run_kind(bvh, batch, TraversalKind::AnyHit, Some(trace), None))
-    }
-
-    /// [`FunctionalSim::run_batch_replay`] with a precomputed hash stream
-    /// (see [`FunctionalSim::run_batch_hashed`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the mismatch when `trace` was not captured for any-hit
-    /// over exactly this BVH and batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hashes` does not cover the batch.
-    pub fn run_batch_replay_hashed(
-        &self,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        trace: &RayTraceSet,
-        hashes: &[u32],
-    ) -> Result<FunctionalReport, String> {
-        self.check_hashes(bvh, batch, hashes);
-        self.check_trace(bvh, batch, trace, TraversalKind::AnyHit)?;
-        Ok(self.run_kind(bvh, batch, TraversalKind::AnyHit, Some(trace), Some(hashes)))
-    }
-
-    /// Runs a closest-hit workload with prediction-based ray trimming
-    /// (GI, §6.4). Convenience wrapper over
-    /// [`FunctionalSim::run_closest_batch`].
-    pub fn run_closest(&self, bvh: &Bvh, rays: &[Ray]) -> FunctionalReport {
-        self.run_closest_batch(bvh, &RayBatch::from_rays(rays))
-    }
-
-    /// Runs a closest-hit workload over an SoA ray batch.
-    pub fn run_closest_batch(&self, bvh: &Bvh, batch: &RayBatch) -> FunctionalReport {
-        self.run_kind(bvh, batch, TraversalKind::ClosestHit, None, None)
-    }
-
-    /// [`FunctionalSim::run_closest_batch`] replaying full traversals
-    /// from a recorded closest-hit [`RayTraceSet`] (see
-    /// [`FunctionalSim::run_batch_replay`]). Trimmed verified legs carry
-    /// a live-state-dependent `t_max` no trace can record; they fall back
-    /// to live traversal inside the kernel, keeping the report
-    /// byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns the mismatch when `trace` was not captured for closest-hit
-    /// over exactly this BVH and batch.
-    pub fn run_closest_batch_replay(
-        &self,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        trace: &RayTraceSet,
-    ) -> Result<FunctionalReport, String> {
-        self.check_trace(bvh, batch, trace, TraversalKind::ClosestHit)?;
-        Ok(self.run_kind(bvh, batch, TraversalKind::ClosestHit, Some(trace), None))
-    }
-
-    fn check_trace(
-        &self,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        trace: &RayTraceSet,
-        kind: TraversalKind,
-    ) -> Result<(), String> {
-        if trace.kind() != kind {
-            return Err(format!(
-                "trace records {:?} but the workload is {kind:?}",
-                trace.kind()
-            ));
-        }
-        trace.attach(bvh, batch)
-    }
-
-    fn run_kind(
+    pub fn run(
         &self,
         bvh: &Bvh,
         batch: &RayBatch,
         kind: TraversalKind,
-        replay: Option<&RayTraceSet>,
         hashes: Option<&[u32]>,
-    ) -> FunctionalReport {
+        trace: Option<&RayTraceSet>,
+    ) -> Result<FunctionalReport, String> {
+        if let Some(hashes) = hashes {
+            assert_eq!(
+                hashes.len(),
+                batch.len(),
+                "hash stream does not cover the batch"
+            );
+            // Spot-check the stream against this simulator's hasher; a
+            // full check would cost what the precomputation saved.
+            if let Some(first) = hashes.first() {
+                debug_assert_eq!(
+                    *first,
+                    self.hasher(bvh).hash(&batch.ray(0)),
+                    "hash stream was computed by a different hasher"
+                );
+            }
+        }
+        if let Some(set) = trace {
+            if set.kind() != kind {
+                return Err(format!(
+                    "trace records {:?} but the workload is {kind:?}",
+                    set.kind()
+                ));
+            }
+            set.attach(bvh, batch)?;
+        }
         let mut predictors: Vec<Predictor> = (0..self.options.num_predictors)
             .map(|_| Predictor::new(self.config, bvh.bounds()))
             .collect();
@@ -355,14 +267,9 @@ impl FunctionalSim {
         };
         // First-touch tracking is only consulted when classification is
         // on; skip zeroing scene-sized buffers otherwise.
-        let (mut node_seen, mut tri_seen) = if self.options.classify_accesses {
-            (
-                vec![false; bvh.node_count()],
-                vec![false; bvh.triangle_count()],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let classify = self.options.classify_accesses;
+        let mut nodes = Touches::new(if classify { bvh.node_count() } else { 0 });
+        let mut tris = Touches::new(if classify { bvh.triangle_count() } else { 0 });
         // Triangles a live leaf step tested, reused across steps.
         let mut tested = Vec::new();
 
@@ -375,25 +282,11 @@ impl FunctionalSim {
                 Some(h) => h[i],
                 None => predictor.hash_ray(ray),
             };
-            let trace = match replay {
-                None => {
-                    let mut kernel = WhileWhileKernel::new(bvh);
-                    trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |n| {
-                        eval_probe(bvh, ray, n)
-                    })
-                }
-                Some(set) => {
-                    let mut kernel = RecordedKernel::new(bvh, set, i, ray);
-                    trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |n| {
-                        memoized_probe(set, i, bvh, ray, n)
-                    })
-                }
-            };
-            report.with_predictor += trace.prediction_stats;
-            report.with_predictor += trace.fallback_stats;
-            report.prediction_eval += trace.prediction_stats;
-            if trace.outcome == RayOutcome::Mispredicted {
-                report.wasted_prediction_eval += trace.prediction_stats;
+            let traced = trace_ray(predictor, bvh, ray, i, kind, hash, trace);
+            report.with_predictor += traced.total_stats();
+            report.prediction_eval += traced.prediction_stats;
+            if traced.outcome == RayOutcome::Mispredicted {
+                report.wasted_prediction_eval += traced.prediction_stats;
             }
 
             // Baseline: the full traversal this ray would have done alone.
@@ -401,61 +294,34 @@ impl FunctionalSim {
             // traversal; verified rays (and all closest-hit rays, whose
             // fallback was trimmed) need a separate baseline run.
             let baseline_stats = if kind == TraversalKind::AnyHit
-                && trace.outcome != RayOutcome::Verified
-                && !self.options.classify_accesses
+                && traced.outcome != RayOutcome::Verified
+                && !classify
             {
-                trace.fallback_stats
-            } else if let Some(set) = replay {
+                traced.fallback_stats
+            } else if let Some(set) = trace {
                 // The recorded streams are the baseline traversal: walk
                 // them for first-touch classification without re-stepping.
-                if self.options.classify_accesses {
-                    let mut leaf_visit = 0usize;
-                    let counts = set.leaf_prefix_counts(i);
+                if classify {
+                    let mut leaf_counts = set.leaf_prefix_counts(i).iter();
                     for &raw in set.node_steps(i) {
                         let node_id = NodeId::new(raw);
-                        let idx = node_id.index() as usize;
-                        if node_seen[idx] {
-                            report.repeated_node_fetches += 1;
-                        } else {
-                            node_seen[idx] = true;
-                            report.first_touch_node_fetches += 1;
-                        }
+                        nodes.fetch(node_id.index());
                         if bvh.node(node_id).is_leaf() {
-                            let tested = counts[leaf_visit] as usize;
-                            leaf_visit += 1;
-                            for (t, _) in bvh.leaf_triangles(node_id).take(tested) {
-                                if tri_seen[t as usize] {
-                                    report.repeated_tri_fetches += 1;
-                                } else {
-                                    tri_seen[t as usize] = true;
-                                    report.first_touch_tri_fetches += 1;
-                                }
-                            }
+                            let tested = *leaf_counts.next().expect("attach checked the counts");
+                            let leaf = bvh.leaf_triangles(node_id).take(tested as usize);
+                            leaf.for_each(|(t, _)| tris.fetch(t));
                         }
                     }
                 }
                 set.full_result(i).stats
             } else {
                 let mut traversal = Traversal::new(kind);
-                if self.options.classify_accesses {
+                if classify {
                     while let Some(node_id) = traversal.current_request() {
-                        let idx = node_id.index() as usize;
-                        if node_seen[idx] {
-                            report.repeated_node_fetches += 1;
-                        } else {
-                            node_seen[idx] = true;
-                            report.first_touch_node_fetches += 1;
-                        }
+                        nodes.fetch(node_id.index());
                         tested.clear();
                         traversal.step(bvh, ray, &mut tested);
-                        for &t in &tested {
-                            if tri_seen[t as usize] {
-                                report.repeated_tri_fetches += 1;
-                            } else {
-                                tri_seen[t as usize] = true;
-                                report.first_touch_tri_fetches += 1;
-                            }
-                        }
+                        tested.iter().for_each(|&t| tris.fetch(t));
                     }
                     traversal.stats()
                 } else {
@@ -468,27 +334,106 @@ impl FunctionalSim {
         for p in predictors {
             report.prediction += p.stats();
         }
-        report
+        (
+            report.first_touch_node_fetches,
+            report.repeated_node_fetches,
+        ) = (nodes.first, nodes.repeated);
+        (report.first_touch_tri_fetches, report.repeated_tri_fetches) = (tris.first, tris.repeated);
+        Ok(report)
+    }
+
+    /// Any-hit [`FunctionalSim::run`], kept for perfbench until its next change.
+    pub fn run_batch(&self, bvh: &Bvh, batch: &RayBatch) -> FunctionalReport {
+        self.run(bvh, batch, TraversalKind::AnyHit, None, None)
+            .expect("no trace to reject")
+    }
+
+    /// Any-hit [`FunctionalSim::run`] with hashes, kept for perfbench until
+    /// its next change.
+    pub fn run_batch_hashed(
+        &self,
+        bvh: &Bvh,
+        batch: &RayBatch,
+        hashes: &[u32],
+    ) -> FunctionalReport {
+        self.run(bvh, batch, TraversalKind::AnyHit, Some(hashes), None)
+            .expect("no trace to reject")
+    }
+
+    /// Any-hit [`FunctionalSim::run`] with hashes and a trace (errors as
+    /// there), kept for perfbench until its next change.
+    pub fn run_batch_replay_hashed(
+        &self,
+        bvh: &Bvh,
+        batch: &RayBatch,
+        trace: &RayTraceSet,
+        hashes: &[u32],
+    ) -> Result<FunctionalReport, String> {
+        self.run(bvh, batch, TraversalKind::AnyHit, Some(hashes), Some(trace))
     }
 }
 
-/// The replay-path probe evaluator: single-seed-node probes (the common
-/// shape — training stores one Go-Up-Level ancestor) are memoized on the
-/// trace set, because across a sweep the same ray is almost always handed
-/// the same predicted node. Multi-node candidate sets evaluate directly.
-/// Either way the returned result is exactly [`eval_probe`]'s, so
-/// replayed reports stay byte-identical to live runs.
-pub(crate) fn memoized_probe(
-    set: &RayTraceSet,
-    ray_index: usize,
+/// First-touch vs repeated fetches of one kind of baseline element
+/// (Figure 1 left).
+struct Touches {
+    seen: Vec<bool>,
+    first: u64,
+    repeated: u64,
+}
+
+impl Touches {
+    fn new(elements: usize) -> Self {
+        let seen = vec![false; elements];
+        Touches {
+            seen,
+            first: 0,
+            repeated: 0,
+        }
+    }
+
+    fn fetch(&mut self, element: u32) {
+        if std::mem::replace(&mut self.seen[element as usize], true) {
+            self.repeated += 1;
+        } else {
+            self.first += 1;
+        }
+    }
+}
+
+/// Traces ray `i` of a batch through [`trace_with`]: full legs on the
+/// while-while kernel, or replayed from `trace`. Replayed single-node
+/// probes (the common shape: training stores one Go-Up-Level ancestor)
+/// are memoized on the trace set, because across a sweep the same ray is
+/// almost always handed the same predicted node. Either way the result
+/// is the live one, byte for byte.
+pub(crate) fn trace_ray(
+    predictor: &mut Predictor,
     bvh: &Bvh,
     ray: &Ray,
-    nodes: &[NodeId],
-) -> rip_bvh::TraversalResult {
-    match nodes {
-        [node] => set.probe_cached(ray_index as u32, *node, || eval_probe(bvh, ray, nodes)),
-        _ => eval_probe(bvh, ray, nodes),
-    }
+    i: usize,
+    kind: TraversalKind,
+    hash: u32,
+    trace: Option<&RayTraceSet>,
+) -> PredictedTrace {
+    let Some(set) = trace else {
+        let mut kernel = WhileWhileKernel::new(bvh);
+        return trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |nodes| {
+            eval_probe(bvh, ray, nodes)
+        });
+    };
+    let mut kernel = RecordedKernel::new(bvh, set, i, ray);
+    trace_with(
+        predictor,
+        bvh,
+        &mut kernel,
+        ray,
+        kind,
+        hash,
+        &mut |nodes| match nodes {
+            [node] => set.probe_cached(i as u32, *node, || eval_probe(bvh, ray, nodes)),
+            _ => eval_probe(bvh, ray, nodes),
+        },
+    )
 }
 
 #[cfg(test)]
@@ -496,22 +441,10 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use rip_math::{Triangle, Vec3};
+    use rip_math::Vec3;
 
     fn floor_bvh() -> Bvh {
-        let mut tris = Vec::new();
-        for i in 0..24 {
-            for j in 0..24 {
-                let o = Vec3::new(i as f32, 0.0, j as f32);
-                tris.push(Triangle::new(o, o + Vec3::X, o + Vec3::Z));
-                tris.push(Triangle::new(
-                    o + Vec3::X,
-                    o + Vec3::X + Vec3::Z,
-                    o + Vec3::Z,
-                ));
-            }
-        }
-        Bvh::build(&tris)
+        crate::traverse::tests::floor_bvh_of(24)
     }
 
     /// AO-like workload: 4 hemisphere rays per hit point, hit points packed
@@ -540,6 +473,11 @@ mod tests {
         rays
     }
 
+    fn run(sim: &FunctionalSim, bvh: &Bvh, rays: &[Ray], kind: TraversalKind) -> FunctionalReport {
+        sim.run(bvh, &RayBatch::from_rays(rays), kind, None, None)
+            .unwrap()
+    }
+
     fn quick_config() -> PredictorConfig {
         PredictorConfig {
             update_delay: 8,
@@ -552,7 +490,7 @@ mod tests {
         let bvh = floor_bvh();
         let rays = ao_like_rays(3000, 7);
         let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let report = sim.run(&bvh, &rays);
+        let report = run(&sim, &bvh, &rays, TraversalKind::AnyHit);
         assert!(
             report.prediction.verified_rate() > 0.1,
             "v = {}",
@@ -572,7 +510,7 @@ mod tests {
         let bvh = floor_bvh();
         let rays = ao_like_rays(3000, 11);
         let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let report = sim.run(&bvh, &rays);
+        let report = run(&sim, &bvh, &rays, TraversalKind::AnyHit);
         assert!(
             report.repeated_node_access_fraction() > 0.5,
             "repeated fraction {}",
@@ -585,7 +523,7 @@ mod tests {
         let bvh = floor_bvh();
         let rays = ao_like_rays(4000, 13);
         let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let report = sim.run(&bvh, &rays);
+        let report = run(&sim, &bvh, &rays, TraversalKind::AnyHit);
         let est = report.eq1_model().estimated_nodes_skipped();
         let actual = report.actual_nodes_skipped_per_ray();
         assert!(
@@ -606,7 +544,7 @@ mod tests {
             crate::OracleMode::ImmediateUpdates,
         ] {
             let sim = FunctionalSim::new(quick_config().with_oracle(oracle), SimOptions::default());
-            let report = sim.run(&bvh, &rays);
+            let report = run(&sim, &bvh, &rays, TraversalKind::AnyHit);
             savings.push(report.memory_savings());
         }
         // Each idealization step should not hurt (allow small noise).
@@ -624,15 +562,16 @@ mod tests {
         // prediction opportunities.
         let bvh = floor_bvh();
         let rays = ao_like_rays(4000, 23);
-        let one = FunctionalSim::new(quick_config(), SimOptions::default()).run(&bvh, &rays);
+        let one = FunctionalSim::new(quick_config(), SimOptions::default());
+        let one = run(&one, &bvh, &rays, TraversalKind::AnyHit);
         let many = FunctionalSim::new(
             quick_config(),
             SimOptions {
                 num_predictors: 8,
                 ..SimOptions::default()
             },
-        )
-        .run(&bvh, &rays);
+        );
+        let many = run(&many, &bvh, &rays, TraversalKind::AnyHit);
         assert!(
             many.prediction.verified_rate() <= one.prediction.verified_rate() + 0.02,
             "8 SMs ({}) should not verify more than 1 SM ({})",
@@ -654,23 +593,17 @@ mod tests {
                     ..SimOptions::default()
                 },
             );
-            let live = sim.run_batch(&bvh, &batch);
-            let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::AnyHit);
-            let replayed = sim.run_batch_replay(&bvh, &batch, &set).unwrap();
-            assert_eq!(
-                format!("{live:?}"),
-                format!("{replayed:?}"),
-                "replay diverged (classify_accesses: {classify})"
-            );
-
-            let live_closest = sim.run_closest_batch(&bvh, &batch);
-            let set = RayTraceSet::capture(&bvh, &batch, TraversalKind::ClosestHit);
-            let replayed = sim.run_closest_batch_replay(&bvh, &batch, &set).unwrap();
-            assert_eq!(
-                format!("{live_closest:?}"),
-                format!("{replayed:?}"),
-                "closest-hit replay diverged (classify_accesses: {classify})"
-            );
+            let hashes = sim.hash_batch(&bvh, &batch);
+            for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
+                let live = sim.run(&bvh, &batch, kind, None, None).unwrap();
+                let set = RayTraceSet::capture(&bvh, &batch, kind);
+                let replayed = sim.run(&bvh, &batch, kind, Some(&hashes), Some(&set));
+                assert_eq!(
+                    format!("{live:?}"),
+                    format!("{:?}", replayed.unwrap()),
+                    "{kind:?} replay diverged (classify_accesses: {classify})"
+                );
+            }
         }
     }
 
@@ -680,10 +613,15 @@ mod tests {
         let batch = RayBatch::from_rays(&ao_like_rays(256, 37));
         let other = RayBatch::from_rays(&ao_like_rays(256, 38));
         let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let wrong_rays = RayTraceSet::capture(&bvh, &other, TraversalKind::AnyHit);
-        assert!(sim.run_batch_replay(&bvh, &batch, &wrong_rays).is_err());
+        let any_hit = TraversalKind::AnyHit;
+        let wrong_rays = RayTraceSet::capture(&bvh, &other, any_hit);
+        assert!(sim
+            .run(&bvh, &batch, any_hit, None, Some(&wrong_rays))
+            .is_err());
         let wrong_kind = RayTraceSet::capture(&bvh, &batch, TraversalKind::ClosestHit);
-        let err = sim.run_batch_replay(&bvh, &batch, &wrong_kind).unwrap_err();
+        let err = sim
+            .run(&bvh, &batch, any_hit, None, Some(&wrong_kind))
+            .unwrap_err();
         assert!(err.contains("ClosestHit"), "{err}");
     }
 
@@ -692,7 +630,7 @@ mod tests {
         let bvh = floor_bvh();
         let rays = ao_like_rays(500, 29);
         let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let report = sim.run_closest(&bvh, &rays);
+        let report = run(&sim, &bvh, &rays, TraversalKind::ClosestHit);
         assert_eq!(report.rays, 500);
         // Trimming may only reduce work, never change hit counts vs
         // baseline hit counting (checked via rates being sane).

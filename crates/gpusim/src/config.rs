@@ -1,7 +1,7 @@
 //! Top-level GPU / RT-unit configuration (Tables 2 and 3).
 
 use crate::{CacheConfig, DramConfig};
-use rip_core::PredictorConfig;
+use rip_core::{OracleMode, PredictorConfig};
 
 /// Fixed-function latencies of the RT unit (§5.1.5, Figure 17 sweeps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,6 +177,10 @@ impl GpuConfig {
         }
         if let Some(p) = &self.predictor {
             p.validate()?;
+            // §6.3's oracles need a ground-truth traversal first.
+            if p.oracle != OracleMode::None {
+                return Err(format!("oracle {:?} runs only in FunctionalSim", p.oracle));
+            }
         }
         if self.predictor_unit.ports == 0 {
             return Err("predictor needs at least one port".into());
@@ -225,5 +229,13 @@ mod tests {
         let mut c = GpuConfig::baseline();
         c.dram.banks = 12;
         assert!(c.validate().unwrap_err().contains("12 DRAM banks"));
+    }
+
+    #[test]
+    fn validation_rejects_oracle_predictors() {
+        let mut c = GpuConfig::with_predictor();
+        let oracle = c.predictor.unwrap().with_oracle(OracleMode::Lookup);
+        c.predictor = Some(oracle);
+        assert!(c.validate().unwrap_err().contains("oracle Lookup"));
     }
 }

@@ -1,24 +1,13 @@
 //! RT-unit state: per-ray work items, warps and per-SM state (Figure 10).
+//!
+//! A ray's §3 decisions are `rip-core`'s [`PredictedRay`], which the
+//! functional simulator drives too; a [`RayWork`] adds the stepped leg.
 
 use crate::PartialWarpCollector;
 use rip_bvh::ript::{RayTraceSet, RecordedLegs, LEAF_STEP};
 use rip_bvh::{Bvh, Hit, LeanStep, NodeId, Traversal, TraversalKind, TraversalStats};
-use rip_core::{Prediction, Predictor};
+use rip_core::{Leg, PredictedRay, Predictor, RayOutcome};
 use rip_math::Ray;
-
-/// Which leg of the §3 flow a ray is executing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RayPhase {
-    /// Waiting for its predictor table lookup.
-    AwaitingLookup,
-    /// Verifying a prediction (traversing from predicted nodes).
-    Predicted,
-    /// Full traversal from the root (baseline, not-predicted, or
-    /// misprediction recovery).
-    Full,
-    /// Retired.
-    Done,
-}
 
 /// One traversal leg as the RT unit drives it: a live stepped
 /// [`Traversal`], or a cursor over the ray's [`FedLeg`], a recorded full
@@ -108,85 +97,74 @@ impl FedLeg {
 pub(crate) struct RayWork {
     pub ray: Ray,
     pub traversal: TraversalLeg,
-    pub phase: RayPhase,
-    pub hash: u32,
+    /// The ray's §3 state, from its lookup (a baseline ray's: from its
+    /// admission) on.
+    pub flow: Option<PredictedRay>,
     /// Warp slot within the SM (updated on repacking).
     pub slot: u32,
-    pub was_predicted: bool,
-    pub was_verified: bool,
-    pub prediction_k: u32,
-    /// Node fetches spent during the Predicted phase (`k·m` term).
-    pub prediction_fetches: u64,
-    pub hit: Option<Hit>,
-    /// Stats of completed traversal legs (accumulated at leg boundaries).
-    pub finished_stats: TraversalStats,
-    /// The recorded full leg, when one was fed ([`RayWork::load_fed`]).
-    fed: FedLeg,
+    /// The recorded full leg, when one was loaded before the ray's flow
+    /// began.
+    pub fed: FedLeg,
 }
 
 impl RayWork {
-    /// Creates a ray work item that will start with a full traversal
-    /// (baseline) unless a lookup phase intervenes.
-    pub fn new(ray: Ray, needs_lookup: bool) -> Self {
-        Self::with_fed(ray, needs_lookup, FedLeg::default())
-    }
-
-    /// Turns a recycled slot into a fresh work item for `ray`, keeping
-    /// the fed leg's buffers (and unloading it).
-    pub fn reset(&mut self, ray: Ray, needs_lookup: bool) {
-        let fed = std::mem::take(&mut self.fed);
-        *self = Self::with_fed(
-            ray,
-            needs_lookup,
-            FedLeg {
-                loaded: false,
-                ..fed
-            },
-        );
-    }
-
-    fn with_fed(ray: Ray, needs_lookup: bool, fed: FedLeg) -> Self {
+    /// Creates a ray work item whose flow has not begun.
+    pub fn new(ray: Ray) -> Self {
         RayWork {
             ray,
             traversal: TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit)),
-            phase: if needs_lookup {
-                RayPhase::AwaitingLookup
-            } else {
-                RayPhase::Full
-            },
-            hash: 0,
+            flow: None,
             slot: 0,
-            was_predicted: false,
-            was_verified: false,
-            prediction_k: 0,
-            prediction_fetches: 0,
-            hit: None,
-            finished_stats: TraversalStats::default(),
-            fed,
+            fed: FedLeg::default(),
         }
     }
 
-    /// Loads the ray's recorded full traversal with `load`; a baseline
-    /// ray starts its full leg on it at once.
-    pub fn load_fed(&mut self, load: impl FnOnce(&mut FedLeg)) {
-        load(&mut self.fed);
-        if self.phase == RayPhase::Full {
-            self.traversal = self.fresh_full_leg();
+    /// Turns a recycled slot into a fresh work item for `ray`, keeping
+    /// the fed leg's buffers (and unloading it). The leg and the warp
+    /// slot are set when the ray begins and is placed.
+    pub fn reset(&mut self, ray: Ray) {
+        (self.ray, self.flow, self.fed.loaded) = (ray, None, false);
+    }
+
+    /// Begins the ray's flow — looking `hash` up in `predictor`, or
+    /// nothing for a baseline ray — and starts its first leg.
+    pub fn begin(&mut self, predictor: Option<&mut Predictor>, hash: u32) {
+        let (flow, leg) = PredictedRay::begin(predictor, hash);
+        self.flow = Some(flow);
+        self.start(leg);
+    }
+
+    /// Ends the finished current leg in the ray's flow and starts the
+    /// next one, if any.
+    pub fn end_leg(&mut self) {
+        let (hit, stats) = (self.leg_hit(), self.leg_stats());
+        let flow = self.flow.as_mut().expect("a stepped ray has begun");
+        if let Some(leg) = flow.end_leg(hit, stats) {
+            self.start(leg);
         }
     }
 
-    /// A virgin full-traversal leg: the fed leg when one is loaded, a
-    /// live root traversal otherwise.
-    pub fn fresh_full_leg(&self) -> TraversalLeg {
-        if self.fed.loaded {
-            TraversalLeg::Fed {
+    /// Starts `leg`: a probe runs live; a full leg replays the fed leg
+    /// when one is loaded.
+    fn start(&mut self, leg: Leg) {
+        self.traversal = match leg {
+            Leg::Probe(nodes) => {
+                TraversalLeg::Live(Traversal::from_nodes(TraversalKind::AnyHit, &nodes))
+            }
+            Leg::Full if self.fed.loaded => TraversalLeg::Fed {
                 pos: 0,
                 leaf: 0,
                 tri: 0,
-            }
-        } else {
-            TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit))
-        }
+            },
+            Leg::Full => TraversalLeg::Live(Traversal::new(TraversalKind::AnyHit)),
+        };
+    }
+
+    /// Whether the ray's lookup returned a prediction.
+    pub fn is_predicted(&self) -> bool {
+        self.flow
+            .as_ref()
+            .is_some_and(|flow| flow.outcome() != RayOutcome::NotPredicted)
     }
 
     /// The node the current leg needs next, or `None` when it is done.
@@ -271,28 +249,9 @@ impl RayWork {
         }
     }
 
-    /// Applies a lookup result, transitioning into Predicted or Full.
-    pub fn apply_lookup(&mut self, hash: u32, prediction: Option<Prediction>) {
-        debug_assert_eq!(self.phase, RayPhase::AwaitingLookup);
-        self.hash = hash;
-        match prediction {
-            Some(pred) => {
-                self.was_predicted = true;
-                self.prediction_k = pred.nodes.len() as u32;
-                self.traversal =
-                    TraversalLeg::Live(Traversal::from_nodes(TraversalKind::AnyHit, &pred.nodes));
-                self.phase = RayPhase::Predicted;
-            }
-            None => {
-                self.traversal = self.fresh_full_leg();
-                self.phase = RayPhase::Full;
-            }
-        }
-    }
-
     /// Whether the ray still needs RT-unit service.
     pub fn is_active(&self) -> bool {
-        self.phase != RayPhase::Done
+        !self.flow.as_ref().is_some_and(PredictedRay::is_done)
     }
 }
 
@@ -349,36 +308,6 @@ impl SmState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_math::Vec3;
-
-    #[test]
-    fn ray_work_lookup_transitions() {
-        let ray = Ray::new(Vec3::ZERO, Vec3::Z);
-        let mut w = RayWork::new(ray, true);
-        assert_eq!(w.phase, RayPhase::AwaitingLookup);
-        w.apply_lookup(7, None);
-        assert_eq!(w.phase, RayPhase::Full);
-        assert!(!w.was_predicted);
-
-        let mut p = RayWork::new(ray, true);
-        p.apply_lookup(
-            7,
-            Some(Prediction {
-                hash: 7,
-                nodes: vec![rip_bvh::NodeId::ROOT].into(),
-            }),
-        );
-        assert_eq!(p.phase, RayPhase::Predicted);
-        assert!(p.was_predicted);
-        assert_eq!(p.prediction_k, 1);
-    }
-
-    #[test]
-    fn baseline_rays_skip_lookup() {
-        let w = RayWork::new(Ray::new(Vec3::ZERO, Vec3::Z), false);
-        assert_eq!(w.phase, RayPhase::Full);
-        assert!(w.is_active());
-    }
 
     #[test]
     fn sm_slot_accounting_respects_base_limit() {

@@ -80,7 +80,7 @@
 //!   run ends. So `--jobs 1`, and simulations inside a job pool that
 //!   holds every permit, keep to one thread.
 
-use crate::rt_unit::{RayPhase, RayWork, SmState, WarpState};
+use crate::rt_unit::{RayWork, SmState, WarpState};
 use crate::{
     ActivityCounts, Cache, Dram, GpuConfig, LatencyConfig, MemoryStats, PartialWarpCollector,
     SimReport,
@@ -621,22 +621,26 @@ impl<'a> SmEngine<'a> {
     /// traced ahead, else the attached trace, else runs live.
     fn admit(&mut self, index: usize, legs: Option<(&RecordedLegs, usize)>) -> u32 {
         let ray = self.batch.ray(index);
-        let needs_lookup = self.config.predictor.is_some();
         let id = match self.free.pop() {
             Some(id) => {
-                self.pool[id as usize].reset(ray, needs_lookup);
+                self.pool[id as usize].reset(ray);
                 id
             }
             None => {
-                self.pool.push(RayWork::new(ray, needs_lookup));
+                self.pool.push(RayWork::new(ray));
                 (self.pool.len() - 1) as u32
             }
         };
         let rw = &mut self.pool[id as usize];
         match (legs, self.trace) {
-            (Some((legs, i)), _) => rw.load_fed(|fed| fed.load_recorded(legs, i)),
-            (None, Some(set)) => rw.load_fed(|fed| fed.load_trace(set, index, self.bvh)),
+            (Some((legs, i)), _) => rw.fed.load_recorded(legs, i),
+            (None, Some(set)) => rw.fed.load_trace(set, index, self.bvh),
             (None, None) => {}
+        }
+        // A baseline ray starts its full leg at once; a predictor's ray
+        // begins at its warp's lookup.
+        if self.sm.predictor.is_none() {
+            rw.begin(None, 0);
         }
         id
     }
@@ -717,12 +721,10 @@ impl<'a> SmEngine<'a> {
                 .expect("lookup phase requires predictor");
             for &rid in &warp_rays {
                 let rw = &mut self.pool[rid as usize];
-                predictor.begin_ray();
                 let hash = predictor.hash_ray(&rw.ray);
-                let pred = predictor.lookup_hashed(hash);
+                rw.begin(Some(&mut *predictor), hash);
                 self.report.activity.predictor_lookups += 1;
-                rw.apply_lookup(hash, pred);
-                predicted += u32::from(rw.was_predicted);
+                predicted += u32::from(rw.is_predicted());
             }
         }
 
@@ -730,7 +732,7 @@ impl<'a> SmEngine<'a> {
             // Predicted rays leave for the collector; drain full warps as
             // they form (§4.4.1 overflow handling).
             for &rid in &warp_rays {
-                if !self.pool[rid as usize].was_predicted {
+                if !self.pool[rid as usize].is_predicted() {
                     continue;
                 }
                 let collector = self.sm.collector.as_mut().expect("repack has collector");
@@ -758,7 +760,7 @@ impl<'a> SmEngine<'a> {
 
             self.warp_mut(slot).active -= predicted;
             let pool = &self.pool;
-            warp_rays.retain(|&rid| !pool[rid as usize].was_predicted);
+            warp_rays.retain(|&rid| !pool[rid as usize].is_predicted());
         }
         let emptied = warp_rays.is_empty();
         self.warp_mut(slot).rays = warp_rays;
@@ -847,9 +849,6 @@ impl<'a> SmEngine<'a> {
             let rw = &mut self.pool[rid as usize];
             let step = rw.step(self.bvh, &mut tested);
             self.report.activity.stack_ops += 2;
-            if rw.phase == RayPhase::Predicted {
-                rw.prediction_fetches += 1;
-            }
             match step {
                 LeanStep::Interior { .. } => self.report.activity.box_tests += 2,
                 LeanStep::Leaf { tris_tested, .. } => {
@@ -858,25 +857,7 @@ impl<'a> SmEngine<'a> {
                 LeanStep::Finished => {}
             }
             if rw.leg_done() {
-                rw.finished_stats += rw.leg_stats();
-                match rw.phase {
-                    RayPhase::Predicted => {
-                        if let Some(hit) = rw.leg_hit() {
-                            rw.was_verified = true;
-                            rw.hit = Some(hit);
-                            rw.phase = RayPhase::Done;
-                        } else {
-                            // Misprediction: restart from the root (§3).
-                            rw.phase = RayPhase::Full;
-                            rw.traversal = rw.fresh_full_leg();
-                        }
-                    }
-                    RayPhase::Full => {
-                        rw.hit = rw.leg_hit();
-                        rw.phase = RayPhase::Done;
-                    }
-                    RayPhase::AwaitingLookup | RayPhase::Done => unreachable!(),
-                }
+                rw.end_leg();
             }
             tri_addrs.clear();
             tri_addrs.extend(tested.iter().map(|&t| layout.tri_address(t)));
@@ -903,39 +884,24 @@ impl<'a> SmEngine<'a> {
         }
     }
 
-    /// Records a ray's final outcome, trains the predictor and updates the
-    /// report; retires the warp (returning `true`) when this was its last
-    /// active ray. The ray keeps its pool slot until its warp retires:
-    /// the warp's id list still names it.
+    /// Finishes a ray's flow (recording its outcome, rewarding and
+    /// training the predictor) and updates the report; retires the warp
+    /// (returning `true`) when this was its last active ray. The ray
+    /// keeps its pool slot until its warp retires: the warp's id list
+    /// still names it.
     fn retire_ray(&mut self, rid: u32, now: u64) -> bool {
         let rw = &self.pool[rid as usize];
+        let slot = rw.slot as usize;
+        let flow = rw.flow.expect("a retiring ray has begun");
+        let predictor = self.sm.predictor.as_mut();
+        let trained = predictor.is_some();
+        let trace = flow.finish(self.bvh, predictor, &mut self.report.prediction);
         self.report.completed_rays += 1;
         self.report.cycles = self.report.cycles.max(now);
-        self.report.traversal += rw.finished_stats;
-        let hit = rw.hit;
-        if hit.is_some() {
+        self.report.traversal += trace.total_stats();
+        if trace.hit.is_some() {
             self.report.hits += 1;
-        }
-        let stats = &mut self.report.prediction;
-        stats.rays += 1;
-        if hit.is_some() {
-            stats.hits += 1;
-        }
-        if rw.was_predicted {
-            stats.predicted += 1;
-            stats.predicted_nodes_evaluated += rw.prediction_k as u64;
-            stats.prediction_eval_fetches += rw.prediction_fetches;
-            if rw.was_verified {
-                stats.verified += 1;
-            }
-        }
-        let (hash, verified, slot) = (rw.hash, rw.was_verified, rw.slot as usize);
-        if let (Some(predictor), Some(hit)) = (self.sm.predictor.as_mut(), hit) {
-            if verified {
-                predictor.reward(hash, hit.leaf);
-            }
-            predictor.train(self.bvh, hash, hit.leaf);
-            self.report.activity.predictor_updates += 1;
+            self.report.activity.predictor_updates += u64::from(trained);
         }
         // Warp completion bookkeeping.
         let warp = self.sm.slots[slot]
@@ -1530,6 +1496,44 @@ mod tests {
                 assert_eq!(got, want, "golden report {i} diverged ({how})");
             }
             assert_one_sm_golden(&one_sm_reports(run), how);
+        }
+    }
+
+    /// With one ray in flight, gpusim looks up, probes, falls back and
+    /// trains in `FunctionalSim`'s order, so the two must count the same
+    /// §3 outcomes and traversal work at any update delay, however the
+    /// full legs arrive.
+    #[test]
+    fn one_ray_in_flight_matches_functional_sim() {
+        use rip_core::{FunctionalSim, PredictorConfig, SimOptions};
+        let (bvh, batch) = (occluder_bvh(), RayBatch::from_rays(&ao_rays(4000, 7)));
+        let options = SimOptions {
+            num_predictors: 1,
+            warp_size: 1,
+            ..SimOptions::default()
+        };
+        for update_delay in [0, 1, 8, 256] {
+            let predictor = PredictorConfig {
+                update_delay,
+                ..PredictorConfig::paper_default()
+            };
+            let functional = FunctionalSim::new(predictor, options)
+                .run(&bvh, &batch, TraversalKind::AnyHit, None, None)
+                .unwrap();
+            let mut config = GpuConfig::with_predictor();
+            config.predictor = Some(predictor);
+            (config.num_sms, config.max_warps_per_rt, config.warp_size) = (1, 1, 1);
+            config.repack = RepackMode::Off;
+            let sim = Simulator::new(config);
+            for (how, report) in [
+                ("live", sim.run_batch(&bvh, &batch)),
+                ("all fed", sim.run_batch_fed(&bvh, &batch, &|_| true)),
+                ("none fed", sim.run_batch_fed(&bvh, &batch, &|_| false)),
+            ] {
+                let got = (report.prediction, report.traversal);
+                let want = (functional.prediction, functional.with_predictor);
+                assert_eq!(got, want, "delay {update_delay}, {how}");
+            }
         }
     }
 

@@ -194,7 +194,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let report = sim.run(&bvh, &w.rays);
+        let report = sim
+            .run(&bvh, &w.batch(), rip_bvh::TraversalKind::AnyHit, None, None)
+            .unwrap();
         assert!(
             report.prediction.predicted_rate() > 0.1,
             "shadow rays should train the table: p = {}",

@@ -12,7 +12,7 @@
 //! 3. **Accounting** — Equation 1's terms balance against the measured
 //!    counters of a [`FunctionalSim`] run.
 
-use rip_bvh::{Bvh, TraversalKind};
+use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_core::{
     trace, FunctionalReport, FunctionalSim, OracleMode, Predictor, PredictorConfig, SimOptions,
 };
@@ -61,7 +61,10 @@ pub fn oracle_ladder(bvh: &Bvh, rays: &[Ray], config: PredictorConfig) -> Vec<Fu
     ]
     .into_iter()
     .map(|oracle| {
-        FunctionalSim::new(config.with_oracle(oracle), SimOptions::default()).run(bvh, rays)
+        let sim = FunctionalSim::new(config.with_oracle(oracle), SimOptions::default());
+        let batch = RayBatch::from_rays(rays);
+        sim.run(bvh, &batch, TraversalKind::AnyHit, None, None)
+            .expect("no trace to reject")
     })
     .collect()
 }

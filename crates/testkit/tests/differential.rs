@@ -230,9 +230,10 @@ fn degenerate_rays_replay_as_they_ran_live() {
         let hits = rays.iter().filter(|r| any_hit(r).is_some()).count() as u64;
 
         let functional = FunctionalSim::new(eager(), SimOptions::default());
-        let live = functional.run_batch(&bvh, &batch);
+        let any_hit = TraversalKind::AnyHit;
+        let live = functional.run(&bvh, &batch, any_hit, None, None).unwrap();
         let replayed = functional
-            .run_batch_replay(&bvh, &batch, &trace)
+            .run(&bvh, &batch, any_hit, None, Some(&trace))
             .expect("the trace matches its batch");
         assert_eq!(format!("{live:?}"), format!("{replayed:?}"), "[{label}]");
         assert_eq!(live.prediction.hits, hits, "[{label}]");

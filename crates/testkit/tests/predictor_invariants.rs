@@ -1,8 +1,9 @@
 //! Predictor invariants over generated workloads: transparency, the
 //! oracle ladder, and Equation 1 accounting.
 
-use rip_bvh::Bvh;
-use rip_core::{FunctionalSim, OracleMode, PredictorConfig, SimOptions};
+use rip_bvh::TraversalKind::{self, AnyHit, ClosestHit};
+use rip_bvh::{Bvh, RayBatch};
+use rip_core::{FunctionalReport, FunctionalSim, OracleMode, PredictorConfig, SimOptions};
 use rip_testkit::gen::{self, SceneRecipe, ALL_RECIPES};
 use rip_testkit::invariants;
 
@@ -12,6 +13,18 @@ fn workload(recipe: SceneRecipe, seed: u64) -> (Bvh, Vec<rip_math::Ray>) {
     let mut rays = gen::hitting_rays(&tris, 150, seed);
     rays.extend(gen::ray_batch(&bvh.bounds(), 100, seed));
     (bvh, rays)
+}
+
+/// Runs `rays` through an [`eager`] functional simulator.
+fn run(
+    options: SimOptions,
+    bvh: &Bvh,
+    rays: &[rip_math::Ray],
+    kind: TraversalKind,
+) -> FunctionalReport {
+    let sim = FunctionalSim::new(eager(), options);
+    sim.run(bvh, &RayBatch::from_rays(rays), kind, None, None)
+        .unwrap()
 }
 
 /// An eagerly-predicting configuration (no training delay) — the hardest
@@ -77,7 +90,7 @@ fn oracles_preserve_answers_too() {
 fn eq1_accounting_balances_on_every_recipe() {
     for recipe in ALL_RECIPES {
         let (bvh, rays) = workload(recipe, 26);
-        let report = FunctionalSim::new(eager(), SimOptions::default()).run(&bvh, &rays);
+        let report = run(SimOptions::default(), &bvh, &rays, AnyHit);
         invariants::assert_report_balances(&report);
     }
 }
@@ -85,7 +98,7 @@ fn eq1_accounting_balances_on_every_recipe() {
 #[test]
 fn eq1_accounting_balances_for_closest_hit_workloads() {
     let (bvh, rays) = workload(SceneRecipe::Soup, 27);
-    let report = FunctionalSim::new(eager(), SimOptions::default()).run_closest(&bvh, &rays);
+    let report = run(SimOptions::default(), &bvh, &rays, ClosestHit);
     invariants::assert_report_balances(&report);
 }
 
@@ -103,7 +116,7 @@ fn predictor_never_reports_spurious_savings_on_all_miss_workloads() {
             )
         })
         .collect();
-    let report = FunctionalSim::new(eager(), SimOptions::default()).run(&bvh, &rays);
+    let report = run(SimOptions::default(), &bvh, &rays, AnyHit);
     assert_eq!(report.prediction.hits, 0);
     assert_eq!(report.prediction.predicted, 0);
     assert_eq!(
@@ -118,14 +131,11 @@ fn predictor_never_reports_spurious_savings_on_all_miss_workloads() {
 fn multi_predictor_configurations_stay_transparent() {
     let (bvh, rays) = workload(SceneRecipe::Soup, 29);
     for num_predictors in [1, 2, 4] {
-        let sim = FunctionalSim::new(
-            eager(),
-            SimOptions {
-                num_predictors,
-                ..SimOptions::default()
-            },
-        );
-        let report = sim.run(&bvh, &rays);
+        let options = SimOptions {
+            num_predictors,
+            ..SimOptions::default()
+        };
+        let report = run(options, &bvh, &rays, AnyHit);
         invariants::assert_report_balances(&report);
         // Hit counts are a pure function of geometry, not of the predictor
         // sharding: every ray's answer is checked against plain traversal.

@@ -8,7 +8,10 @@ use ray_intersection_predictor::prelude::*;
 
 fn run(config: PredictorConfig, bvh: &Bvh, rays: &[Ray]) -> String {
     let sim = FunctionalSim::new(config, SimOptions::default());
-    let report = sim.run(bvh, rays);
+    let batch = RayBatch::from_rays(rays);
+    let report = sim
+        .run(bvh, &batch, TraversalKind::AnyHit, None, None)
+        .expect("no trace to reject");
     let eq1 = report.eq1_model();
     format!(
         "p={:.2} v={:.2} k={:.1} m={:.2} | est. skip {:.2} vs actual {:.2} nodes/ray | mem savings {:+.1}%",

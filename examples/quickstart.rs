@@ -29,7 +29,9 @@ fn main() {
 
     // 3. Functional simulation: how much traversal does the predictor skip?
     let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
-    let report = sim.run(&bvh, &workload.rays);
+    let report = sim
+        .run(&bvh, &workload.batch(), TraversalKind::AnyHit, None, None)
+        .expect("no trace to reject");
     println!(
         "predictor: {:.1}% predicted, {:.1}% verified, {:.1}% fewer node fetches, {:.1}% fewer memory accesses",
         report.prediction.predicted_rate() * 100.0,

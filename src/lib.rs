@@ -30,7 +30,9 @@
 //! // Trace an AO workload through the predictor.
 //! let workload = AoWorkload::generate(&scene, &bvh, &AoConfig::default());
 //! let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
-//! let report = sim.run(&bvh, &workload.rays);
+//! let report = sim
+//!     .run(&bvh, &workload.batch(), TraversalKind::AnyHit, None, None)
+//!     .expect("no trace to reject");
 //! println!("verified rays: {:.1}%", report.prediction.verified_rate() * 100.0);
 //! ```
 
@@ -47,7 +49,7 @@ pub use rip_scene as scene;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use rip_bvh::{Bvh, BvhBuilder, NodeId, Traversal, TraversalKind};
+    pub use rip_bvh::{Bvh, BvhBuilder, NodeId, RayBatch, Traversal, TraversalKind};
     pub use rip_core::{
         trace, AdaptivePredictor, FunctionalSim, HashFunction, OracleMode, Prediction, Predictor,
         PredictorConfig, RayOutcome, SimOptions,

@@ -1,7 +1,15 @@
 //! Cross-crate integration tests: the full pipeline from procedural scene
 //! through BVH, predictor, timing simulator and energy model.
 
+use ray_intersection_predictor::predictor::FunctionalReport;
 use ray_intersection_predictor::prelude::*;
+
+/// Runs an occlusion workload through the functional simulator.
+fn run_ao(sim: &FunctionalSim, bvh: &Bvh, rays: &[Ray]) -> FunctionalReport {
+    let batch = RayBatch::from_rays(rays);
+    sim.run(bvh, &batch, TraversalKind::AnyHit, None, None)
+        .expect("no trace to reject")
+}
 
 fn build(id: SceneId, viewport: u32) -> (Scene, Bvh) {
     let scene = id.build_with_viewport(SceneScale::Tiny, viewport, viewport);
@@ -52,7 +60,7 @@ fn dense_ao_workload_trains_the_predictor() {
     let (scene, bvh) = build(SceneId::CrytekSponza, 48);
     let rays = AoWorkload::generate(&scene, &bvh, &AoConfig::default()).rays;
     let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
-    let report = sim.run(&bvh, &rays);
+    let report = run_ao(&sim, &bvh, &rays);
     assert!(
         report.prediction.predicted_rate() > 0.5,
         "p = {}",
@@ -85,7 +93,7 @@ fn oracle_ladder_never_decreases_savings() {
             PredictorConfig::paper_default().with_oracle(oracle),
             SimOptions::default(),
         );
-        let savings = sim.run(&bvh, &rays).memory_savings();
+        let savings = run_ao(&sim, &bvh, &rays).memory_savings();
         assert!(
             savings >= last - 0.02,
             "{oracle:?} regressed the ladder: {savings} after {last}"
@@ -99,7 +107,7 @@ fn equation_one_tracks_measured_savings_on_suite() {
     let (scene, bvh) = build(SceneId::LivingRoom, 40);
     let rays = AoWorkload::generate(&scene, &bvh, &AoConfig::default()).rays;
     let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
-    let report = sim.run(&bvh, &rays);
+    let report = run_ao(&sim, &bvh, &rays);
     let est = report.eq1_model().estimated_nodes_skipped();
     let actual = report.actual_nodes_skipped_per_ray();
     // The paper's Table 5 shows ~15% model error; allow generous slack.
@@ -143,8 +151,8 @@ fn sorted_rays_reduce_predictor_benefit() {
             ..SimOptions::default()
         },
     );
-    let unsorted_savings = sim.run(&bvh, &workload.rays).node_savings();
-    let sorted_savings = sim.run(&bvh, &sorted.rays).node_savings();
+    let unsorted_savings = run_ao(&sim, &bvh, &workload.rays).node_savings();
+    let sorted_savings = run_ao(&sim, &bvh, &sorted.rays).node_savings();
     assert!(
         sorted_savings <= unsorted_savings + 0.05,
         "sorted ({sorted_savings}) should not beat unsorted ({unsorted_savings}) materially"
