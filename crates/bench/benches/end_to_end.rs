@@ -23,13 +23,7 @@ fn end_to_end(c: &mut Criterion) {
         BenchmarkId::new("functional", "predictor"),
         &rays,
         |b, rays| {
-            let sim = FunctionalSim::new(
-                PredictorConfig::paper_default(),
-                SimOptions {
-                    classify_accesses: false,
-                    ..SimOptions::default()
-                },
-            );
+            let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
             let batch = RayBatch::from_rays(rays);
             b.iter(|| {
                 let batch = std::hint::black_box(&batch);

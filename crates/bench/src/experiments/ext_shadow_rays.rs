@@ -27,13 +27,7 @@ pub fn run(ctx: &Context) -> Report {
         if workload.rays.is_empty() {
             return None;
         }
-        let sim = FunctionalSim::new(
-            PredictorConfig::paper_default(),
-            SimOptions {
-                classify_accesses: false,
-                ..SimOptions::default()
-            },
-        );
+        let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
         let batch = workload.batch();
         let r = sim
             .run(&case.bvh, &batch, TraversalKind::AnyHit, None, None)

@@ -24,13 +24,7 @@ pub fn run(ctx: &Context) -> Report {
             .iter()
             .map(|&mode| {
                 let config = PredictorConfig::paper_default().with_oracle(mode);
-                let sim = FunctionalSim::new(
-                    config,
-                    SimOptions {
-                        classify_accesses: false,
-                        ..SimOptions::default()
-                    },
-                );
+                let sim = FunctionalSim::new(config, SimOptions::default());
                 let r = ctx.run_functional(&sim, case, &batch);
                 (
                     r.memory_savings(),

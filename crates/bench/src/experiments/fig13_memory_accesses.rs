@@ -24,13 +24,7 @@ pub fn run(ctx: &Context) -> Report {
     let mut wastes = Vec::new();
     let results = ctx.map_cases("fig13_memory_accesses", |case| {
         let batch = case.ao_batch();
-        let sim = FunctionalSim::new(
-            PredictorConfig::paper_default(),
-            SimOptions {
-                classify_accesses: false,
-                ..SimOptions::default()
-            },
-        );
+        let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
         let r = ctx.run_functional(&sim, case, &batch);
         (
             r.memory_savings(),

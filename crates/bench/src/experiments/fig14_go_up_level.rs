@@ -22,13 +22,7 @@ pub fn run(ctx: &Context) -> Report {
                     go_up_level: gul,
                     ..PredictorConfig::paper_default()
                 };
-                let sim = FunctionalSim::new(
-                    config,
-                    SimOptions {
-                        classify_accesses: false,
-                        ..SimOptions::default()
-                    },
-                );
+                let sim = FunctionalSim::new(config, SimOptions::default());
                 let r = ctx.run_functional(&sim, case, &batch);
                 (
                     r.prediction.verified_rate(),

@@ -26,13 +26,7 @@ pub fn run(ctx: &Context) -> Report {
                     node_replacement: policy,
                     ..PredictorConfig::paper_default()
                 };
-                let sim = FunctionalSim::new(
-                    config,
-                    SimOptions {
-                        classify_accesses: false,
-                        ..SimOptions::default()
-                    },
-                );
+                let sim = FunctionalSim::new(config, SimOptions::default());
                 let r = ctx.run_functional(&sim, case, &batch);
                 (r.memory_savings(), r.prediction.verified_rate())
             })

@@ -20,7 +20,6 @@ pub fn run(ctx: &Context) -> Report {
                     PredictorConfig::paper_default(),
                     SimOptions {
                         num_predictors: sms,
-                        classify_accesses: false,
                         ..SimOptions::default()
                     },
                 );

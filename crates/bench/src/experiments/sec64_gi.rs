@@ -29,13 +29,7 @@ pub fn run(ctx: &Context) -> Report {
             go_up_level: 0,
             ..PredictorConfig::paper_default()
         };
-        let sim = FunctionalSim::new(
-            config,
-            SimOptions {
-                classify_accesses: false,
-                ..SimOptions::default()
-            },
-        );
+        let sim = FunctionalSim::new(config, SimOptions::default());
         let batch = gi.batch();
         let r = sim
             .run(&case.bvh, &batch, TraversalKind::ClosestHit, None, None)

@@ -19,13 +19,7 @@ pub fn run(ctx: &Context) -> Report {
     let mut per_scene = Table::new(&["Scene", "v", "n", "p", "k", "m", "Estimated", "Actual"]);
     let results = ctx.map_cases("table5_eq1", |case| {
         let batch = case.ao_batch();
-        let sim = FunctionalSim::new(
-            PredictorConfig::paper_default(),
-            SimOptions {
-                classify_accesses: false,
-                ..SimOptions::default()
-            },
-        );
+        let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
         let r = ctx.run_functional(&sim, case, &batch);
         (r.eq1_model(), r.actual_nodes_skipped_per_ray())
     });

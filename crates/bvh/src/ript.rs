@@ -6,8 +6,9 @@
 //! configuration-independent — it depends only on the BVH and the ray —
 //! so one capture serves an entire parameter sweep: the cycle-level
 //! simulator replays the recorded per-warp ray work through the timing
-//! model without re-traversing, and the functional simulator substitutes
-//! recorded [`TraversalResult`]s for its full-traversal legs.
+//! model without re-traversing, and the functional simulator reads each
+//! ray's recorded [`TraversalResult`] as the one full traversal it
+//! derives the ray's baseline and full legs from.
 //!
 //! The encoding exploits two invariants of the while-while loop:
 //!
@@ -27,12 +28,10 @@
 //! trace can never be silently replayed against the wrong workload.
 
 use crate::bvh::Bvh;
-use crate::kernel::{TraversalKernel, WhileWhileKernel};
 use crate::node::{NodeId, NodeKind};
 use crate::stream::RayBatch;
 use crate::traversal::{Hit, LeanStep, Traversal, TraversalKind, TraversalResult};
 use crate::TraversalStats;
-use rip_math::Ray;
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::{Bytes, PodBuf};
 use std::io::{self, Write};
@@ -650,64 +649,10 @@ impl RayTraceSet {
     }
 }
 
-/// A [`TraversalKernel`] that answers one ray's **untrimmed** full
-/// traversal from the recorded result and falls back to a live
-/// while-while trace for anything else.
-///
-/// The predictor flow in `rip-core` routes exactly two query shapes
-/// through its fallback kernel: the full root traversal of
-/// not-predicted / mispredicted rays (the original ray — replayable) and
-/// the closest-hit verified leg's *trimmed* authoritative traversal
-/// (whose `t_max` depends on live predictor state — not replayable).
-/// The two are distinguished by `t_max` bit equality: `Ray::trimmed`
-/// takes a min, so a bit-identical `t_max` implies a bit-identical
-/// traversal and the recorded result is exact.
-pub struct RecordedKernel<'a> {
-    bvh: &'a Bvh,
-    kind: TraversalKind,
-    result: TraversalResult,
-    ray_t_max_bits: u32,
-    live_fallbacks: u64,
-}
-
-impl<'a> RecordedKernel<'a> {
-    /// A kernel replaying ray `i` of `set`, captured for `ray`.
-    pub fn new(bvh: &'a Bvh, set: &RayTraceSet, i: usize, ray: &Ray) -> RecordedKernel<'a> {
-        RecordedKernel {
-            bvh,
-            kind: set.kind(),
-            result: set.full_result(i),
-            ray_t_max_bits: ray.t_max.to_bits(),
-            live_fallbacks: 0,
-        }
-    }
-
-    /// How many queries could not be served from the record (trimmed
-    /// closest-hit legs) and ran live.
-    pub fn live_fallbacks(&self) -> u64 {
-        self.live_fallbacks
-    }
-}
-
-impl TraversalKernel for RecordedKernel<'_> {
-    fn name(&self) -> String {
-        "recorded".to_string()
-    }
-
-    fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
-        if kind == self.kind && ray.t_max.to_bits() == self.ray_t_max_bits {
-            self.result.clone()
-        } else {
-            self.live_fallbacks += 1;
-            WhileWhileKernel::new(self.bvh).trace(ray, kind)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_math::{Triangle, Vec3};
+    use rip_math::{Ray, Triangle, Vec3};
 
     fn occluded_scene() -> (Bvh, RayBatch) {
         let mut tris = Vec::new();

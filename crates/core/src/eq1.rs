@@ -43,15 +43,6 @@ impl Eq1Model {
         self.n + self.p * self.k * self.m - self.v * self.n
     }
 
-    /// Expected fractional node-fetch saving (`(n − N)/n`).
-    pub fn estimated_savings_fraction(&self) -> f64 {
-        if self.n == 0.0 {
-            0.0
-        } else {
-            self.estimated_nodes_skipped() / self.n
-        }
-    }
-
     /// Whether the configuration is profitable at all (positive skip).
     pub fn is_profitable(&self) -> bool {
         self.estimated_nodes_skipped() > 0.0

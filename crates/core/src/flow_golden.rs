@@ -204,7 +204,7 @@ fn run(
     let mut log = String::new();
     for (i, ray) in rays.iter().enumerate() {
         let hash = p.hash_ray(ray);
-        let trace = trace_ray(p, bvh, ray, i, kind, hash, replay);
+        let (trace, _) = trace_ray(p, bvh, ray, i, kind, hash, replay);
         writeln!(log, "{trace:?}").unwrap();
     }
     fnv1a(&log)

@@ -158,11 +158,6 @@ impl<'a, K: TraversalKernel> Predicted<'a, K> {
         &mut self.predictor
     }
 
-    /// Unwraps into the predictor, discarding the kernel.
-    pub fn into_predictor(self) -> Predictor {
-        self.predictor
-    }
-
     /// The wrapped kernel.
     pub fn kernel(&self) -> &K {
         &self.kernel

@@ -222,11 +222,6 @@ impl Predictor {
     pub fn unbounded_store_len(&self) -> usize {
         self.unbounded_store.len()
     }
-
-    /// Training updates still in flight.
-    pub fn pending_updates(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]

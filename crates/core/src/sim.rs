@@ -4,17 +4,21 @@
 //! 1-left, 2, 14; Tables 5–8 rates) it does not need cycle timing — only
 //! faithful counting of traversal work with and without the predictor.
 //! [`FunctionalSim`] provides exactly that; the cycle-level model lives in
-//! `rip-gpusim`. Its one driver, [`FunctionalSim::run`], traces each ray
-//! through [`trace_with`] — the same [`PredictedRay`](crate::PredictedRay)
-//! flow the cycle-level model steps — live or replaying a recorded trace,
-//! and adds the baseline traversal and the first-touch classification.
+//! `rip-gpusim`. Its one driver, [`FunctionalSim::run`], gets each ray's
+//! virgin full traversal once, stepped live or read from a recorded
+//! trace. That result is the ray's baseline, and it answers every
+//! untrimmed full leg of [`trace_with`], the same
+//! [`PredictedRay`](crate::PredictedRay) flow the cycle-level model steps.
 
 use crate::{
     eval_probe, trace_with, Eq1Model, PredictedTrace, PredictionStats, Predictor, PredictorConfig,
     RayHasher, RayOutcome,
 };
-use rip_bvh::ript::{RayTraceSet, RecordedKernel};
-use rip_bvh::{Bvh, NodeId, RayBatch, Traversal, TraversalKind, TraversalStats, WhileWhileKernel};
+use rip_bvh::ript::RayTraceSet;
+use rip_bvh::{
+    Bvh, RayBatch, Traversal, TraversalKernel, TraversalKind, TraversalResult, TraversalStats,
+    WhileWhileKernel,
+};
 use rip_math::Ray;
 
 /// Options orthogonal to the predictor configuration.
@@ -25,9 +29,6 @@ pub struct SimOptions {
     pub num_predictors: usize,
     /// Rays per warp (Table 2).
     pub warp_size: usize,
-    /// Classify baseline accesses into first-touch vs repeated (Figure 1
-    /// left). Costs one bit per node/triangle.
-    pub classify_accesses: bool,
 }
 
 impl Default for SimOptions {
@@ -35,7 +36,6 @@ impl Default for SimOptions {
         SimOptions {
             num_predictors: 1,
             warp_size: 32,
-            classify_accesses: true,
         }
     }
 }
@@ -57,16 +57,6 @@ pub struct FunctionalReport {
     /// Prediction-evaluation cost of mispredicted rays (wasteful accesses,
     /// Figure 13).
     pub wasted_prediction_eval: TraversalStats,
-    /// Baseline node fetches touching a node for the first time in the
-    /// render.
-    pub first_touch_node_fetches: u64,
-    /// Baseline node fetches to already-touched nodes ("Repeated BVH Node
-    /// Accesses", ~88% in Figure 1).
-    pub repeated_node_fetches: u64,
-    /// Baseline triangle fetches touching a triangle for the first time.
-    pub first_touch_tri_fetches: u64,
-    /// Baseline triangle fetches to already-touched triangles.
-    pub repeated_tri_fetches: u64,
 }
 
 impl FunctionalReport {
@@ -138,20 +128,6 @@ impl FunctionalReport {
                 / self.baseline.memory_accesses() as f64
         }
     }
-
-    /// Fraction of baseline memory accesses that are repeated BVH node
-    /// fetches (Figure 1 left, ~88%).
-    pub fn repeated_node_access_fraction(&self) -> f64 {
-        let total = self.first_touch_node_fetches
-            + self.repeated_node_fetches
-            + self.first_touch_tri_fetches
-            + self.repeated_tri_fetches;
-        if total == 0 {
-            0.0
-        } else {
-            self.repeated_node_fetches as f64 / total as f64
-        }
-    }
 }
 
 fn savings(with: u64, without: u64) -> f64 {
@@ -210,12 +186,13 @@ impl FunctionalSim {
     /// - `hashes` is the batch's precomputed hash stream from
     ///   [`FunctionalSim::hash_batch`]; without it each ray is hashed
     ///   here. The report is the same either way.
-    /// - `trace` replays every full traversal — the baseline and the
-    ///   not-predicted / mispredicted fallbacks — from a recorded
-    ///   [`RayTraceSet`] instead of stepping the BVH. The report is
-    ///   byte-identical to the live run: the trace records the exact
-    ///   node/triangle streams, and the prediction probes and trimmed
-    ///   legs, which depend on live predictor state, still traverse.
+    /// - `trace` supplies each ray's full traversal — the baseline, which
+    ///   also answers the not-predicted / mispredicted fallback and the
+    ///   oracle's ground truth — from a recorded [`RayTraceSet`] instead
+    ///   of stepping the BVH. The report is byte-identical to the live
+    ///   run: the trace records the exact traversal, and the prediction
+    ///   probes and trimmed legs, which depend on live predictor state,
+    ///   still traverse.
     ///
     /// # Errors
     ///
@@ -265,14 +242,6 @@ impl FunctionalSim {
             rays: batch.len() as u64,
             ..Default::default()
         };
-        // First-touch tracking is only consulted when classification is
-        // on; skip zeroing scene-sized buffers otherwise.
-        let classify = self.options.classify_accesses;
-        let mut nodes = Touches::new(if classify { bvh.node_count() } else { 0 });
-        let mut tris = Touches::new(if classify { bvh.triangle_count() } else { 0 });
-        // Triangles a live leaf step tested, reused across steps.
-        let mut tested = Vec::new();
-
         for i in 0..batch.len() {
             let ray = &batch.ray(i);
             let warp = i / self.options.warp_size;
@@ -282,63 +251,18 @@ impl FunctionalSim {
                 Some(h) => h[i],
                 None => predictor.hash_ray(ray),
             };
-            let traced = trace_ray(predictor, bvh, ray, i, kind, hash, trace);
+            let (traced, full) = trace_ray(predictor, bvh, ray, i, kind, hash, trace);
+            report.baseline += full;
             report.with_predictor += traced.total_stats();
             report.prediction_eval += traced.prediction_stats;
             if traced.outcome == RayOutcome::Mispredicted {
                 report.wasted_prediction_eval += traced.prediction_stats;
             }
-
-            // Baseline: the full traversal this ray would have done alone.
-            // For non-verified occlusion rays the fallback *is* the full
-            // traversal; verified rays (and all closest-hit rays, whose
-            // fallback was trimmed) need a separate baseline run.
-            let baseline_stats = if kind == TraversalKind::AnyHit
-                && traced.outcome != RayOutcome::Verified
-                && !classify
-            {
-                traced.fallback_stats
-            } else if let Some(set) = trace {
-                // The recorded streams are the baseline traversal: walk
-                // them for first-touch classification without re-stepping.
-                if classify {
-                    let mut leaf_counts = set.leaf_prefix_counts(i).iter();
-                    for &raw in set.node_steps(i) {
-                        let node_id = NodeId::new(raw);
-                        nodes.fetch(node_id.index());
-                        if bvh.node(node_id).is_leaf() {
-                            let tested = *leaf_counts.next().expect("attach checked the counts");
-                            let leaf = bvh.leaf_triangles(node_id).take(tested as usize);
-                            leaf.for_each(|(t, _)| tris.fetch(t));
-                        }
-                    }
-                }
-                set.full_result(i).stats
-            } else {
-                let mut traversal = Traversal::new(kind);
-                if classify {
-                    while let Some(node_id) = traversal.current_request() {
-                        nodes.fetch(node_id.index());
-                        tested.clear();
-                        traversal.step(bvh, ray, &mut tested);
-                        tested.iter().for_each(|&t| tris.fetch(t));
-                    }
-                    traversal.stats()
-                } else {
-                    traversal.run(bvh, ray).stats
-                }
-            };
-            report.baseline += baseline_stats;
         }
 
         for p in predictors {
             report.prediction += p.stats();
         }
-        (
-            report.first_touch_node_fetches,
-            report.repeated_node_fetches,
-        ) = (nodes.first, nodes.repeated);
-        (report.first_touch_tri_fetches, report.repeated_tri_fetches) = (tris.first, tris.repeated);
         Ok(report)
     }
 
@@ -373,39 +297,14 @@ impl FunctionalSim {
     }
 }
 
-/// First-touch vs repeated fetches of one kind of baseline element
-/// (Figure 1 left).
-struct Touches {
-    seen: Vec<bool>,
-    first: u64,
-    repeated: u64,
-}
-
-impl Touches {
-    fn new(elements: usize) -> Self {
-        let seen = vec![false; elements];
-        Touches {
-            seen,
-            first: 0,
-            repeated: 0,
-        }
-    }
-
-    fn fetch(&mut self, element: u32) {
-        if std::mem::replace(&mut self.seen[element as usize], true) {
-            self.repeated += 1;
-        } else {
-            self.first += 1;
-        }
-    }
-}
-
-/// Traces ray `i` of a batch through [`trace_with`]: full legs on the
-/// while-while kernel, or replayed from `trace`. Replayed single-node
-/// probes (the common shape: training stores one Go-Up-Level ancestor)
-/// are memoized on the trace set, because across a sweep the same ray is
-/// almost always handed the same predicted node. Either way the result
-/// is the live one, byte for byte.
+/// Traces ray `i` of a batch through [`trace_with`] and returns the
+/// trace with the stats of the ray's virgin full traversal (its
+/// baseline). That traversal runs once — stepped live, or read from
+/// `trace` — and serves every untrimmed full leg of the flow. Replayed
+/// single-node probes (the common shape: training stores one
+/// Go-Up-Level ancestor) are memoized on the trace set, because across a
+/// sweep the same ray is almost always handed the same predicted node.
+/// Either way the result is the live one, byte for byte.
 pub(crate) fn trace_ray(
     predictor: &mut Predictor,
     bvh: &Bvh,
@@ -414,26 +313,64 @@ pub(crate) fn trace_ray(
     kind: TraversalKind,
     hash: u32,
     trace: Option<&RayTraceSet>,
-) -> PredictedTrace {
-    let Some(set) = trace else {
-        let mut kernel = WhileWhileKernel::new(bvh);
-        return trace_with(predictor, bvh, &mut kernel, ray, kind, hash, &mut |nodes| {
-            eval_probe(bvh, ray, nodes)
-        });
+) -> (PredictedTrace, TraversalStats) {
+    let full = match trace {
+        Some(set) => set.full_result(i),
+        None => Traversal::new(kind).run(bvh, ray),
     };
-    let mut kernel = RecordedKernel::new(bvh, set, i, ray);
-    trace_with(
+    let stats = full.stats;
+    let mut kernel = FullResultKernel {
+        bvh,
+        kind,
+        full,
+        t_max_bits: ray.t_max.to_bits(),
+    };
+    let traced = trace_with(
         predictor,
         bvh,
         &mut kernel,
         ray,
         kind,
         hash,
-        &mut |nodes| match nodes {
-            [node] => set.probe_cached(i as u32, *node, || eval_probe(bvh, ray, nodes)),
+        &mut |nodes| match (trace, nodes) {
+            (Some(set), [node]) => {
+                set.probe_cached(i as u32, *node, || eval_probe(bvh, ray, nodes))
+            }
             _ => eval_probe(bvh, ray, nodes),
         },
-    )
+    );
+    (traced, stats)
+}
+
+/// A [`TraversalKernel`] that answers one ray's **untrimmed** full
+/// traversal from its precomputed result and traces anything else live
+/// on the while-while kernel.
+///
+/// [`trace_with`] sends two query shapes to its kernel: the full root
+/// traversal (the fallback of a not-predicted or mispredicted ray, and
+/// the §6.3 oracle's ground truth) and the closest-hit verified leg's
+/// *trimmed* traversal, whose `t_max` depends on live predictor state.
+/// They are told apart by `t_max` bit equality: `Ray::trimmed` takes a
+/// min, so a bit-identical `t_max` implies a bit-identical traversal.
+struct FullResultKernel<'a> {
+    bvh: &'a Bvh,
+    kind: TraversalKind,
+    full: TraversalResult,
+    t_max_bits: u32,
+}
+
+impl TraversalKernel for FullResultKernel<'_> {
+    fn name(&self) -> String {
+        "full-result".to_string()
+    }
+
+    fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
+        if kind == self.kind && ray.t_max.to_bits() == self.t_max_bits {
+            self.full.clone()
+        } else {
+            WhileWhileKernel::new(self.bvh).trace(ray, kind)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -505,20 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_accesses_dominate_baseline() {
-        // The Figure-1 observation: most accesses are to already-seen nodes.
-        let bvh = floor_bvh();
-        let rays = ao_like_rays(3000, 11);
-        let sim = FunctionalSim::new(quick_config(), SimOptions::default());
-        let report = run(&sim, &bvh, &rays, TraversalKind::AnyHit);
-        assert!(
-            report.repeated_node_access_fraction() > 0.5,
-            "repeated fraction {}",
-            report.repeated_node_access_fraction()
-        );
-    }
-
-    #[test]
     fn eq1_estimate_tracks_actual() {
         let bvh = floor_bvh();
         let rays = ao_like_rays(4000, 13);
@@ -585,24 +508,43 @@ mod tests {
         let bvh = floor_bvh();
         let rays = ao_like_rays(2000, 31);
         let batch = RayBatch::from_rays(&rays);
-        for classify in [false, true] {
-            let sim = FunctionalSim::new(
-                quick_config(),
-                SimOptions {
-                    classify_accesses: classify,
-                    ..SimOptions::default()
-                },
+        let sim = FunctionalSim::new(quick_config(), SimOptions::default());
+        let hashes = sim.hash_batch(&bvh, &batch);
+        for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
+            let live = sim.run(&bvh, &batch, kind, None, None).unwrap();
+            let set = RayTraceSet::capture(&bvh, &batch, kind);
+            let replayed = sim.run(&bvh, &batch, kind, Some(&hashes), Some(&set));
+            assert_eq!(
+                format!("{live:?}"),
+                format!("{:?}", replayed.unwrap()),
+                "{kind:?} replay diverged"
             );
-            let hashes = sim.hash_batch(&bvh, &batch);
-            for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
-                let live = sim.run(&bvh, &batch, kind, None, None).unwrap();
-                let set = RayTraceSet::capture(&bvh, &batch, kind);
-                let replayed = sim.run(&bvh, &batch, kind, Some(&hashes), Some(&set));
-                assert_eq!(
-                    format!("{live:?}"),
-                    format!("{:?}", replayed.unwrap()),
-                    "{kind:?} replay diverged (classify_accesses: {classify})"
-                );
+        }
+    }
+
+    #[test]
+    fn baseline_is_each_rays_full_traversal() {
+        let bvh = floor_bvh();
+        let rays = ao_like_rays(1000, 41);
+        let batch = RayBatch::from_rays(&rays);
+        for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
+            let mut expected = TraversalStats::default();
+            for ray in &rays {
+                expected += Traversal::new(kind).run(&bvh, ray).stats;
+            }
+            let set = RayTraceSet::capture(&bvh, &batch, kind);
+            for oracle in [crate::OracleMode::None, crate::OracleMode::ImmediateUpdates] {
+                let sim =
+                    FunctionalSim::new(quick_config().with_oracle(oracle), SimOptions::default());
+                for trace in [None, Some(&set)] {
+                    let report = sim.run(&bvh, &batch, kind, None, trace).unwrap();
+                    assert_eq!(
+                        report.baseline,
+                        expected,
+                        "{kind:?}, {oracle:?}, replayed: {}",
+                        trace.is_some()
+                    );
+                }
             }
         }
     }

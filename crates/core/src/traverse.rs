@@ -11,7 +11,9 @@
 //! root traversal paid by not-predicted and mispredicted rays goes through
 //! whichever kernel the caller composes with — while-while, stackless or
 //! wide. [`trace`] binds the while-while fallback, the ray's own hash and
-//! the live probe.
+//! the live probe; [`FunctionalSim`](crate::FunctionalSim) binds a kernel
+//! that answers the full traversal from the one result it computed or
+//! replayed for the ray's baseline.
 
 use crate::{NodeCandidates, OracleMode, Prediction, PredictionStats, Predictor};
 use rip_bvh::{

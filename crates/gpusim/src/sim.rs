@@ -1510,7 +1510,6 @@ mod tests {
         let options = SimOptions {
             num_predictors: 1,
             warp_size: 1,
-            ..SimOptions::default()
         };
         for update_delay in [0, 1, 8, 256] {
             let predictor = PredictorConfig {

@@ -187,13 +187,7 @@ mod tests {
             update_delay: 0,
             ..rip_core::PredictorConfig::paper_default()
         };
-        let sim = rip_core::FunctionalSim::new(
-            config,
-            rip_core::SimOptions {
-                classify_accesses: false,
-                ..Default::default()
-            },
-        );
+        let sim = rip_core::FunctionalSim::new(config, rip_core::SimOptions::default());
         let report = sim
             .run(&bvh, &w.batch(), rip_bvh::TraversalKind::AnyHit, None, None)
             .unwrap();

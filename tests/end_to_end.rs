@@ -144,13 +144,7 @@ fn sorted_rays_reduce_predictor_benefit() {
     let (scene, bvh) = build(SceneId::CrytekSponza, 48);
     let workload = AoWorkload::generate(&scene, &bvh, &AoConfig::default());
     let sorted = workload.sorted(&bvh);
-    let sim = FunctionalSim::new(
-        PredictorConfig::paper_default(),
-        SimOptions {
-            classify_accesses: false,
-            ..SimOptions::default()
-        },
-    );
+    let sim = FunctionalSim::new(PredictorConfig::paper_default(), SimOptions::default());
     let unsorted_savings = run_ao(&sim, &bvh, &workload.rays).node_savings();
     let sorted_savings = run_ao(&sim, &bvh, &sorted.rays).node_savings();
     assert!(
