@@ -23,10 +23,9 @@ pub use rip_exec::Case;
 
 /// How experiments interact with recorded RIPT ray traces.
 ///
-/// `Capture` runs every experiment live but records each workload's
-/// traversal trace into the [`TraceStore`] (memory tier plus
-/// `$RIP_TRACE_DIR` disk tier). `Replay` resolves the trace — capturing
-/// on a miss — and feeds it back to the simulators
+/// `Replay` resolves each workload's traversal trace from the
+/// [`TraceStore`] (memory tier plus `$RIP_TRACE_DIR` disk tier),
+/// capturing and persisting it on a miss, and feeds it to the simulators
 /// (`FunctionalSim::run`'s trace, `Simulator::with_trace`), so a
 /// parameter sweep pays for one functional traversal per workload
 /// instead of one per configuration. Replayed results are byte-identical
@@ -37,8 +36,6 @@ pub enum TraceMode {
     /// No trace interaction (the default).
     #[default]
     Off,
-    /// Run live, recording traces for later replay.
-    Capture,
     /// Replay recorded traces, capturing any that are missing.
     Replay,
 }
@@ -177,7 +174,6 @@ impl Context {
          \x20 --jobs N                  worker threads (default: RIP_JOBS env, else\n\
          \x20                           available parallelism; 1 = serial)\n\
          \x20 --trace PATH              write a chrome://tracing JSONL trace to PATH\n\
-         \x20 --capture-trace           run live, recording RIPT ray traces for replay\n\
          \x20 --replay                  replay recorded ray traces (capture on miss);\n\
          \x20                           results are byte-identical to live runs\n\
          \x20 --help                    print this help\n\
@@ -188,8 +184,8 @@ impl Context {
          \x20                  default: <system temp dir>/rip-artifacts)\n\
          \x20 RIP_TRACE        default trace path for --trace (set empty to disable)\n\
          \x20 RIP_TRACE_CLOCK  trace timestamp source: wall (default) or logical\n\
-         \x20 RIP_TRACE_DIR    RIPT ray-trace store for --capture-trace/--replay (set\n\
-         \x20                  empty to disable the disk tier; default: <system temp\n\
+         \x20 RIP_TRACE_DIR    RIPT ray-trace store for --replay (set empty to\n\
+         \x20                  disable the disk tier; default: <system temp\n\
          \x20                  dir>/rip-traces)\n\
          \n\
          Output at a given scale is byte-identical for every --jobs value;\n\
@@ -248,7 +244,6 @@ impl Context {
                     }
                     trace_request = Some(PathBuf::from(v));
                 }
-                "--capture-trace" => trace_mode = TraceMode::Capture,
                 "--replay" => trace_mode = TraceMode::Replay,
                 other => {
                     eprintln!("warning: ignoring unknown argument '{other}' (see --help)");
@@ -382,8 +377,7 @@ impl Context {
         Simulator::new(config).with_obs(Arc::clone(&self.obs))
     }
 
-    /// The trace mode selected by `--capture-trace`/`--replay` (default
-    /// [`TraceMode::Off`]).
+    /// The trace mode selected by `--replay` (default [`TraceMode::Off`]).
     pub fn trace_mode(&self) -> TraceMode {
         self.trace_mode
     }
@@ -400,9 +394,8 @@ impl Context {
     }
 
     /// Resolves the recorded trace for `batch` against `case` under the
-    /// current [`TraceMode`]: `None` when off, and under `Capture` too
-    /// (the trace is recorded as a side effect but the experiment still
-    /// runs live); `Some` only under `Replay`. Traces are keyed by the
+    /// current [`TraceMode`]: `None` when off, `Some` under `Replay`
+    /// (captured and persisted on a miss). Traces are keyed by the
     /// case label (scene, scale, viewport) plus a workload `tag`
     /// (`"ao"`, `"shadow"`, …) so the same workload is captured once per
     /// process no matter how many configurations sweep over it.
@@ -417,14 +410,10 @@ impl Context {
             return None;
         }
         let label = format!("{}_{tag}", self.trace_label(case));
-        let set = self
-            .trace_store
-            .get_or_capture(&label, &case.bvh, batch, kind);
-        match self.trace_mode {
-            TraceMode::Off => unreachable!("handled above"),
-            TraceMode::Capture => None,
-            TraceMode::Replay => Some(set),
-        }
+        Some(
+            self.trace_store
+                .get_or_capture(&label, &case.bvh, batch, kind),
+        )
     }
 
     /// A timing simulator for `config` with the recorded any-hit AO
@@ -440,8 +429,7 @@ impl Context {
     }
 
     /// Runs `sim` over a case's any-hit AO `batch`, replaying the
-    /// recorded trace when this context is replaying (live otherwise,
-    /// with the trace recorded as a side effect under `Capture`). A
+    /// recorded trace when this context is replaying (live otherwise). A
     /// trace the functional simulator rejects — unreachable through
     /// [`TraceStore`]'s validation, but defended anyway — falls back to
     /// the live run and bumps `bench.trace.replay_fallback`.
@@ -698,10 +686,6 @@ mod tests {
 
     #[test]
     fn parse_args_accepts_trace_modes() {
-        let ParsedArgs::Run(ctx) = Context::parse_args(&args(&["--capture-trace"])).unwrap() else {
-            panic!("expected a context")
-        };
-        assert_eq!(ctx.trace_mode(), TraceMode::Capture);
         let ParsedArgs::Run(ctx) = Context::parse_args(&args(&["--replay"])).unwrap() else {
             panic!("expected a context")
         };
@@ -721,14 +705,6 @@ mod tests {
             .workload_trace(&case, "ao", &batch, TraversalKind::AnyHit)
             .is_none());
         assert_eq!(ctx.trace_store().stats().captures, 0, "Off never captures");
-
-        let ctx = scoped_ctx(TraceMode::Capture);
-        let case = ctx.build_case_with_viewport(SceneId::Sibenik, 16);
-        let batch = case.ao_batch();
-        assert!(ctx
-            .workload_trace(&case, "ao", &batch, TraversalKind::AnyHit)
-            .is_none());
-        assert_eq!(ctx.trace_store().stats().captures, 1, "Capture records");
 
         let ctx = scoped_ctx(TraceMode::Replay);
         let case = ctx.build_case_with_viewport(SceneId::Sibenik, 16);

@@ -27,7 +27,7 @@
 //! [`CacheError::Corrupt`] so the cache quarantines it like any other
 //! damaged artifact.
 
-use crate::cache::CacheError;
+use crate::store::CacheError;
 use rip_pod::{AlignedBuf, Bytes};
 use std::io::Read;
 use std::path::Path;

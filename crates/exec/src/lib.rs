@@ -1,6 +1,6 @@
 //! rip-exec: parallel, fault-tolerant experiment execution engine.
 //!
-//! Five layers, each usable on its own:
+//! Six layers, each usable on its own:
 //!
 //! - [`pool`]: a scoped-thread [`JobPool`] with a global job
 //!   budget and *ordered* result collection, so parallel runs produce
@@ -22,8 +22,12 @@
 //!   killed sweep resumes where it left off.
 //! - [`trace_store`]: a capture-once [`TraceStore`]
 //!   of recorded RIPT ray-trace sets keyed by workload label, honoring
-//!   `$RIP_TRACE_DIR`, with the same quarantine-and-recapture fault
-//!   contract as the artifact store.
+//!   `$RIP_TRACE_DIR`.
+//!
+//! [`CaseCache`] and [`TraceStore`] are two instantiations of one private
+//! build-once store: one `OnceLock` cell per key, so concurrent requests
+//! for a key wait for a single build, over one load → quarantine →
+//! rebuild → persist path shared by both kinds of artifact.
 //!
 //! Every diagnostic that used to be a raw `eprintln!` is now a
 //! structured [`rip_obs`] event: the stderr text is printed verbatim
@@ -40,10 +44,11 @@ pub mod fault;
 pub mod journal;
 pub mod pool;
 pub mod runner;
+mod store;
 pub mod trace_store;
 
 pub use artifact::MappedArtifact;
-pub use cache::{CacheError, CacheStats, CaseCache};
+pub use cache::CaseCache;
 pub use case::{Case, CaseKey};
 pub use fault::{
     apply_injections, unit_timeout_from_env, Fault, FaultKind, InjectionPlan, RetryPolicy,
@@ -51,4 +56,5 @@ pub use fault::{
 pub use journal::{Journal, JournalEntry};
 pub use pool::{available_parallelism, global_budget, set_global_budget, JobPool};
 pub use runner::{ShardedRunner, UnitReport};
+pub use store::{CacheError, CacheStats};
 pub use trace_store::{TraceStore, TraceStoreStats};

@@ -3,44 +3,38 @@
 //! The trace-driven replay pipeline (DESIGN.md §12) wants every workload
 //! traversed **once**: the functional capture runs a full while-while
 //! traversal per ray and records the node/triangle streams as a RIPT
-//! artifact ([`rip_bvh::ript`]); every subsequent simulation — the other
+//! artifact ([`rip_bvh::ript`]); every later simulation — the other
 //! configurations of a sweep, the next process, the timing model — replays
 //! the recorded streams instead of re-walking the BVH.
 //!
-//! Two tiers, mirroring [`CaseCache`](crate::CaseCache):
-//!
-//! 1. **In-process**: a `(label, kind) → Arc<RayTraceSet>` map, so one
-//!    sweep capturing five predictor configurations over the same scene
-//!    pays for exactly one traversal pass.
-//! 2. **On-disk**: RIPT containers under `$RIP_TRACE_DIR` (empty value
-//!    disables the tier; unset = `<system temp dir>/rip-traces`), mapped
-//!    zero-copy through [`MappedArtifact`] and validated against the live
-//!    BVH/batch before use. Files are keyed by workload label, traversal
-//!    kind and the RIPT format version, so format bumps are plain misses.
-//!
-//! **Fault handling** follows the artifact-store contract: a trace that
-//! fails decoding *or* no longer matches its workload (different BVH,
-//! rays, or ray count) is classified as a typed [`CacheError`],
-//! quarantined as `<name>.quarantine`, and recaptured from source — never
-//! a panic, and a request never returns a trace that would replay the
-//! wrong streams. Telemetry lands in the `exec.trace.*` counters (NOT
-//! `gpusim.*`, so simulator registry diffs stay clean).
+//! The crate's build-once store keyed by `(label, kind)`, shared with
+//! [`CaseCache`](crate::CaseCache): a sweep over five predictor
+//! configurations, or several workers asking at once, pay for one
+//! traversal pass. The disk tier holds RIPT containers under
+//! `$RIP_TRACE_DIR` (empty value disables it; unset =
+//! `<system temp dir>/rip-traces`), mapped zero-copy through
+//! [`MappedArtifact`] and named by label, kind and RIPT format version. A
+//! trace that fails decoding *or* no longer matches its workload
+//! (different BVH, rays, or ray count) is quarantined and recaptured, so a
+//! request never returns a trace that would replay the wrong streams.
+//! Telemetry lands in the `exec.trace.*` counters (NOT `gpusim.*`, so
+//! simulator registry diffs stay clean).
 
 use crate::artifact::MappedArtifact;
-use crate::cache::{write_atomic, CacheError};
+use crate::store::{env_dir, CacheError, Names, Recipe, Store};
 use rip_bvh::ript::RayTraceSet;
 use rip_bvh::{Bvh, RayBatch, TraversalKind};
 use rip_obs::Obs;
-use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Counters describing how a [`TraceStore`] served its requests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStoreStats {
-    /// Requests served from the in-process map.
+    /// Requests served from the in-process map, including those that
+    /// waited for another thread's capture.
     pub memory_hits: u64,
     /// Requests served by decoding on-disk RIPT artifacts.
     pub disk_hits: u64,
@@ -51,53 +45,39 @@ pub struct TraceStoreStats {
 }
 
 /// Process-wide capture-once store of recorded ray-trace sets.
+#[derive(Debug)]
 pub struct TraceStore {
-    traces: Mutex<HashMap<(String, TraversalKind), Arc<RayTraceSet>>>,
-    dir: Option<PathBuf>,
+    store: Store<(String, TraversalKind), RayTraceSet>,
     parallelism: usize,
-    obs: Arc<Obs>,
-    memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    captures: AtomicU64,
-    quarantines: AtomicU64,
 }
 
 impl TraceStore {
     /// A store whose disk tier honors `$RIP_TRACE_DIR` (empty value =
     /// disabled; unset = `<system temp dir>/rip-traces`).
     pub fn new() -> Self {
-        let dir = match std::env::var("RIP_TRACE_DIR") {
-            Ok(dir) if dir.is_empty() => None,
-            Ok(dir) => Some(PathBuf::from(dir)),
-            Err(_) => Some(std::env::temp_dir().join("rip-traces")),
-        };
-        TraceStore::with_dir(dir)
+        TraceStore::with_disk_dir(env_dir("RIP_TRACE_DIR", "rip-traces"))
     }
 
     /// A store with an explicit disk tier (`None` = in-memory only).
-    pub fn with_dir(dir: Option<PathBuf>) -> Self {
+    pub fn with_disk_dir(dir: Option<PathBuf>) -> Self {
         TraceStore {
-            traces: Mutex::new(HashMap::new()),
-            dir,
+            store: Store::new(dir),
             parallelism: 1,
-            obs: Arc::clone(Obs::global()),
-            memory_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            captures: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
         }
     }
 
     /// A store with no disk tier.
     pub fn in_memory_only() -> Self {
-        TraceStore::with_dir(None)
+        TraceStore::with_disk_dir(None)
     }
 
     /// Routes this store's `exec.trace.*` counters and events to `obs`
     /// instead of the process-wide default instance.
-    pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
-        self.obs = obs;
-        self
+    pub fn with_obs(self, obs: Arc<Obs>) -> Self {
+        TraceStore {
+            store: self.store.with_obs(obs),
+            ..self
+        }
     }
 
     /// Shards capture passes over up to `threads` worker threads
@@ -108,18 +88,14 @@ impl TraceStore {
         self
     }
 
-    /// Where this store persists traces, when it does.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
     /// Counters since construction.
     pub fn stats(&self) -> TraceStoreStats {
+        let stats = self.store.stats();
         TraceStoreStats {
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            captures: self.captures.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
+            memory_hits: stats.memory_hits,
+            disk_hits: stats.disk_hits,
+            captures: stats.builds,
+            quarantines: stats.quarantines,
         }
     }
 
@@ -138,208 +114,14 @@ impl TraceStore {
         batch: &RayBatch,
         kind: TraversalKind,
     ) -> Arc<RayTraceSet> {
-        let key = (label.to_string(), kind);
-        if let Some(set) = self
-            .traces
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.add("exec.trace.memory_hit", 1);
-            return Arc::clone(set);
-        }
-        let set = Arc::new(self.load_or_capture(label, bvh, batch, kind));
-        self.traces
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, Arc::clone(&set));
-        set
-    }
-
-    fn load_or_capture(
-        &self,
-        label: &str,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        kind: TraversalKind,
-    ) -> RayTraceSet {
-        match self.try_load(label, bvh, batch, kind) {
-            Ok(set) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.add("exec.trace.disk_hit", 1);
-                return set;
-            }
-            Err(CacheError::Miss | CacheError::Disabled) => {}
-            Err(error @ (CacheError::Corrupt { .. } | CacheError::KeyMismatch { .. })) => {
-                self.obs
-                    .event("exec.trace", "trace_rejected")
-                    .arg("trace", label)
-                    .arg("error", error.to_string())
-                    .stderr(format!("[rip-exec] {error}; quarantining and recapturing"))
-                    .emit();
-                self.quarantine(label, kind, &error);
-            }
-            Err(error @ CacheError::Io { .. }) => {
-                self.obs
-                    .event("exec.trace", "trace_io_error")
-                    .arg("trace", label)
-                    .stderr(format!("[rip-exec] {error}; recapturing"))
-                    .emit();
-            }
-        }
-        self.captures.fetch_add(1, Ordering::Relaxed);
-        self.obs.add("exec.trace.capture", 1);
-        let span = self.obs.span("exec.trace", "capture").arg("trace", label);
-        let start = Instant::now();
-        let set = RayTraceSet::capture_parallel(bvh, batch, kind, self.parallelism);
-        let captured_ms = start.elapsed().as_millis() as u64;
-        drop(span);
-        let event = self
-            .obs
-            .event("exec.trace", "capture")
-            .arg("trace", label)
-            .arg_u64("rays", set.len() as u64)
-            .arg_u64("captured_ms", captured_ms);
-        match self.store(label, kind, &set) {
-            Some(dir) => event
-                .arg("store", "disk")
-                .stderr(format!(
-                    "[rip-exec] captured trace {label} ({} rays in {captured_ms} ms, cached to {})",
-                    set.len(),
-                    dir.display(),
-                ))
-                .emit(),
-            None => event
-                .arg("store", "none")
-                .stderr(format!(
-                    "[rip-exec] captured trace {label} ({} rays in {captured_ms} ms, disk store disabled)",
-                    set.len(),
-                ))
-                .emit(),
-        }
-        set
-    }
-
-    /// Attempts to serve the trace from disk, classifying every failure.
-    /// The decoded set must [`attach`](RayTraceSet::attach) to the live
-    /// workload — a label collision or a changed scene/ray generator is a
-    /// [`CacheError::KeyMismatch`], not a silent wrong replay.
-    fn try_load(
-        &self,
-        label: &str,
-        bvh: &Bvh,
-        batch: &RayBatch,
-        kind: TraversalKind,
-    ) -> Result<RayTraceSet, CacheError> {
-        let Some(path) = self.trace_path(label, kind) else {
-            return Err(CacheError::Disabled);
+        let capture = Capture {
+            label,
+            kind,
+            bvh,
+            batch,
+            threads: self.parallelism,
         };
-        let map = MappedArtifact::open(&path)?;
-        let backend = map.backend();
-        if backend == "mmap" {
-            self.obs.add("exec.trace.mmap_load", 1);
-        }
-        let start = Instant::now();
-        let set = RayTraceSet::decode_shared(map.bytes()).map_err(|e| CacheError::Corrupt {
-            path: path.clone(),
-            detail: e,
-        })?;
-        if set.kind() != kind {
-            return Err(CacheError::KeyMismatch {
-                label: label.to_string(),
-            });
-        }
-        set.attach(bvh, batch)
-            .map_err(|_| CacheError::KeyMismatch {
-                label: label.to_string(),
-            })?;
-        let load_ms = start.elapsed().as_millis() as u64;
-        self.obs
-            .event("exec.trace", "trace_hit")
-            .arg("trace", label)
-            .arg("backend", backend)
-            .arg_u64("load_ms", load_ms)
-            .stderr(format!(
-                "[rip-exec] trace hit: {label} ({} rays loaded in {load_ms} ms via {backend}, 0 traversals)",
-                set.len(),
-            ))
-            .emit();
-        Ok(set)
-    }
-
-    /// Moves a rejected trace aside as `<name>.quarantine`, preserving
-    /// the bytes for diagnosis while guaranteeing they are never replayed.
-    fn quarantine(&self, label: &str, kind: TraversalKind, error: &CacheError) {
-        let Some(path) = self.trace_path(label, kind) else {
-            return;
-        };
-        if !matches!(
-            error,
-            CacheError::Corrupt { .. } | CacheError::KeyMismatch { .. }
-        ) {
-            return;
-        }
-        let mut quarantined = path.as_os_str().to_owned();
-        quarantined.push(".quarantine");
-        match std::fs::rename(&path, &quarantined) {
-            Ok(()) => {
-                self.quarantines.fetch_add(1, Ordering::Relaxed);
-                self.obs.add("exec.trace.quarantine", 1);
-                self.obs
-                    .event("exec.trace", "quarantine")
-                    .arg("trace", label)
-                    .arg("path", path.display().to_string())
-                    .stderr(format!(
-                        "[rip-exec] quarantined {} -> {}",
-                        path.display(),
-                        Path::new(&quarantined).display()
-                    ))
-                    .emit();
-            }
-            Err(e) => {
-                self.obs
-                    .event("exec.trace", "quarantine_failed")
-                    .arg("trace", label)
-                    .arg("path", path.display().to_string())
-                    .stderr(format!(
-                        "[rip-exec] cannot quarantine {} ({e}); removing instead",
-                        path.display()
-                    ))
-                    .emit();
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-    }
-
-    /// Persists the trace; returns the store directory on success.
-    fn store(&self, label: &str, kind: TraversalKind, set: &RayTraceSet) -> Option<&Path> {
-        let path = self.trace_path(label, kind)?;
-        let dir = self.dir.as_deref()?;
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            self.obs
-                .event("exec.trace", "store_failed")
-                .arg("path", dir.display().to_string())
-                .stderr(format!(
-                    "[rip-exec] cannot create trace dir {}: {e}",
-                    dir.display()
-                ))
-                .emit();
-            return None;
-        }
-        write_atomic(&self.obs, &path, |out| set.write_to(out)).then_some(dir)
-    }
-
-    fn trace_path(&self, label: &str, kind: TraversalKind) -> Option<PathBuf> {
-        let dir = self.dir.as_deref()?;
-        let tag = match kind {
-            TraversalKind::AnyHit => "any",
-            TraversalKind::ClosestHit => "closest",
-        };
-        Some(dir.join(format!(
-            "{label}_{tag}_t{}.ript",
-            rip_bvh::ript::FORMAT_VERSION
-        )))
+        self.store.get((label.to_string(), kind), &capture)
     }
 }
 
@@ -349,12 +131,63 @@ impl Default for TraceStore {
     }
 }
 
-impl std::fmt::Debug for TraceStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceStore")
-            .field("dir", &self.dir)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
+/// One workload's trace request.
+struct Capture<'a> {
+    label: &'a str,
+    kind: TraversalKind,
+    bvh: &'a Bvh,
+    batch: &'a RayBatch,
+    threads: usize,
+}
+
+impl Recipe for Capture<'_> {
+    type Value = RayTraceSet;
+    const NAMES: Names = Names {
+        cat: "exec.trace",
+        arg: "trace",
+        stem: "trace",
+        build: "capture",
+        built: "captured trace",
+        hit: "trace hit",
+    };
+
+    fn label(&self) -> String {
+        self.label.to_string()
+    }
+
+    fn paths(&self, dir: &Path) -> Vec<PathBuf> {
+        let tag = match self.kind {
+            TraversalKind::AnyHit => "any",
+            TraversalKind::ClosestHit => "closest",
+        };
+        let version = rip_bvh::ript::FORMAT_VERSION;
+        vec![dir.join(format!("{}_{tag}_t{version}.ript", self.label))]
+    }
+
+    /// The decoded set must [`attach`](RayTraceSet::attach) to the live
+    /// workload — a label collision or a changed scene/ray generator is a
+    /// [`CacheError::KeyMismatch`], not a silent wrong replay.
+    fn decode(
+        &self,
+        paths: &[PathBuf],
+        files: &[MappedArtifact],
+    ) -> Result<RayTraceSet, CacheError> {
+        let set =
+            RayTraceSet::decode_shared(files[0].bytes()).map_err(CacheError::corrupt(&paths[0]))?;
+        if set.kind() != self.kind || set.attach(self.bvh, self.batch).is_err() {
+            return Err(CacheError::KeyMismatch {
+                label: self.label(),
+            });
+        }
+        Ok(set)
+    }
+
+    fn build(&self) -> RayTraceSet {
+        RayTraceSet::capture_parallel(self.bvh, self.batch, self.kind, self.threads)
+    }
+
+    fn write(&self, set: &RayTraceSet, _: usize, out: &mut BufWriter<File>) -> io::Result<()> {
+        set.write_to(out)
     }
 }
 
@@ -362,6 +195,7 @@ impl std::fmt::Debug for TraceStore {
 mod tests {
     use super::*;
     use rip_math::{Ray, Triangle, Vec3};
+    use std::sync::Barrier;
 
     fn workload() -> (Bvh, RayBatch) {
         let mut tris = Vec::new();
@@ -415,14 +249,47 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_requests_capture_once() {
+        let (bvh, small) = workload();
+        let mut batch = RayBatch::with_capacity(20_480);
+        for i in 0..20_480 {
+            batch.push(small.ray(i % small.len()));
+        }
+        let store = TraceStore::in_memory_only();
+        let barrier = Barrier::new(4);
+        let sets: Vec<Arc<RayTraceSet>> = std::thread::scope(|s| {
+            let requests: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit)
+                    })
+                })
+                .collect();
+            requests.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(
+            store.stats().captures,
+            1,
+            "one capture serves every request"
+        );
+        assert_eq!(
+            store.stats().memory_hits,
+            3,
+            "the waiters count as memory hits"
+        );
+        assert!(sets.iter().all(|set| Arc::ptr_eq(set, &sets[0])));
+    }
+
+    #[test]
     fn disk_tier_round_trips_bit_exactly() {
         let (bvh, batch) = workload();
         let dir = temp_store("roundtrip");
         let captured = {
-            let store = TraceStore::with_dir(Some(dir.clone()));
+            let store = TraceStore::with_disk_dir(Some(dir.clone()));
             store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit)
         };
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = TraceStore::with_disk_dir(Some(dir.clone()));
         let loaded = store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit);
         assert_eq!(
             store.stats(),
@@ -445,9 +312,16 @@ mod tests {
     fn stored_trace_is_the_encoded_set() {
         let (bvh, batch) = workload();
         let dir = temp_store("encoded");
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = TraceStore::with_disk_dir(Some(dir.clone()));
         let set = store.get_or_capture("w", &bvh, &batch, TraversalKind::ClosestHit);
-        let path = store.trace_path("w", TraversalKind::ClosestHit).unwrap();
+        let request = Capture {
+            label: "w",
+            kind: TraversalKind::ClosestHit,
+            bvh: &bvh,
+            batch: &batch,
+            threads: 1,
+        };
+        let path = &request.paths(&dir)[0];
         assert_eq!(std::fs::read(path).unwrap(), set.encode());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -457,7 +331,7 @@ mod tests {
         let (bvh, batch) = workload();
         let dir = temp_store("corrupt");
         {
-            let store = TraceStore::with_dir(Some(dir.clone()));
+            let store = TraceStore::with_disk_dir(Some(dir.clone()));
             store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit);
         }
         for entry in std::fs::read_dir(&dir).unwrap() {
@@ -469,7 +343,7 @@ mod tests {
                 std::fs::write(&path, bytes).unwrap();
             }
         }
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = TraceStore::with_disk_dir(Some(dir.clone()));
         let set = store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit);
         assert_eq!(store.stats().captures, 1, "corruption must force recapture");
         assert_eq!(store.stats().quarantines, 1);
@@ -488,7 +362,7 @@ mod tests {
         let (bvh, batch) = workload();
         let dir = temp_store("stale");
         {
-            let store = TraceStore::with_dir(Some(dir.clone()));
+            let store = TraceStore::with_disk_dir(Some(dir.clone()));
             store.get_or_capture("w", &bvh, &batch, TraversalKind::AnyHit);
         }
         // Same label, different rays: the on-disk digest no longer
@@ -500,7 +374,7 @@ mod tests {
             ray.origin.x += 0.125;
             other.push(ray);
         }
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = TraceStore::with_disk_dir(Some(dir.clone()));
         let set = store.get_or_capture("w", &bvh, &other, TraversalKind::AnyHit);
         assert_eq!(
             store.stats().quarantines,

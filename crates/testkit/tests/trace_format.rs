@@ -96,7 +96,7 @@ const CORRUPTIONS: [Corruption; 7] = [
 /// Captures the workload into `dir` through a throwaway store and
 /// returns the single `.ript` artifact it persisted.
 fn seed_trace(dir: &Path, bvh: &Bvh, batch: &RayBatch, kind: TraversalKind) -> PathBuf {
-    let store = TraceStore::with_dir(Some(dir.to_path_buf()));
+    let store = TraceStore::with_disk_dir(Some(dir.to_path_buf()));
     store.get_or_capture("matrix", bvh, batch, kind);
     assert_eq!(store.stats().captures, 1, "seed run must capture");
     let paths = faultinject::artifacts_with_ext(dir, "ript");
@@ -118,7 +118,7 @@ fn corruption_matrix_always_quarantines_and_recaptures() {
         let len = std::fs::metadata(&path).unwrap().len() as usize;
         damage(&path, len);
 
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = TraceStore::with_disk_dir(Some(dir.clone()));
         let set = store.get_or_capture("matrix", &bvh, &batch, TraversalKind::AnyHit);
         let stats = store.stats();
         assert_eq!(
@@ -149,7 +149,7 @@ fn corruption_matrix_always_quarantines_and_recaptures() {
 
         // Recovery is durable: the recapture re-persisted a valid
         // artifact, so a fresh store now loads it from disk.
-        let healed = TraceStore::with_dir(Some(dir.clone()));
+        let healed = TraceStore::with_disk_dir(Some(dir.clone()));
         healed.get_or_capture("matrix", &bvh, &batch, TraversalKind::AnyHit);
         assert_eq!(
             healed.stats().disk_hits,
@@ -199,7 +199,7 @@ fn stale_workloads_quarantine_instead_of_replaying() {
 
     // Same label, same scene, different rays: KeyMismatch → quarantine.
     let other = batch_from(gen::ray_batch(&bvh.bounds(), batch.len(), 99));
-    let store = TraceStore::with_dir(Some(dir.clone()));
+    let store = TraceStore::with_disk_dir(Some(dir.clone()));
     let set = store.get_or_capture("matrix", &bvh, &other, TraversalKind::AnyHit);
     let stats = store.stats();
     assert_eq!(stats.disk_hits, 0, "stale trace must not replay");
@@ -211,7 +211,7 @@ fn stale_workloads_quarantine_instead_of_replaying() {
     // quarantine, no false hit against the any-hit artifact.
     let dir2 = temp_store("stale-kind");
     seed_trace(&dir2, &bvh, &batch, TraversalKind::AnyHit);
-    let store = TraceStore::with_dir(Some(dir2.clone()));
+    let store = TraceStore::with_disk_dir(Some(dir2.clone()));
     store.get_or_capture("matrix", &bvh, &batch, TraversalKind::ClosestHit);
     let stats = store.stats();
     assert_eq!(stats.disk_hits, 0);
