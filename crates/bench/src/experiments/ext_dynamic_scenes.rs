@@ -31,9 +31,8 @@ pub fn run(ctx: &Context) -> Report {
     let mut gains = Vec::new();
     let results = ctx.map_scenes("ext_dynamic_scenes", subset, |id| {
         let case = ctx.build_case_with_viewport(id, ctx.sweep_viewport());
-        let scene = &case.scene;
         [false, true].map(|persist| {
-            let mut animated = AnimatedScene::new(scene, 0.08, 0.02);
+            let mut animated = AnimatedScene::new(&case.bvh, 0.08, 0.02);
             let mut predictor =
                 Predictor::new(PredictorConfig::paper_default(), animated.bvh().bounds());
             let mut per_frame_v = Vec::new();
@@ -46,7 +45,7 @@ pub fn run(ctx: &Context) -> Report {
                 }
                 let before = predictor.stats();
                 let workload = AoWorkload::generate(
-                    scene,
+                    &case.scene,
                     animated.bvh(),
                     &AoConfig {
                         seed: 0xF0 + frame as u64,

@@ -38,7 +38,7 @@ pub fn run(ctx: &Context) -> Report {
         assert_eq!(
             base_u.hits, pred_u.hits,
             "{}: prediction changed visibility",
-            case.id
+            case.scene.id
         );
         (
             pred_u.speedup_over(&base_u),

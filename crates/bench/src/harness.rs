@@ -446,7 +446,7 @@ impl Context {
             .unwrap_or_else(|e| {
                 eprintln!(
                     "warning: replay rejected for {}: {e}; running live",
-                    case.id.code()
+                    case.scene.id.code()
                 );
                 self.obs.add("bench.trace.replay_fallback", 1);
                 sim.run(&case.bvh, batch, kind, Some(&hashes), None)
@@ -478,7 +478,7 @@ impl Context {
     /// the AO ray set.
     fn trace_label(&self, case: &Case) -> String {
         CaseKey {
-            id: case.id,
+            id: case.scene.id,
             scale: self.scale,
             width: case.scene.camera.width(),
             height: case.scene.camera.height(),
@@ -523,7 +523,7 @@ impl Context {
         (self.viewport() / 2).max(32)
     }
 
-    /// Returns the shared case (scene + BVH) for `id` at this context's
+    /// Returns the shared case (scene view + BVH) for `id` at this context's
     /// scale, building it at most once per process.
     pub fn build_case(&self, id: SceneId) -> Arc<Case> {
         self.build_case_with_viewport(id, self.viewport())
@@ -597,7 +597,8 @@ mod tests {
     fn build_case_produces_consistent_bvh() {
         let ctx = Context::new(SceneScale::Tiny, SceneSelection::All);
         let case = ctx.build_case(SceneId::Sibenik);
-        assert_eq!(case.bvh.triangle_count(), case.scene.mesh.triangle_count());
+        let mesh = SceneId::Sibenik.build_mesh(SceneScale::Tiny);
+        assert_eq!(case.bvh.triangle_count(), mesh.triangle_count());
         case.bvh.validate().unwrap();
     }
 
@@ -758,7 +759,7 @@ mod tests {
     #[test]
     fn map_cases_returns_table_order() {
         let ctx = Context::with_jobs(SceneScale::Tiny, SceneSelection::Subset(3), 3);
-        let codes = ctx.map_cases("test", |case| case.id.code().to_string());
+        let codes = ctx.map_cases("test", |case| case.scene.id.code().to_string());
         assert_eq!(codes, vec!["SB", "SP", "LE"]);
     }
 }

@@ -217,19 +217,11 @@ impl BvhBuilder {
     }
 
     /// Builds a BVH over a copy of `triangles`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `triangles` is empty.
     pub fn build(&self, triangles: &[Triangle]) -> Bvh {
         self.build_owned(triangles.to_vec())
     }
 
     /// Builds a BVH over `triangles`, which move into the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `triangles` is empty.
     pub fn build_owned(&self, triangles: Vec<Triangle>) -> Bvh {
         self.build_on(triangles, &Inline)
     }
@@ -244,14 +236,13 @@ impl BvhBuilder {
     /// small one a single job, which runs on the calling thread without
     /// calling `jobs`.
     ///
+    /// Zero triangles give the empty tree: its root is a leaf with no
+    /// triangles and empty bounds, so every ray misses it.
+    ///
     /// # Panics
     ///
-    /// Panics when `triangles` is empty, and re-raises a panic of `jobs`.
+    /// Re-raises a panic of `jobs`.
     pub fn build_on(&self, triangles: Vec<Triangle>, jobs: &impl JobMap) -> Bvh {
-        assert!(
-            !triangles.is_empty(),
-            "cannot build a BVH over zero triangles"
-        );
         let mut refs: Vec<TriRef> = triangles
             .iter()
             .enumerate()
@@ -647,8 +638,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero triangles")]
-    fn empty_input_panics() {
-        let _ = BvhBuilder::new().build(&[]);
+    fn empty_input_builds_the_empty_tree() {
+        for method in [SplitMethod::BinnedSah, SplitMethod::Median] {
+            let bvh = BvhBuilder::new().split_method(method).build(&[]);
+            assert_eq!(bvh.node_count(), 1);
+            assert_eq!(bvh.triangle_count(), 0);
+            assert!(bvh.bounds().is_empty());
+            assert!(matches!(
+                bvh.node(NodeId::ROOT).kind(),
+                crate::NodeKind::Leaf { first: 0, count: 0 }
+            ));
+            bvh.validate().unwrap();
+        }
     }
 }

@@ -40,11 +40,8 @@ pub struct Bvh {
 }
 
 impl Bvh {
-    /// Builds a BVH with the default [`BvhBuilder`] configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `triangles` is empty.
+    /// Builds a BVH with the default [`BvhBuilder`] configuration; zero
+    /// triangles give the empty tree, which every ray misses.
     pub fn build(triangles: &[Triangle]) -> Self {
         BvhBuilder::new().build(triangles)
     }
@@ -97,6 +94,12 @@ impl Bvh {
     /// Number of triangles.
     pub fn triangle_count(&self) -> usize {
         self.triangles.len()
+    }
+
+    /// All triangles in original (input) index order: the scene's
+    /// triangles, in the order the tree was built from.
+    pub fn triangles(&self) -> &[Triangle] {
+        &self.triangles
     }
 
     /// Maximum node depth (root = 0); the "BVH Tree Depth" of Table 1.
@@ -341,7 +344,8 @@ impl Bvh {
             let bounds = inflate(self.node_bounds(id));
             match node.kind() {
                 NodeKind::Leaf { first, count } => {
-                    if count == 0 {
+                    // Only the empty tree's root leaf holds no triangles.
+                    if count == 0 && !(self.nodes.len() == 1 && self.triangles.is_empty()) {
                         return Err(format!("{id} is an empty leaf"));
                     }
                     let range = (first as usize)

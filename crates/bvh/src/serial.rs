@@ -146,7 +146,8 @@ pub fn decode_shared(bytes: Bytes) -> Result<Bvh, String> {
 /// * interior children are in range and *after* their parent — the
 ///   builder allocates parent-before-child, and this ordering doubles
 ///   as an O(1)-per-edge acyclicity proof;
-/// * leaf ranges fit the order section and are non-empty;
+/// * leaf ranges fit the order section and are non-empty, except the
+///   root leaf of the empty tree;
 /// * every non-root node is referenced as a child exactly once, by the
 ///   node its `parent` field names, at `depth` parent + 1.
 fn check_nodes(nodes: &[BvhNode], order_count: usize) -> Result<(), String> {
@@ -173,7 +174,8 @@ fn check_nodes(nodes: &[BvhNode], order_count: usize) -> Result<(), String> {
                     return Err(format!("node {idx}: reserved leaf field is not zero"));
                 }
                 let (first, count) = (a as u64, b as u64);
-                if count == 0 {
+                // Only the empty tree's root leaf holds no triangles.
+                if count == 0 && !(n == 1 && order_count == 0) {
                     return Err(format!("node {idx}: empty leaf"));
                 }
                 if first + count > order_count as u64 {

@@ -1,10 +1,10 @@
 //! Artifact mapping: filesystem bytes → shared [`Bytes`] views.
 //!
 //! The cache decodes RIPA v2 artifacts *in place* (see
-//! `rip_scene::serial::decode_shared` / `rip_bvh::serial::decode_shared`):
-//! a decoded case borrows every buffer — mesh positions and indices, BVH
-//! nodes, leaf order and triangles — from these bytes and copies none,
-//! so they must stay alive and immutable for the case's whole lifetime.
+//! `rip_bvh::serial::decode_shared`): a decoded case's BVH borrows every
+//! buffer — nodes, leaf order and triangles — from these bytes and
+//! copies none, so they must stay alive and immutable for the case's
+//! whole lifetime.
 //! A load still reads the whole file once (the owned backend's read, or
 //! the page faults of a mapping as the checksums scan it). [`MappedArtifact`] owns that guarantee
 //! behind two backends:

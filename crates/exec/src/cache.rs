@@ -2,13 +2,14 @@
 //!
 //! The crate's build-once store keyed by `(scene, scale, viewport)`, with
 //! the load → quarantine → rebuild → persist path that
-//! [`TraceStore`](crate::TraceStore) shares. Its disk tier holds RIPA v2
-//! scene and BVH artifacts (`rip_scene::serial` / `rip_bvh::serial`), so
-//! *later processes* skip procedural synthesis and BVH construction
-//! entirely. Artifacts are mapped through [`MappedArtifact`] and decoded
-//! **in place** — buffers are borrowed from the mapping, not copied — and
-//! their names carry both format versions, so a format bump is a plain
-//! miss.
+//! [`TraceStore`](crate::TraceStore) shares. Its disk tier holds two RIPA
+//! v2 artifacts per case, so *later processes* skip procedural synthesis
+//! and BVH construction entirely: the scene view (`rip_scene::serial`,
+//! id and camera, a few hundred bytes) and the BVH (`rip_bvh::serial`),
+//! which holds the scene's only copy of its triangles. Artifacts are
+//! mapped through [`MappedArtifact`] and the BVH is decoded **in place**
+//! — its buffers are borrowed from the mapping, not copied — and their
+//! names carry both format versions, so a format bump is a plain miss.
 //!
 //! The store lives in `$RIP_CACHE_DIR` when set (an **empty** value
 //! disables the disk tier), else `<system temp dir>/rip-artifacts`.
@@ -139,10 +140,11 @@ impl Recipe for CaseKey {
         ]
     }
 
-    /// Both buffers stay borrowed from the mapping (owned aligned buffer
-    /// by default, a page mapping under the `mmap` feature) for the
-    /// case's whole lifetime, so a disk hit copies no buffer. It still
-    /// reads every byte once: the checksums and structural checks scan it.
+    /// The BVH's buffers stay borrowed from the mapping (owned aligned
+    /// buffer by default, a page mapping under the `mmap` feature) for
+    /// the case's whole lifetime, so a disk hit copies no buffer. It
+    /// still reads every byte once: the checksums and structural checks
+    /// scan it. The view must name the key's scene and viewport.
     fn decode(&self, paths: &[PathBuf], files: &[MappedArtifact]) -> Result<Case, CacheError> {
         let scene = rip_scene::serial::decode_shared(files[0].bytes())
             .map_err(CacheError::corrupt(&paths[0]))?;
@@ -151,13 +153,12 @@ impl Recipe for CaseKey {
         if scene.id != self.id
             || scene.camera.width() != self.width
             || scene.camera.height() != self.height
-            || bvh.triangle_count() != scene.mesh.triangle_count()
         {
             return Err(CacheError::KeyMismatch {
                 label: self.label(),
             });
         }
-        Ok(Case::from_parts(self.id, scene, bvh))
+        Ok(Case::from_parts(scene, bvh))
     }
 
     fn build(&self) -> Case {
@@ -242,12 +243,13 @@ mod tests {
             }
         );
         loaded.bvh.validate().unwrap();
+        assert!(loaded.bvh.is_shared());
         assert_eq!(
             rip_bvh::serial::encode(&loaded.bvh),
             rip_bvh::serial::encode(&built.bvh),
             "cached BVH must match the fresh build byte-for-byte",
         );
-        assert_eq!(loaded.scene.mesh.positions(), built.scene.mesh.positions());
+        assert_eq!(loaded.scene, built.scene);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -265,6 +267,51 @@ mod tests {
             std::fs::read(&paths[1]).unwrap(),
             rip_bvh::serial::encode(&case.bvh)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_tier_stores_geometry_once() {
+        let dir = temp_store("geometry-once");
+        let bvh_bytes = {
+            let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+            rip_bvh::serial::encode(&cache.get_or_build(tiny_key(23)).bvh).len() as u64
+        };
+        let stored: u64 = tiny_key(23)
+            .paths(&dir)
+            .iter()
+            .map(|path| std::fs::metadata(path).unwrap().len())
+            .sum();
+        assert!(
+            stored <= bvh_bytes + 1024,
+            "the case's files hold {stored} bytes; the BVH alone is {bvh_bytes}"
+        );
+        let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+        let case = cache.get_or_build(tiny_key(23));
+        assert_eq!((cache.stats().disk_hits, cache.stats().builds), (1, 0));
+        assert!(case.bvh.is_shared(), "a warm lease must borrow the mapping");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_view_of_another_key_forces_a_rebuild() {
+        let dir = temp_store("foreign-view");
+        let (own, foreign) = (
+            tiny_key(24),
+            CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 25),
+        );
+        {
+            let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+            cache.get_or_build(own);
+            cache.get_or_build(foreign);
+        }
+        // Both files are intact, but the view names another viewport.
+        std::fs::copy(&foreign.paths(&dir)[0], &own.paths(&dir)[0]).unwrap();
+        let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+        let case = cache.get_or_build(own);
+        assert_eq!((cache.stats().disk_hits, cache.stats().builds), (0, 1));
+        assert!(cache.stats().quarantines >= 1);
+        assert_eq!(case.scene.camera.width(), 24);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -308,6 +355,6 @@ mod tests {
         let a = cache.get_or_build(tiny_key(16));
         let b = cache.get_or_build(CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 24));
         assert_eq!(cache.stats().builds, 2);
-        assert_ne!(a.scene.camera.width(), b.scene.camera.width());
+        assert_ne!(a.scene, b.scene);
     }
 }

@@ -1,15 +1,21 @@
-//! Benchmark cases: a scene plus its acceleration structure.
+//! Benchmark cases: a scene's view plus its acceleration structure.
 //!
-//! `Case` used to live in the `rip-bench` harness; it moved here so the
-//! [`CaseCache`](crate::cache::CaseCache) can build, persist, and share
-//! cases across experiments without depending on the bench crate.
+//! A case holds each triangle once, in its BVH: the tree stores the
+//! scene's triangles in scene order, and [`Bvh::bounds`] is the scene's
+//! bounding box. Beside it the case keeps only the mesh-free
+//! [`SceneView`] (scene id and camera), which is all that ray generation
+//! reads. [`Case::from_scene`] drops the indexed mesh before the BVH
+//! build starts, so the two copies never coexist.
+//!
+//! The [`CaseCache`](crate::cache::CaseCache) builds, persists, and
+//! shares cases across experiments.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::pool::{global_budget, JobPool};
 use rip_bvh::{Bvh, BvhBuilder, JobMap, RayBatch};
 use rip_render::{AoConfig, AoWorkload};
-use rip_scene::{Scene, SceneId, SceneScale};
+use rip_scene::{Scene, SceneId, SceneScale, SceneView};
 
 /// Identity of a built case: everything that determines its bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -56,11 +62,9 @@ impl CaseKey {
 /// A built benchmark case.
 #[derive(Clone, Debug)]
 pub struct Case {
-    /// Which scene.
-    pub id: SceneId,
-    /// Scene geometry and camera.
-    pub scene: Scene,
-    /// The acceleration structure.
+    /// Scene id and camera: what ray generation reads.
+    pub scene: SceneView,
+    /// The acceleration structure, which holds the scene's triangles.
     pub bvh: Bvh,
     /// Lazily generated AO batch, shared across clones: the workload is a
     /// pure function of the case, so a sweep running many configurations
@@ -76,25 +80,28 @@ impl Case {
         Case::from_scene(scene)
     }
 
-    /// Builds the BVH for an already-synthesized scene; the collected
-    /// triangles move into the tree instead of being copied. The build's
-    /// subtree jobs run on the process-wide job budget, so the tree is
-    /// the same at any `--jobs`; a build nested in a saturated map runs
-    /// them inline.
+    /// Builds the BVH for an already-synthesized scene. The triangles are
+    /// collected and the mesh dropped before the build starts; the
+    /// collected triangles then move into the tree instead of being
+    /// copied. The build's subtree jobs run on the process-wide job
+    /// budget, so the tree is the same at any `--jobs`; a build nested in
+    /// a saturated map runs them inline.
     pub fn from_scene(scene: Scene) -> Self {
+        let (view, mesh) = scene.into_parts();
+        let triangles = mesh.triangles().collect();
+        drop(mesh);
         let jobs = CaseBuildJobs {
-            scene: scene.id,
+            scene: view.id,
             pool: JobPool::new(global_budget()),
         };
-        let bvh = BvhBuilder::new().build_on(scene.mesh.triangles().collect(), &jobs);
-        Case::from_parts(scene.id, scene, bvh)
+        let bvh = BvhBuilder::new().build_on(triangles, &jobs);
+        Case::from_parts(view, bvh)
     }
 
-    /// Assembles a case from an already-built scene and BVH (the artifact
-    /// cache's load path).
-    pub fn from_parts(id: SceneId, scene: Scene, bvh: Bvh) -> Self {
+    /// Assembles a case from a scene view and the BVH built over that
+    /// scene's triangles (the artifact cache's load path).
+    pub fn from_parts(scene: SceneView, bvh: Bvh) -> Self {
         Case {
-            id,
             scene,
             bvh,
             ao_batch: Arc::new(OnceLock::new()),
@@ -146,8 +153,12 @@ mod tests {
     #[test]
     fn build_produces_consistent_case() {
         let case = Case::build(CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 16));
-        assert_eq!(case.id, SceneId::Sibenik);
-        assert_eq!(case.bvh.triangle_count(), case.scene.mesh.triangle_count());
+        assert_eq!(case.scene.id, SceneId::Sibenik);
+        assert_eq!(
+            (case.scene.camera.width(), case.scene.camera.height()),
+            (16, 16)
+        );
+        assert!(case.bvh.triangle_count() > 0);
         case.bvh.validate().unwrap();
     }
 

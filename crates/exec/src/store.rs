@@ -2,7 +2,7 @@
 //! and [`TraceStore`](crate::TraceStore).
 //!
 //! Both keep derived data that is costly to make and cheap to load: built
-//! cases (scene + BVH) and recorded RIPT traces. A [`Store`] serves either
+//! cases (scene view + BVH) and recorded RIPT traces. A [`Store`] serves either
 //! from two tiers:
 //!
 //! 1. **In-process**: a key → `Arc<value>` map with one `OnceLock` cell per

@@ -45,7 +45,7 @@ fn assert_rebuilds(dir: &Path, why: &str) {
     assert_eq!(cache.stats().disk_hits, 0, "stale load despite {why}");
     assert_eq!(cache.stats().builds, 1, "expected a rebuild after {why}");
     case.bvh.validate().unwrap();
-    assert!(case.scene.mesh.triangle_count() > 0);
+    assert!(case.bvh.triangle_count() > 0);
 }
 
 #[test]

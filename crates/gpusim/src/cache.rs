@@ -264,6 +264,15 @@ impl Cache {
     /// Panics when `addr` lies outside the address space given to
     /// [`Cache::new`].
     pub fn access(&mut self, addr: u64) -> bool {
+        self.access_slot(addr).0
+    }
+
+    /// [`Cache::access`] that also reports the line frame now holding the
+    /// line — the one it hit, or the one the miss filled — as an index
+    /// below [`CacheConfig::lines`]. A frame keeps its line from that
+    /// fill until the line is evicted.
+    #[inline]
+    pub(crate) fn access_slot(&mut self, addr: u64) -> (bool, usize) {
         self.stats.accesses += 1;
         let line = self.line_of(addr);
         let set = &mut self.sets[(line as u64 & self.set_mask) as usize];
@@ -286,7 +295,7 @@ impl Cache {
                 };
                 self.index[line] = slot + 1;
                 set.push_front(&mut self.slots, slot);
-                false
+                (false, slot as usize)
             }
             entry => {
                 let slot = entry - 1;
@@ -295,7 +304,7 @@ impl Cache {
                     set.push_front(&mut self.slots, slot);
                 }
                 self.stats.hits += 1;
-                true
+                (true, slot as usize)
             }
         }
     }
@@ -510,6 +519,18 @@ mod tests {
         assert!(!c.access(4 * 128)); // evicts line 1
         assert!(c.access(0), "line 0 must have survived");
         assert!(!c.access(128), "line 1 must have been evicted");
+    }
+
+    #[test]
+    fn slots_follow_residency() {
+        let mut c = tiny(4); // 4 lines, 1 set
+        let filled: Vec<usize> = (0..4u64).map(|l| c.access_slot(l * 128).1).collect();
+        assert_eq!(filled, [0, 1, 2, 3], "cold fills take fresh frames");
+        assert_eq!(c.access_slot(64), (true, 0), "a hit reports its frame");
+        // Line 1 is now least recent: line 4 evicts it and takes its frame.
+        assert_eq!(c.access_slot(4 * 128), (false, 1));
+        assert_eq!(c.access_slot(4 * 128 + 5), (true, 1));
+        assert!(filled.iter().all(|&s| s < c.config().lines()));
     }
 
     #[test]

@@ -412,8 +412,9 @@ impl Feed<'_> {
 /// The shared memory levels every SM reads as it runs.
 struct SharedMemory {
     l2: Cache,
-    /// Per L2 line, the completion time of its latest DRAM fill (0: never
-    /// filled).
+    /// Per L2 line frame, the completion time of its latest DRAM fill. A
+    /// hit finds its line resident since that fill, so the frame's time
+    /// is the line's.
     l2_fill: Vec<u64>,
     dram: Dram,
     latency: LatencyConfig,
@@ -423,7 +424,7 @@ impl SharedMemory {
     fn new(config: &GpuConfig, space: u64) -> Self {
         SharedMemory {
             l2: Cache::new(config.l2, space),
-            l2_fill: vec![0; space.div_ceil(config.l2.line_bytes as u64) as usize],
+            l2_fill: vec![0; config.l2.lines()],
             dram: Dram::new(config.dram, config.l2.line_bytes),
             latency: config.latency,
         }
@@ -432,13 +433,13 @@ impl SharedMemory {
     /// Serves an L1 miss that reaches the L2 at `now`; returns the
     /// data-ready time.
     fn access(&mut self, addr: u64, now: u64) -> u64 {
-        let line = (addr >> self.l2.config().line_shift()) as usize;
         let l2_done = now + self.latency.l2_hit;
-        if self.l2.access(addr) {
-            return l2_done.max(self.l2_fill[line]);
+        let (hit, slot) = self.l2.access_slot(addr);
+        if hit {
+            return l2_done.max(self.l2_fill[slot]);
         }
         let done = self.dram.access(addr, l2_done);
-        self.l2_fill[line] = done;
+        self.l2_fill[slot] = done;
         done
     }
 }

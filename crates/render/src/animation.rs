@@ -11,18 +11,19 @@
 
 use rip_bvh::Bvh;
 use rip_math::{Triangle, Vec3};
-use rip_scene::Scene;
 
 /// A scene with a rigidly animated subset of triangles.
 ///
 /// # Examples
 ///
 /// ```
+/// use rip_bvh::Bvh;
 /// use rip_render::AnimatedScene;
 /// use rip_scene::{SceneId, SceneScale};
 ///
 /// let scene = SceneId::Sibenik.build_with_viewport(SceneScale::Tiny, 16, 16);
-/// let mut animated = AnimatedScene::new(&scene, 0.1, 0.02);
+/// let tris: Vec<_> = scene.mesh.triangles().collect();
+/// let mut animated = AnimatedScene::new(&Bvh::build(&tris), 0.1, 0.02);
 /// let frame0 = animated.bvh().triangle_count();
 /// animated.advance_frame();
 /// assert_eq!(animated.bvh().triangle_count(), frame0, "topology is stable");
@@ -39,24 +40,25 @@ pub struct AnimatedScene {
 }
 
 impl AnimatedScene {
-    /// Splits off roughly `dynamic_fraction` of the scene's triangles
-    /// (those nearest the scene centre) as the animated subset.
+    /// Animates the scene `bvh` was built over: frame 0 is `bvh` itself,
+    /// and roughly `dynamic_fraction` of its triangles (those nearest the
+    /// centre of its bounds) form the animated subset.
     ///
     /// `amplitude` is the per-frame displacement amplitude as a fraction of
     /// the scene diagonal (typical game-style motion: 0.01–0.05).
     ///
     /// # Panics
     ///
-    /// Panics when `dynamic_fraction` is not in `(0, 1)` or the scene is
+    /// Panics when `dynamic_fraction` is not in `(0, 1)` or the tree is
     /// empty.
-    pub fn new(scene: &Scene, dynamic_fraction: f32, amplitude: f32) -> Self {
+    pub fn new(bvh: &Bvh, dynamic_fraction: f32, amplitude: f32) -> Self {
         assert!(
             dynamic_fraction > 0.0 && dynamic_fraction < 1.0,
             "dynamic fraction must be in (0, 1)"
         );
-        let base: Vec<Triangle> = scene.mesh.triangles().collect();
+        let base = bvh.triangles().to_vec();
         assert!(!base.is_empty(), "scene has no triangles");
-        let bounds = scene.mesh.bounds();
+        let bounds = bvh.bounds();
         let pivot = bounds.center();
         // Nearest-to-centre triangles become the dynamic set.
         let mut by_distance: Vec<usize> = (0..base.len()).collect();
@@ -67,13 +69,12 @@ impl AnimatedScene {
         });
         let count = ((base.len() as f32 * dynamic_fraction) as usize).max(1);
         let dynamic = by_distance[..count].to_vec();
-        let bvh = Bvh::build(&base);
         AnimatedScene {
             base,
             dynamic,
             amplitude: amplitude * bounds.diagonal_length(),
             frame: 0,
-            bvh,
+            bvh: bvh.clone(),
         }
     }
 
@@ -122,9 +123,13 @@ mod tests {
     use rip_math::Ray;
     use rip_scene::{SceneId, SceneScale};
 
+    fn tiny_bvh(id: SceneId) -> Bvh {
+        let scene = id.build_with_viewport(SceneScale::Tiny, 16, 16);
+        Bvh::build(&scene.mesh.triangles().collect::<Vec<_>>())
+    }
+
     fn animated() -> AnimatedScene {
-        let scene = SceneId::FireplaceRoom.build_with_viewport(SceneScale::Tiny, 16, 16);
-        AnimatedScene::new(&scene, 0.08, 0.02)
+        AnimatedScene::new(&tiny_bvh(SceneId::FireplaceRoom), 0.08, 0.02)
     }
 
     #[test]
@@ -185,7 +190,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "dynamic fraction")]
     fn bad_fraction_panics() {
-        let scene = SceneId::Sibenik.build_with_viewport(SceneScale::Tiny, 8, 8);
-        let _ = AnimatedScene::new(&scene, 1.5, 0.01);
+        let _ = AnimatedScene::new(&tiny_bvh(SceneId::Sibenik), 1.5, 0.01);
     }
 }

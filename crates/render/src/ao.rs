@@ -4,16 +4,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rip_bvh::{Bvh, RayBatch, TraversalKernel, WhileWhileKernel};
 use rip_math::{sampling, Ray, Vec3};
-use rip_scene::Scene;
+use rip_scene::Camera;
 
-/// Builds the per-pixel primary-ray batch for a scene viewport, in
+/// Builds the per-pixel primary-ray batch of a camera's viewport, in
 /// row-major pixel order.
-pub(crate) fn primary_batch(scene: &Scene) -> RayBatch {
-    let (width, height) = (scene.camera.width(), scene.camera.height());
+pub(crate) fn primary_batch(camera: &Camera) -> RayBatch {
+    let (width, height) = (camera.width(), camera.height());
     let mut batch = RayBatch::with_capacity((width * height) as usize);
     for y in 0..height {
         for x in 0..width {
-            batch.push(scene.camera.primary_ray(x, y));
+            batch.push(camera.primary_ray(x, y));
         }
     }
     batch
@@ -74,13 +74,16 @@ pub struct AoWorkload {
 impl AoWorkload {
     /// Traces one primary ray per pixel (closest-hit) and spawns
     /// `samples_per_hit` cosine-weighted hemisphere rays at each hit point,
-    /// exactly as §5.2 describes.
+    /// exactly as §5.2 describes. Only the camera of `scene` (a
+    /// [`Scene`](rip_scene::Scene) or a mesh-free
+    /// [`SceneView`](rip_scene::SceneView)) is read; the geometry comes
+    /// from `bvh`.
     ///
     /// # Panics
     ///
     /// Panics when `samples_per_hit` is zero or the length range is not
     /// within `(0, 1]` and increasing.
-    pub fn generate(scene: &Scene, bvh: &Bvh, config: &AoConfig) -> Self {
+    pub fn generate(scene: &impl AsRef<Camera>, bvh: &Bvh, config: &AoConfig) -> Self {
         assert!(
             config.samples_per_hit > 0,
             "need at least one sample per hit"
@@ -92,8 +95,9 @@ impl AoWorkload {
         );
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let diag = bvh.bounds().diagonal_length();
-        let (width, height) = (scene.camera.width(), scene.camera.height());
-        let primaries = primary_batch(scene);
+        let camera = scene.as_ref();
+        let (width, height) = (camera.width(), camera.height());
+        let primaries = primary_batch(camera);
         let primary_results = WhileWhileKernel::new(bvh).closest_hit_batch(&primaries);
         let mut rays = Vec::new();
         let mut ray_pixel = Vec::new();
@@ -180,7 +184,7 @@ impl AoWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_scene::{SceneId, SceneScale};
+    use rip_scene::{Scene, SceneId, SceneScale};
 
     fn tiny_scene() -> (Scene, Bvh) {
         let scene = SceneId::FireplaceRoom.build_with_viewport(SceneScale::Tiny, 24, 24);

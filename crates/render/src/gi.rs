@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rip_bvh::{Bvh, RayBatch, TraversalKernel, WhileWhileKernel};
 use rip_math::{sampling, Ray, Vec3};
-use rip_scene::Scene;
+use rip_scene::Camera;
 
 /// Parameters of the GI path generator.
 #[derive(Clone, Copy, Debug)]
@@ -57,22 +57,17 @@ impl GiWorkload {
     /// Traces diffuse paths through the scene: each pixel's primary ray is
     /// followed by up to `bounces` cosine-sampled continuation rays from
     /// successive hit points. All segments are recorded in trace order so
-    /// simulators replay the exact ray stream.
-    pub fn generate(scene: &Scene, bvh: &Bvh, config: &GiConfig) -> Self {
+    /// simulators replay the exact ray stream. Only the camera of
+    /// `scene` is read; the geometry comes from `bvh`.
+    pub fn generate(scene: &impl AsRef<Camera>, bvh: &Bvh, config: &GiConfig) -> Self {
         let mut rng = SmallRng::seed_from_u64(config.seed);
-        let (width, height) = (scene.camera.width(), scene.camera.height());
         let mut rays = Vec::new();
         let mut generation_sizes = Vec::new();
 
         // Primary generation: one batch per bounce frontier, traced with
         // the batched while-while kernel. Continuations are spawned in ray
         // order so the RNG stream matches a per-ray loop exactly.
-        let mut frontier = RayBatch::with_capacity((width * height) as usize);
-        for y in 0..height {
-            for x in 0..width {
-                frontier.push(scene.camera.primary_ray(x, y));
-            }
-        }
+        let mut frontier = crate::ao::primary_batch(scene.as_ref());
         let primary_rays = frontier.len() as u32;
         let mut kernel = WhileWhileKernel::new(bvh);
 
@@ -130,7 +125,7 @@ impl GiWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_scene::{SceneId, SceneScale};
+    use rip_scene::{Scene, SceneId, SceneScale};
 
     fn tiny() -> (Scene, Bvh) {
         let scene = SceneId::LivingRoom.build_with_viewport(SceneScale::Tiny, 16, 16);

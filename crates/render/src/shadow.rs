@@ -9,7 +9,7 @@
 
 use rip_bvh::{Bvh, RayBatch, TraversalKernel, WhileWhileKernel};
 use rip_math::{Ray, Vec3};
-use rip_scene::Scene;
+use rip_scene::Camera;
 
 /// Parameters of the shadow-ray generator.
 #[derive(Clone, Debug, Default)]
@@ -52,7 +52,8 @@ impl ShadowWorkload {
     /// Traces one primary ray per pixel and spawns one shadow ray per
     /// light from each hit point, each exactly as long as the distance to
     /// its light (an any-hit on the segment means the point is shadowed).
-    pub fn generate(scene: &Scene, bvh: &Bvh, config: &ShadowConfig) -> Self {
+    /// Only the camera of `scene` is read; the geometry comes from `bvh`.
+    pub fn generate(scene: &impl AsRef<Camera>, bvh: &Bvh, config: &ShadowConfig) -> Self {
         let bounds = bvh.bounds();
         let lights = if config.lights.is_empty() {
             let d = bounds.diagonal();
@@ -63,8 +64,9 @@ impl ShadowWorkload {
         } else {
             config.lights.clone()
         };
-        let (width, height) = (scene.camera.width(), scene.camera.height());
-        let primaries = crate::ao::primary_batch(scene);
+        let camera = scene.as_ref();
+        let (width, height) = (camera.width(), camera.height());
+        let primaries = crate::ao::primary_batch(camera);
         let primary_results = WhileWhileKernel::new(bvh).closest_hit_batch(&primaries);
         let mut rays = Vec::new();
         let mut ray_pixel = Vec::new();
@@ -132,7 +134,7 @@ impl ShadowWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_scene::{SceneId, SceneScale};
+    use rip_scene::{Scene, SceneId, SceneScale};
 
     fn setup() -> (Scene, Bvh) {
         let scene = SceneId::FireplaceRoom.build_with_viewport(SceneScale::Tiny, 24, 24);

@@ -31,4 +31,4 @@ mod suite;
 
 pub use camera::Camera;
 pub use mesh::TriangleMesh;
-pub use suite::{Scene, SceneId, SceneScale, SCENE_IDS};
+pub use suite::{Scene, SceneId, SceneScale, SceneView, SCENE_IDS};

@@ -1,7 +1,6 @@
 //! Indexed triangle meshes.
 
 use rip_math::{Aabb, Triangle, Vec3};
-use rip_pod::{PodBuf, PodSlice};
 
 /// An indexed triangle mesh: shared vertex positions plus triangle index
 /// triples.
@@ -9,11 +8,6 @@ use rip_pod::{PodBuf, PodSlice};
 /// This is the scene representation consumed by the BVH builder. It is
 /// deliberately minimal — the predictor workloads (§5.2) need geometry only,
 /// not materials or normals.
-///
-/// The buffers live in [`PodBuf`] storage: a mesh built in memory owns
-/// its vectors, while one decoded from a RIPA v2 artifact borrows the
-/// mapped sections directly ([`TriangleMesh::from_shared_buffers`]);
-/// the first mutation detaches into an owned copy.
 ///
 /// # Examples
 ///
@@ -28,8 +22,8 @@ use rip_pod::{PodBuf, PodSlice};
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TriangleMesh {
-    positions: PodBuf<Vec3>,
-    indices: PodBuf<[u32; 3]>,
+    positions: Vec<Vec3>,
+    indices: Vec<[u32; 3]>,
 }
 
 fn check_indices(vertex_count: usize, indices: &[[u32; 3]]) -> Result<(), String> {
@@ -51,8 +45,8 @@ impl TriangleMesh {
     /// Creates a mesh with preallocated capacity.
     pub fn with_capacity(vertices: usize, triangles: usize) -> Self {
         TriangleMesh {
-            positions: PodBuf::from(Vec::with_capacity(vertices)),
-            indices: PodBuf::from(Vec::with_capacity(triangles)),
+            positions: Vec::with_capacity(vertices),
+            indices: Vec::with_capacity(triangles),
         }
     }
 
@@ -63,35 +57,7 @@ impl TriangleMesh {
     /// Returns an error message when any index is out of range.
     pub fn from_buffers(positions: Vec<Vec3>, indices: Vec<[u32; 3]>) -> Result<Self, String> {
         check_indices(positions.len(), &indices)?;
-        Ok(TriangleMesh {
-            positions: positions.into(),
-            indices: indices.into(),
-        })
-    }
-
-    /// Creates a mesh borrowing validated views over shared bytes (the
-    /// zero-copy decode path of the RIPA v2 artifact format): no buffer
-    /// is copied, and the backing mapping stays alive for as long as
-    /// the mesh (or any clone) does.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message when any index is out of range.
-    pub fn from_shared_buffers(
-        positions: PodSlice<Vec3>,
-        indices: PodSlice<[u32; 3]>,
-    ) -> Result<Self, String> {
-        check_indices(positions.len(), &indices)?;
-        Ok(TriangleMesh {
-            positions: positions.into(),
-            indices: indices.into(),
-        })
-    }
-
-    /// Whether the buffers are borrowed from a shared mapping rather
-    /// than owned (diagnostics for the zero-copy load path).
-    pub fn is_shared(&self) -> bool {
-        self.positions.is_shared() || self.indices.is_shared()
+        Ok(TriangleMesh { positions, indices })
     }
 
     /// Number of triangles.
@@ -115,13 +81,13 @@ impl TriangleMesh {
     /// Vertex positions.
     #[inline]
     pub fn positions(&self) -> &[Vec3] {
-        self.positions.as_slice()
+        &self.positions
     }
 
     /// Triangle index triples.
     #[inline]
     pub fn indices(&self) -> &[[u32; 3]] {
-        self.indices.as_slice()
+        &self.indices
     }
 
     /// The `i`-th triangle as a value type.
@@ -148,7 +114,7 @@ impl TriangleMesh {
     #[inline]
     pub fn push_vertex(&mut self, p: Vec3) -> u32 {
         let idx = self.positions.len() as u32;
-        self.positions.to_mut().push(p);
+        self.positions.push(p);
         idx
     }
 
@@ -161,7 +127,7 @@ impl TriangleMesh {
     pub fn push_indexed_triangle(&mut self, a: u32, b: u32, c: u32) {
         let n = self.positions.len() as u32;
         assert!(a < n && b < n && c < n, "triangle index out of range");
-        self.indices.to_mut().push([a, b, c]);
+        self.indices.push([a, b, c]);
     }
 
     /// Appends a triangle by positions (no vertex sharing).
@@ -169,7 +135,7 @@ impl TriangleMesh {
         let ia = self.push_vertex(a);
         let ib = self.push_vertex(b);
         let ic = self.push_vertex(c);
-        self.indices.to_mut().push([ia, ib, ic]);
+        self.indices.push([ia, ib, ic]);
     }
 
     /// Appends a quad `(a,b,c,d)` as two triangles.
@@ -178,18 +144,15 @@ impl TriangleMesh {
         let ib = self.push_vertex(b);
         let ic = self.push_vertex(c);
         let id = self.push_vertex(d);
-        let indices = self.indices.to_mut();
-        indices.push([ia, ib, ic]);
-        indices.push([ia, ic, id]);
+        self.indices.push([ia, ib, ic]);
+        self.indices.push([ia, ic, id]);
     }
 
     /// Appends every vertex and triangle of `other`.
     pub fn merge(&mut self, other: &TriangleMesh) {
         let base = self.positions.len() as u32;
-        self.positions
-            .to_mut()
-            .extend_from_slice(other.positions.as_slice());
-        self.indices.to_mut().extend(
+        self.positions.extend_from_slice(&other.positions);
+        self.indices.extend(
             other
                 .indices
                 .iter()
@@ -199,14 +162,14 @@ impl TriangleMesh {
 
     /// Translates every vertex by `offset`.
     pub fn translate(&mut self, offset: Vec3) {
-        for p in self.positions.to_mut() {
+        for p in &mut self.positions {
             *p += offset;
         }
     }
 
     /// Scales every vertex component-wise about the origin.
     pub fn scale(&mut self, factors: Vec3) {
-        for p in self.positions.to_mut() {
+        for p in &mut self.positions {
             *p = *p * factors;
         }
     }
@@ -214,7 +177,7 @@ impl TriangleMesh {
     /// Rotates every vertex about the +Y axis by `radians`.
     pub fn rotate_y(&mut self, radians: f32) {
         let (s, c) = radians.sin_cos();
-        for p in self.positions.to_mut() {
+        for p in &mut self.positions {
             let (x, z) = (p.x, p.z);
             p.x = c * x + s * z;
             p.z = -s * x + c * z;

@@ -1,20 +1,15 @@
-//! Scene artifact serialization on the RIPA v2 zero-copy container.
+//! Scene-view artifact serialization on the RIPA v2 zero-copy container.
 //!
-//! The artifact cache in `rip-exec` persists generated procedural scenes
-//! (indexed mesh + camera) so repeated experiment runs skip geometry
-//! synthesis. Since format version 2 an artifact is a [`rip_pod::ripa`]
-//! file: the vertex and index buffers are flat record sections behind a
-//! checksummed header + section table, and [`decode_shared`] borrows
-//! them straight out of the mapped bytes into the mesh's
-//! [`rip_pod::PodBuf`] storage instead of copying element by element.
-//! Index validity is still re-checked through
-//! [`TriangleMesh::from_shared_buffers`], so a hostile-but-checksummed
-//! artifact falls back to a rebuild instead of producing garbage.
+//! The artifact cache in `rip-exec` persists each case's [`SceneView`]
+//! (scene id plus camera) beside its BVH artifact. The BVH already
+//! stores the scene's triangles in scene order, so since format version
+//! 3 this artifact holds no geometry: a META word array and the camera
+//! basis behind a checksummed [`rip_pod::ripa`] header and section table.
 //!
-//! Artifacts of the retired v1 stream layout are invisible under the v2
-//! cache key and simply rebuilt on miss.
+//! Artifacts of older formats (v2 carried the indexed mesh as well) are
+//! invisible under the v3 cache key and never read.
 
-use crate::{Camera, Scene, SceneId, TriangleMesh, SCENE_IDS};
+use crate::{Camera, SceneId, SceneView, SCENE_IDS};
 use rip_math::Vec3;
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::Bytes;
@@ -22,80 +17,62 @@ use std::io::{self, Write};
 
 /// Bumped whenever the encoded layout changes; part of the header *and*
 /// of the artifact cache key in `rip-exec`.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
-/// RIPA artifact kind of a scene.
+/// RIPA artifact kind of a scene view.
 pub const KIND_SCENE: u32 = 1;
 
-// Section ids. META is a six-word `u32` array rather than a dedicated
+// Section ids. META is a four-word `u32` array rather than a dedicated
 // record type because this crate denies `unsafe_code` and so cannot
 // declare new `Pod` impls; the primitive sections it needs are already
 // covered by `rip-pod`.
 const SEC_META: u32 = 1;
 const SEC_CAMERA: u32 = 2;
-const SEC_POSITIONS: u32 = 3;
-const SEC_INDICES: u32 = 4;
 
-// META words: scene_index, width, height, position_count, index_count,
-// reserved (zero).
-const META_WORDS: usize = 6;
+// META words: scene_index, width, height, reserved (zero).
+const META_WORDS: usize = 4;
 
-/// Encodes `scene` into a self-contained RIPA v2 buffer. Re-encoding a
-/// decoded scene is byte-identical.
-pub fn encode(scene: &Scene) -> Vec<u8> {
-    with_writer(scene, |w| w.finish())
+/// Encodes `view` into a self-contained RIPA v2 buffer. Re-encoding a
+/// decoded view is byte-identical.
+pub fn encode(view: &SceneView) -> Vec<u8> {
+    with_writer(view, |w| w.finish())
 }
 
-/// Streams the [`encode`] bytes of `scene` to `out`, straight from the
-/// mesh's buffers.
+/// Streams the [`encode`] bytes of `view` to `out`.
 ///
 /// # Errors
 ///
 /// Returns the first error `out` reports.
-pub fn write_to<W: Write>(scene: &Scene, out: &mut W) -> io::Result<()> {
-    with_writer(scene, |w| w.write_to(out))
+pub fn write_to<W: Write>(view: &SceneView, out: &mut W) -> io::Result<()> {
+    with_writer(view, |w| w.write_to(out))
 }
 
-/// Calls `f` with the artifact writer of `scene`.
-fn with_writer<R>(scene: &Scene, f: impl FnOnce(&RipaWriter) -> R) -> R {
-    let positions = scene.mesh.positions();
-    let indices = scene.mesh.indices();
-    let (basis, width, height) = scene.camera.to_raw();
+/// Calls `f` with the artifact writer of `view`.
+fn with_writer<R>(view: &SceneView, f: impl FnOnce(&RipaWriter) -> R) -> R {
+    let (basis, width, height) = view.camera.to_raw();
     let scene_index = SCENE_IDS
         .iter()
-        .position(|&id| id == scene.id)
+        .position(|&id| id == view.id)
         .expect("id in SCENE_IDS") as u32;
-    let meta = [
-        scene_index,
-        width,
-        height,
-        positions.len() as u32,
-        indices.len() as u32,
-        0,
-    ];
+    let meta = [scene_index, width, height, 0];
     let mut w = RipaWriter::new(KIND_SCENE);
-    w.section(SEC_META, &meta)
-        .section(SEC_CAMERA, &basis)
-        .section(SEC_POSITIONS, positions)
-        .section(SEC_INDICES, indices);
+    w.section(SEC_META, &meta).section(SEC_CAMERA, &basis);
     f(&w)
 }
 
 /// Decodes an owned buffer produced by [`encode`] (copies into an
 /// aligned buffer, then runs [`decode_shared`]).
-pub fn decode(bytes: &[u8]) -> Result<Scene, String> {
+pub fn decode(bytes: &[u8]) -> Result<SceneView, String> {
     decode_shared(Bytes::copy_from_slice(bytes))
 }
 
-/// Decodes a RIPA v2 scene artifact **in place**: the position and
-/// index sections are borrowed out of `bytes` (owned aligned buffer or
-/// page mapping alike) and only the camera basis is copied.
+/// Decodes a scene-view artifact held in `bytes` (owned aligned buffer
+/// or page mapping alike); the view copies the few words it needs.
 ///
 /// Any structural problem — wrong magic or kind, foreign version,
-/// truncation, checksum mismatch, or indices that fail mesh validation
-/// — is reported as `Err` so the caller can regenerate the scene
-/// instead.
-pub fn decode_shared(bytes: Bytes) -> Result<Scene, String> {
+/// truncation, checksum mismatch, an unknown scene or an empty viewport
+/// — is reported as `Err` so the caller can rebuild the case instead.
+pub fn decode_shared(bytes: Bytes) -> Result<SceneView, String> {
     let file = RipaFile::parse(bytes, KIND_SCENE)?;
     let meta = file.pod_section::<u32>(SEC_META)?;
     if meta.len() != META_WORDS {
@@ -104,7 +81,7 @@ pub fn decode_shared(bytes: Bytes) -> Result<Scene, String> {
             meta.len()
         ));
     }
-    let [scene_index, width, height, position_count, index_count, reserved] =
+    let [scene_index, width, height, reserved] =
         <[u32; META_WORDS]>::try_from(meta.as_slice()).expect("length checked");
     if reserved != 0 {
         return Err("reserved meta field is not zero".into());
@@ -122,21 +99,8 @@ pub fn decode_shared(bytes: Bytes) -> Result<Scene, String> {
             basis_section.len()
         )
     })?;
-    let positions = file.pod_section::<Vec3>(SEC_POSITIONS)?;
-    let indices = file.pod_section::<[u32; 3]>(SEC_INDICES)?;
-    if positions.len() != position_count as usize || indices.len() != index_count as usize {
-        return Err(format!(
-            "meta promises {position_count}/{index_count} positions/triangles but sections \
-             hold {}/{}",
-            positions.len(),
-            indices.len()
-        ));
-    }
-    let mesh = TriangleMesh::from_shared_buffers(positions, indices)
-        .map_err(|e| format!("decoded mesh failed validation: {e}"))?;
-    Ok(Scene {
+    Ok(SceneView {
         id,
-        mesh,
         camera: Camera::from_raw(basis, width, height),
     })
 }
@@ -146,31 +110,27 @@ mod tests {
     use super::*;
     use crate::SceneScale;
 
+    fn view(id: SceneId, width: u32, height: u32) -> SceneView {
+        id.build_with_viewport(SceneScale::Tiny, width, height)
+            .into_parts()
+            .0
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
-        let scene = SceneId::Sibenik.build_with_viewport(SceneScale::Tiny, 32, 24);
-        let decoded = decode(&encode(&scene)).unwrap();
-        assert_eq!(decoded.id, scene.id);
-        assert_eq!(decoded.mesh.positions(), scene.mesh.positions());
-        assert_eq!(decoded.mesh.indices(), scene.mesh.indices());
-        assert_eq!(decoded.camera, scene.camera);
-        assert!(
-            decoded.mesh.is_shared(),
-            "v2 decode must borrow the buffer sections, not copy them"
-        );
+        let view = view(SceneId::Sibenik, 32, 24);
+        assert_eq!(decode(&encode(&view)).unwrap(), view);
     }
 
     #[test]
     fn reencode_is_byte_identical() {
-        let scene = SceneId::FireplaceRoom.build_with_viewport(SceneScale::Tiny, 16, 16);
-        let bytes = encode(&scene);
+        let bytes = encode(&view(SceneId::FireplaceRoom, 16, 16));
         assert_eq!(encode(&decode(&bytes).unwrap()), bytes);
     }
 
     #[test]
     fn rejects_bad_magic_version_truncation_and_flips() {
-        let scene = SceneId::LostEmpire.build_with_viewport(SceneScale::Tiny, 16, 16);
-        let bytes = encode(&scene);
+        let bytes = encode(&view(SceneId::LostEmpire, 16, 16));
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xFF;
@@ -185,7 +145,7 @@ mod tests {
             .contains("truncated"));
 
         // Any single-byte flip is detected by the container checksums.
-        for at in (0..bytes.len()).step_by(11) {
+        for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
             assert!(decode(&bad).is_err(), "flip at {at} went undetected");
@@ -193,41 +153,39 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_mesh_indices_and_scene_index() {
+    fn rejects_bad_meta_with_intact_checksums() {
         // Hostile artifacts with *intact* checksums: rebuild the
-        // container from parsed sections with poisoned payloads.
-        let scene = SceneId::Sibenik.build_with_viewport(SceneScale::Tiny, 16, 16);
-        let file = RipaFile::parse(Bytes::copy_from_slice(&encode(&scene)), KIND_SCENE).unwrap();
+        // container from parsed sections with a poisoned META.
+        let bytes = encode(&view(SceneId::Sibenik, 16, 16));
+        let file = RipaFile::parse(Bytes::copy_from_slice(&bytes), KIND_SCENE).unwrap();
         let meta = file.pod_section::<u32>(SEC_META).unwrap().to_vec();
         let camera = file.section(SEC_CAMERA).unwrap();
-        let positions = file.section(SEC_POSITIONS).unwrap();
-        let indices = file.pod_section::<[u32; 3]>(SEC_INDICES).unwrap().to_vec();
-
-        let rebuild = |meta: &[u32], indices: &[[u32; 3]]| {
+        let rebuild = |meta: &[u32]| {
             let mut w = RipaWriter::new(KIND_SCENE);
             w.section(SEC_META, meta)
-                .raw_section(SEC_CAMERA, 4, camera.as_slice())
-                .raw_section(SEC_POSITIONS, 4, positions.as_slice())
-                .section(SEC_INDICES, indices);
+                .raw_section(SEC_CAMERA, 4, camera.as_slice());
             w.finish()
         };
-
-        let mut bad_indices = indices.clone();
-        bad_indices[0] = [u32::MAX, 0, 1];
-        assert!(decode(&rebuild(&meta, &bad_indices))
-            .unwrap_err()
-            .contains("validation"));
+        assert_eq!(rebuild(&meta), bytes);
 
         let mut bad_meta = meta.clone();
         bad_meta[0] = 99; // far past SCENE_IDS
-        assert!(decode(&rebuild(&bad_meta, &indices))
+        assert!(decode(&rebuild(&bad_meta))
             .unwrap_err()
             .contains("out of range"));
 
         let mut empty_viewport = meta.clone();
         empty_viewport[1] = 0;
-        assert!(decode(&rebuild(&empty_viewport, &indices))
+        assert!(decode(&rebuild(&empty_viewport))
             .unwrap_err()
             .contains("viewport"));
+
+        let mut reserved = meta.clone();
+        reserved[3] = 1;
+        assert!(decode(&rebuild(&reserved))
+            .unwrap_err()
+            .contains("reserved"));
+
+        assert!(decode(&rebuild(&meta[..3])).unwrap_err().contains("words"));
     }
 }

@@ -85,6 +85,41 @@ pub struct Scene {
     pub camera: Camera,
 }
 
+impl Scene {
+    /// Splits the scene into its mesh-free view and its geometry, so a
+    /// caller that moves the triangles into an acceleration structure
+    /// can drop the mesh and keep only what ray generation reads.
+    pub fn into_parts(self) -> (SceneView, TriangleMesh) {
+        let view = SceneView {
+            id: self.id,
+            camera: self.camera,
+        };
+        (view, self.mesh)
+    }
+}
+
+impl AsRef<Camera> for Scene {
+    fn as_ref(&self) -> &Camera {
+        &self.camera
+    }
+}
+
+/// A scene without its geometry: which benchmark it is and the camera
+/// its rays start from. Held beside a BVH that stores the triangles.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SceneView {
+    /// Which benchmark this is.
+    pub id: SceneId,
+    /// Viewpoint used to generate primary rays.
+    pub camera: Camera,
+}
+
+impl AsRef<Camera> for SceneView {
+    fn as_ref(&self) -> &Camera {
+        &self.camera
+    }
+}
+
 impl SceneId {
     /// The scene's short code used in the paper's figures (SB, SP, …).
     pub fn code(self) -> &'static str {

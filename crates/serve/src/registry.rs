@@ -7,7 +7,7 @@
 //! production ray-tracing services over acceleration structures:
 //!
 //! * every lookup hands out an [`Arc`]'d, fully built
-//!   [`Case`](rip_exec::Case) (scene + BVH) from the shared
+//!   [`Case`](rip_exec::Case) (scene view + BVH) from the shared
 //!   [`CaseCache`] — never a mutable reference;
 //! * a *reload* builds the replacement off to the side (through the
 //!   cache, so the artifact store is still consulted) and then bumps an
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 /// concurrent reload can never swap geometry under a half-traced batch.
 #[derive(Clone, Debug)]
 pub struct SceneLease {
-    /// The immutable scene + BVH.
+    /// The immutable scene view + BVH.
     pub case: Arc<Case>,
     /// Registry epoch at lease time (bumped by every reload).
     pub epoch: u64,

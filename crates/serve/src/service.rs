@@ -326,7 +326,7 @@ impl RayService {
         &self.lease
     }
 
-    /// The immutable case (scene + BVH).
+    /// The immutable case (scene view + BVH).
     pub fn case(&self) -> &Arc<Case> {
         &self.lease.case
     }

@@ -54,8 +54,8 @@ fn reload_serves_mapped_disk_artifacts_bit_identically() {
     assert_eq!(cache.stats().disk_hits, 1, "first get loads from disk");
     assert_eq!(cache.stats().builds, 0);
     assert!(
-        old.case.scene.mesh.is_shared(),
-        "a disk-loaded mesh must borrow the mapped artifact bytes"
+        old.case.bvh.is_shared(),
+        "a disk-loaded BVH must borrow the mapped artifact bytes"
     );
 
     let fresh = registry
@@ -94,7 +94,7 @@ fn old_lease_outlives_reload_and_registry() {
 
     // The old lease still traces against consistent geometry: the
     // mapped bytes are kept alive by the case itself.
-    assert!(old.case.scene.mesh.triangle_count() > 0);
+    assert!(old.case.bvh.triangle_count() > 0);
     assert_eq!(digest(&old.case), expected);
 
     let _ = std::fs::remove_dir_all(&dir);

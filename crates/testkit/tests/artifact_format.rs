@@ -12,8 +12,8 @@
 //!    panic and never a stale load.
 //! 2. **Round-trip properties** — encode → write → [`MappedArtifact`]
 //!    → `decode_shared` → re-encode reproduces the original byte
-//!    stream exactly, for procedural scenes and for BVHs/wide BVHs
-//!    over every generator recipe.
+//!    stream exactly, for procedural scene views and for BVHs/wide
+//!    BVHs over every generator recipe.
 //! 3. **Cross-backend digest** — the committed `artifact_case.snap`
 //!    digest of disk-loaded cases must reproduce under both the owned
 //!    and the `mmap` backends (CI runs this suite with the `mmap`
@@ -133,7 +133,7 @@ fn corruption_matrix_always_quarantines_and_rebuilds() {
                 "{ext}/{label}: damaged artifact must be quarantined"
             );
             case.bvh.validate().unwrap();
-            assert!(case.scene.mesh.triangle_count() > 0);
+            assert!(case.bvh.triangle_count() > 0);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -170,16 +170,17 @@ fn roundtrip_through_map(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scene artifacts survive encode → map → decode bit-exactly, for
-    /// every scene id and a spread of viewports.
+    /// Scene-view artifacts survive encode → map → decode bit-exactly,
+    /// for every scene id and a spread of viewports.
     #[test]
     fn scene_roundtrip_is_bit_exact(
         scene_ix in 0usize..SCENE_IDS.len(),
         viewport in 4u32..24,
     ) {
-        let scene = SCENE_IDS[scene_ix]
-            .build_with_viewport(SceneScale::Tiny, viewport, viewport);
-        let bytes = rip_scene::serial::encode(&scene);
+        let (view, _) = SCENE_IDS[scene_ix]
+            .build_with_viewport(SceneScale::Tiny, viewport, viewport)
+            .into_parts();
+        let bytes = rip_scene::serial::encode(&view);
         roundtrip_through_map(&format!("scene-{scene_ix}-{viewport}"), &bytes, |b| {
             rip_scene::serial::encode(&rip_scene::serial::decode_shared(b).unwrap())
         });
@@ -225,9 +226,11 @@ proptest! {
 // 3. Cross-backend digest
 // ---------------------------------------------------------------------
 
-/// One digest line per key: the canonical re-encoded bytes of a case
-/// that was persisted by one cache and then *loaded from disk* by a
-/// fresh one — i.e. a case whose buffers borrow the mapped artifact.
+/// One digest line per key over the canonical re-encoded bytes of a
+/// case that was persisted by one cache and then *loaded from disk* by a
+/// fresh one — i.e. a case whose BVH borrows the mapped artifact. The
+/// view and the BVH get one digest each, so the BVH's can be compared
+/// with the encoded tree alone.
 fn mapped_case_digest() -> String {
     let keys = [
         CaseKey::square(SceneId::FireplaceRoom, SceneScale::Tiny, 20),
@@ -253,20 +256,22 @@ fn mapped_case_digest() -> String {
             key.label()
         );
         assert!(
-            case.scene.mesh.is_shared(),
-            "{}: a disk-loaded mesh must borrow the mapped bytes",
-            key.label()
-        );
-        assert!(
             case.bvh.is_shared(),
             "{}: a disk-loaded BVH must borrow its nodes, leaf order and \
              triangles from the mapped bytes",
             key.label()
         );
-        let mut fnv = Fnv::new();
-        fnv.write(&rip_scene::serial::encode(&case.scene));
-        fnv.write(&rip_bvh::serial::encode(&case.bvh));
-        out.push_str(&format!("{} {:016x}\n", key.label(), fnv.0));
+        let digest = |bytes: &[u8]| {
+            let mut fnv = Fnv::new();
+            fnv.write(bytes);
+            fnv.0
+        };
+        out.push_str(&format!(
+            "{} view {:016x} bvh {:016x}\n",
+            key.label(),
+            digest(&rip_scene::serial::encode(&case.scene)),
+            digest(&rip_bvh::serial::encode(&case.bvh)),
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
     out
