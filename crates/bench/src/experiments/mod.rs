@@ -132,18 +132,17 @@ impl SweepOutcome {
 }
 
 /// Configuration fingerprint tying a resume journal to one sweep shape:
-/// scale, scene selection, the experiment schedule, and both artifact
-/// format versions. A journal written under any other fingerprint is
+/// scale, scene selection, the experiment schedule, and the BVH and
+/// trace artifact format versions. A journal written under any other fingerprint is
 /// refused on resume.
 pub fn sweep_fingerprint(ctx: &Context) -> String {
     let scenes: Vec<&str> = ctx.scene_ids().iter().map(|id| id.code()).collect();
     let schedule: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
     format!(
-        "run_all scale={:?} scenes={} schedule={} formats=s{}b{}t{} trace={:?}",
+        "run_all scale={:?} scenes={} schedule={} formats=b{}t{} trace={:?}",
         ctx.scale,
         scenes.join(","),
         schedule.join(","),
-        rip_scene::serial::FORMAT_VERSION,
         rip_bvh::serial::FORMAT_VERSION,
         rip_bvh::ript::FORMAT_VERSION,
         ctx.trace_mode(),

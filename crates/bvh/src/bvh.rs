@@ -252,9 +252,10 @@ impl Bvh {
         best
     }
 
-    /// Refits the hierarchy to deformed geometry **without changing its
-    /// topology**: every node keeps its [`NodeId`], only the bounds are
-    /// recomputed bottom-up.
+    /// Lets `deform` move the tree's triangles in place (input index
+    /// order, as [`Bvh::triangles`] lists them), then refits the
+    /// hierarchy to them **without changing its topology**: every node
+    /// keeps its [`NodeId`], only the bounds are recomputed bottom-up.
     ///
     /// This is the classic dynamic-scene update (animation, §8 of the
     /// paper): because node identities are stable, predictor state trained
@@ -262,22 +263,11 @@ impl Bvh {
     /// same subtree, it merely bounds slightly different geometry. The
     /// paper's future-work hypothesis ("predictor states could potentially
     /// be preserved between frames") is evaluated on top of this primitive.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error (leaving the BVH untouched) when `new_triangles`
-    /// does not have exactly the original triangle count.
-    pub fn refit(&mut self, new_triangles: &[Triangle]) -> Result<(), String> {
-        if new_triangles.len() != self.triangles.len() {
-            return Err(format!(
-                "refit requires {} triangles, got {}",
-                self.triangles.len(),
-                new_triangles.len()
-            ));
-        }
+    /// A tree that borrows artifact memory detaches a private copy of its
+    /// buffers first.
+    pub fn refit(&mut self, deform: impl FnOnce(&mut [Triangle])) {
         let triangles = self.triangles.to_mut();
-        triangles.clear();
-        triangles.extend_from_slice(new_triangles);
+        deform(triangles);
         // Nodes were allocated parent-before-child (the builder reserves a
         // slot, then pushes children), so a reverse index sweep visits
         // children before parents: each node's box is final when it is
@@ -308,7 +298,6 @@ impl Bvh {
                 }
             }
         }
-        Ok(())
     }
 
     /// Checks the structural invariants of the tree.
@@ -479,7 +468,7 @@ mod tests {
                 Triangle::new(t.a + dy, t.b + dy, t.c + dy)
             })
             .collect();
-        bvh.refit(&deformed).unwrap();
+        bvh.refit(|t| t.copy_from_slice(&deformed));
         assert_eq!(bvh.node_count(), node_count, "topology must be unchanged");
         assert_eq!(bvh.depth(), depth_before);
         bvh.validate().unwrap();
@@ -501,22 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn refit_rejects_wrong_triangle_count() {
-        let tris = grid_scene(3);
-        let mut bvh = Bvh::build(&tris);
-        assert!(bvh.refit(&tris[..4]).is_err());
-        bvh.validate().unwrap();
-    }
-
-    #[test]
     fn refit_updates_cached_child_bounds() {
         let tris = grid_scene(4);
         let mut bvh = Bvh::build(&tris);
-        let moved: Vec<Triangle> = tris
-            .iter()
-            .map(|t| Triangle::new(t.a + Vec3::Y, t.b + Vec3::Y, t.c + Vec3::Y))
-            .collect();
-        bvh.refit(&moved).unwrap();
+        bvh.refit(|tris| {
+            for t in tris {
+                *t = Triangle::new(t.a + Vec3::Y, t.b + Vec3::Y, t.c + Vec3::Y);
+            }
+        });
         // validate() checks every child box lies in its parent's box.
         bvh.validate().unwrap();
         assert!(bvh.bounds().min.y >= 0.9, "bounds must follow the geometry");

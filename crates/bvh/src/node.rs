@@ -436,8 +436,8 @@ pub struct CompressedWideNode {
 }
 
 // One wide node is exactly one 64-byte record with no implicit padding
-// (the `pad` byte is explicit), so the RIPA v2 artifact stores the node
-// array verbatim and casts it back in place.
+// (the `pad` byte is explicit), so the layout pin digests the node array
+// as it is.
 rip_pod::impl_pod!(CompressedWideNode, size = 64, align = 4);
 
 impl CompressedWideNode {

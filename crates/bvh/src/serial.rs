@@ -21,8 +21,7 @@
 //! rebuilt on miss.
 
 use crate::bvh::Bvh;
-use crate::node::{BvhNode, CompressedWideNode, NO_PARENT, TAG_INTERIOR, TAG_LEAF};
-use crate::wide::{TriGroup, WideBvh};
+use crate::node::{BvhNode, NO_PARENT, TAG_INTERIOR, TAG_LEAF};
 use rip_math::{Aabb, Triangle};
 use rip_pod::ripa::{RipaFile, RipaWriter};
 use rip_pod::Bytes;
@@ -34,19 +33,12 @@ pub const FORMAT_VERSION: u32 = 3;
 
 /// RIPA artifact kind of a binary BVH.
 pub const KIND_BVH: u32 = 2;
-/// RIPA artifact kind of a compressed wide BVH.
-pub const KIND_WIDE: u32 = 3;
 
-// Section ids of the binary-BVH artifact.
+// Section ids.
 const SEC_META: u32 = 1;
 const SEC_NODES: u32 = 2;
 const SEC_ORDER: u32 = 3;
 const SEC_TRIS: u32 = 4;
-
-// Section ids of the wide-BVH artifact.
-const SEC_WIDE_META: u32 = 1;
-const SEC_WIDE_NODES: u32 = 2;
-const SEC_WIDE_GROUPS: u32 = 3;
 
 /// Counts header of the binary artifact, cross-checked against the
 /// actual section lengths, plus the root's box (which no node record
@@ -251,101 +243,6 @@ fn check_leaf_coverage(nodes: &[BvhNode], order: &[u32], tri_count: usize) -> Re
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Wide BVH
-// ---------------------------------------------------------------------------
-
-/// Version of the compressed wide-BVH artifact layout.
-pub const WIDE_FORMAT_VERSION: u32 = 2;
-
-/// Counts header of the wide artifact.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct WideMeta {
-    node_count: u32,
-    group_count: u32,
-    reserved: [u32; 2],
-}
-
-rip_pod::impl_pod!(WideMeta, size = 16, align = 4);
-
-/// Encodes a compressed wide BVH into a self-contained RIPA v2 buffer.
-///
-/// The node and group arrays are already flat `#[repr(C)]` records
-/// (64 and 180 bytes) with no implicit padding, so the sections are
-/// verbatim memory dumps and re-encoding a decoded tree is
-/// byte-identical — `rip-testkit` pins that stability with a golden
-/// snapshot.
-pub fn encode_wide(wide: &WideBvh) -> Vec<u8> {
-    let (nodes, groups) = wide.raw_parts();
-    let meta = WideMeta {
-        node_count: nodes.len() as u32,
-        group_count: groups.len() as u32,
-        reserved: [0; 2],
-    };
-    let mut w = RipaWriter::new(KIND_WIDE);
-    w.section(SEC_WIDE_META, std::slice::from_ref(&meta))
-        .section(SEC_WIDE_NODES, nodes)
-        .section(SEC_WIDE_GROUPS, groups);
-    w.finish()
-}
-
-/// Decodes an owned buffer produced by [`encode_wide`] (copies into an
-/// aligned buffer, then runs [`decode_wide_shared`]).
-pub fn decode_wide(bytes: &[u8]) -> Result<WideBvh, String> {
-    decode_wide_shared(Bytes::copy_from_slice(bytes))
-}
-
-/// Decodes a wide-BVH artifact in place: both record sections are
-/// borrowed out of `bytes`, and every child reference is range-checked
-/// so a corrupt artifact is rejected instead of tripping out-of-bounds
-/// indexing during traversal.
-pub fn decode_wide_shared(bytes: Bytes) -> Result<WideBvh, String> {
-    use crate::node::EMPTY_WIDE_CHILD;
-
-    let file = RipaFile::parse(bytes, KIND_WIDE)?;
-    let meta: WideMeta = file.read_one(SEC_WIDE_META)?;
-    if meta.reserved != [0; 2] {
-        return Err("reserved meta field is not zero".into());
-    }
-    let nodes = file.pod_section::<CompressedWideNode>(SEC_WIDE_NODES)?;
-    let groups = file.pod_section::<TriGroup>(SEC_WIDE_GROUPS)?;
-    if nodes.len() != meta.node_count as usize || groups.len() != meta.group_count as usize {
-        return Err(format!(
-            "meta promises {}/{} nodes/groups but sections hold {}/{}",
-            meta.node_count,
-            meta.group_count,
-            nodes.len(),
-            groups.len()
-        ));
-    }
-    // Structural validation: every child reference must land in range.
-    for (i, node) in nodes.as_slice().iter().enumerate() {
-        for slot in 0..4 {
-            if node.counts[slot] > 0 {
-                let first = node.children[slot] as usize;
-                let needed = (node.counts[slot] as usize).div_ceil(4);
-                if first.saturating_add(needed) > groups.len() {
-                    return Err(format!(
-                        "wide node {i} slot {slot}: leaf groups {first}..+{needed} out of \
-                         range ({} groups)",
-                        groups.len()
-                    ));
-                }
-            } else if node.children[slot] != EMPTY_WIDE_CHILD
-                && node.children[slot] as usize >= nodes.len()
-            {
-                return Err(format!(
-                    "wide node {i} slot {slot}: interior child {} out of range ({} nodes)",
-                    node.children[slot],
-                    nodes.len()
-                ));
-            }
-        }
-    }
-    Ok(WideBvh::from_raw_parts(nodes, groups))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,10 +317,10 @@ mod tests {
 
     #[test]
     fn rejects_wrong_kind() {
-        let bvh = sample_bvh(40);
-        let wide = crate::WideBvh::from_binary(&bvh);
-        // A wide artifact is a valid RIPA file of the wrong kind.
-        assert!(decode(&encode_wide(&wide)).unwrap_err().contains("kind"));
+        // A valid RIPA file of another kind.
+        let mut w = RipaWriter::new(KIND_BVH + 1);
+        w.section(SEC_META, &[0u32; 4]);
+        assert!(decode(&w.finish()).unwrap_err().contains("kind"));
     }
 
     #[test]
@@ -435,79 +332,6 @@ mod tests {
             bad[at] ^= 0x20;
             assert!(decode(&bad).is_err(), "flip at {at} went undetected");
         }
-    }
-
-    #[test]
-    fn wide_roundtrip_preserves_traversal_results() {
-        use crate::{TraversalKind, WideBvh};
-        let bvh = sample_bvh(200);
-        let wide = WideBvh::from_binary(&bvh);
-        let decoded = decode_wide(&encode_wide(&wide)).unwrap();
-        assert_eq!(decoded.node_count(), wide.node_count());
-        assert_eq!(decoded.group_count(), wide.group_count());
-        assert!(decoded.is_shared(), "wide decode must borrow both sections");
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(99);
-        for _ in 0..40 {
-            let o = Vec3::new(
-                rng.gen_range(-9.0f32..9.0),
-                rng.gen_range(-9.0f32..9.0),
-                -12.0,
-            );
-            let ray = rip_math::Ray::segment(o, Vec3::Z, 30.0);
-            for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
-                let a = wide.intersect(&bvh, &ray, kind);
-                let b = decoded.intersect(&bvh, &ray, kind);
-                assert_eq!(a, b, "decoded wide tree must traverse identically");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_reencode_is_byte_identical() {
-        let bvh = sample_bvh(150);
-        let wide = crate::WideBvh::from_binary(&bvh);
-        let bytes = encode_wide(&wide);
-        assert_eq!(encode_wide(&decode_wide(&bytes).unwrap()), bytes);
-    }
-
-    #[test]
-    fn wide_rejects_bad_magic_version_truncation_and_references() {
-        let bvh = sample_bvh(60);
-        let wide = crate::WideBvh::from_binary(&bvh);
-        let bytes = encode_wide(&wide);
-
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(decode_wide(&bad_magic).unwrap_err().contains("magic"));
-
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 0xEE;
-        assert!(decode_wide(&bad_version).unwrap_err().contains("version"));
-
-        assert!(decode_wide(&bytes[..bytes.len() - 2]).is_err());
-
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_wide(&trailing).is_err());
-
-        // Point the first interior child out of range.
-        let (nodes, groups) = wide.raw_parts();
-        let mut corrupt_nodes = nodes.to_vec();
-        let mut poisoned = false;
-        'outer: for node in corrupt_nodes.iter_mut() {
-            for slot in 0..4 {
-                if node.counts[slot] == 0 && node.children[slot] != crate::node::EMPTY_WIDE_CHILD {
-                    node.children[slot] = u32::MAX - 1;
-                    poisoned = true;
-                    break 'outer;
-                }
-            }
-        }
-        assert!(poisoned, "tree should have an interior child to poison");
-        let corrupt = crate::WideBvh::from_raw_parts(corrupt_nodes, groups.to_vec());
-        assert!(decode_wide(&encode_wide(&corrupt))
-            .unwrap_err()
-            .contains("out of range"));
     }
 
     #[test]

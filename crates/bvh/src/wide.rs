@@ -35,7 +35,6 @@ use crate::simd::F32x4;
 use crate::stack::{ShortStack, SHORT_STACK_CAPACITY};
 use crate::{Bvh, Hit, TraversalKind, TraversalStats};
 use rip_math::{Ray, Vec3};
-use rip_pod::PodBuf;
 
 /// Maximum children per wide node.
 pub const WIDE_ARITY: usize = 4;
@@ -65,8 +64,8 @@ pub(crate) struct TriGroup {
     pub(crate) leaf: u32,
 }
 
-// 40 f32 lanes + 4 indices + the leaf id: 180 packed bytes, stored
-// verbatim in the wide artifact's group section.
+// 40 f32 lanes + 4 indices + the leaf id: 180 packed bytes, which the
+// layout pin digests as they are.
 rip_pod::impl_pod!(TriGroup, size = 180, align = 4);
 
 impl TriGroup {
@@ -137,8 +136,8 @@ pub struct WideResult {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WideBvh {
-    nodes: PodBuf<CompressedWideNode>,
-    groups: PodBuf<TriGroup>,
+    nodes: Vec<CompressedWideNode>,
+    groups: Vec<TriGroup>,
 }
 
 /// A packed traversal-stack entry: child reference in the low half,
@@ -350,8 +349,8 @@ impl WideBvh {
     /// the binary leaf ids reported in hits) are preserved exactly.
     pub fn from_binary(bvh: &Bvh) -> Self {
         let mut wide = WideBvh {
-            nodes: PodBuf::from(vec![CompressedWideNode::empty()]),
-            groups: PodBuf::default(),
+            nodes: vec![CompressedWideNode::empty()],
+            groups: Vec::new(),
         };
         wide.build_node(bvh, NodeId::ROOT, 0);
         wide
@@ -367,27 +366,10 @@ impl WideBvh {
         self.groups.len()
     }
 
-    /// The compressed node records (for serialization and inspection).
+    /// The compressed node and leaf-group records (layout pinning).
+    #[cfg(test)]
     pub(crate) fn raw_parts(&self) -> (&[CompressedWideNode], &[TriGroup]) {
         (&self.nodes, &self.groups)
-    }
-
-    /// Reassembles a tree from decoded parts (serialization support).
-    /// The buffers may be owned or borrow shared artifact memory —
-    /// traversal reads slices either way.
-    pub(crate) fn from_raw_parts(
-        nodes: impl Into<PodBuf<CompressedWideNode>>,
-        groups: impl Into<PodBuf<TriGroup>>,
-    ) -> Self {
-        WideBvh {
-            nodes: nodes.into(),
-            groups: groups.into(),
-        }
-    }
-
-    /// Whether any buffer borrows shared artifact memory (diagnostics).
-    pub fn is_shared(&self) -> bool {
-        self.nodes.is_shared() || self.groups.is_shared()
     }
 
     fn build_node(&mut self, bvh: &Bvh, binary: NodeId, slot: usize) {
@@ -438,13 +420,13 @@ impl WideBvh {
                 }
                 NodeKind::Interior { .. } => {
                     let idx = self.nodes.len() as u32;
-                    self.nodes.to_mut().push(CompressedWideNode::empty());
+                    self.nodes.push(CompressedWideNode::empty());
                     node.children[i] = idx;
                     recurse.push((member, idx));
                 }
             }
         }
-        self.nodes.to_mut()[slot] = node;
+        self.nodes[slot] = node;
         for (member, idx) in recurse {
             self.build_node(bvh, member, idx as usize);
         }
@@ -466,7 +448,7 @@ impl WideBvh {
                 group.set_lane(lane, tri_index, bvh.triangle(tri_index));
                 slot += 1;
             }
-            self.groups.to_mut().push(group);
+            self.groups.push(group);
         }
         start
     }
@@ -689,6 +671,29 @@ mod tests {
             .collect()
     }
 
+    /// Pins the compressed wide-tree layout: the node and group records
+    /// of trees over fixed soups, digested byte for byte.
+    #[test]
+    fn wide_layout_is_pinned() {
+        let digests = [(1, 0), (150, 7), (2_000, 3)].map(|(n, seed)| {
+            let wide = WideBvh::from_binary(&Bvh::build(&soup(n, seed)));
+            let (nodes, groups) = wide.raw_parts();
+            let digest = rip_pod::fnv1a_extend(
+                rip_pod::fnv1a(rip_pod::bytes_of_slice(nodes)),
+                rip_pod::bytes_of_slice(groups),
+            );
+            (nodes.len(), groups.len(), digest)
+        });
+        assert_eq!(
+            digests,
+            [
+                (1, 1, 0xf5c6_f08b_7ba1_2cff),
+                (23, 52, 0xe691_433e_2152_7705),
+                (319, 670, 0x56da_e5b3_9768_c9e0),
+            ]
+        );
+    }
+
     #[test]
     fn wide_matches_binary_results_bit_exactly() {
         for seed in 0..5 {
@@ -760,7 +765,7 @@ mod tests {
         let binary = Bvh::build(&soup(300, 21));
         let wide = WideBvh::from_binary(&binary);
         let mut leaf_slots = 0;
-        for node in wide.nodes.as_slice() {
+        for node in &wide.nodes {
             for i in 0..WIDE_ARITY {
                 if node.counts[i] == 0 {
                     continue;

@@ -1,34 +1,43 @@
 //! Build-once case cache with an on-disk artifact store.
 //!
-//! The crate's build-once store keyed by `(scene, scale, viewport)`, with
-//! the load → quarantine → rebuild → persist path that
-//! [`TraceStore`](crate::TraceStore) shares. Its disk tier holds two RIPA
-//! v2 artifacts per case, so *later processes* skip procedural synthesis
-//! and BVH construction entirely: the scene view (`rip_scene::serial`,
-//! id and camera, a few hundred bytes) and the BVH (`rip_bvh::serial`),
-//! which holds the scene's only copy of its triangles. Artifacts are
-//! mapped through [`MappedArtifact`] and the BVH is decoded **in place**
-//! — its buffers are borrowed from the mapping, not copied — and their
-//! names carry both format versions, so a format bump is a plain miss.
+//! A case is a tree plus a viewport ([`crate::case`]), so the cache keeps
+//! one build-once cell per tree, keyed by `(scene, scale)`, in the
+//! crate's store with the load → quarantine → rebuild → persist path
+//! that [`TraceStore`](crate::TraceStore) shares. Each
+//! `(scene, scale, viewport)` case is made over the shared tree, with a
+//! view derived from the tree's bounds. The disk tier holds one RIPA v2
+//! BVH artifact per tree (`rip_bvh::serial`, the scene's only copy of its
+//! triangles), named `<scene>_<scale>_b<version>.bvh`, so *later
+//! processes* skip procedural synthesis and BVH construction entirely.
+//! The artifact is mapped through [`MappedArtifact`] and decoded **in
+//! place** — its buffers are borrowed from the mapping, not copied — and
+//! its name carries the format version, so a format bump is a plain miss.
 //!
 //! The store lives in `$RIP_CACHE_DIR` when set (an **empty** value
 //! disables the disk tier), else `<system temp dir>/rip-artifacts`.
-//! Clearing it is always safe: artifacts are pure derived data. Telemetry
-//! lands in the `exec.cache.*` counters.
+//! Clearing it is always safe: artifacts are pure derived data. A cache
+//! that opens a directory deletes the artifacts of retired layouts there
+//! (per-viewport cases, older BVH versions) and touches nothing else.
+//! Telemetry lands in the `exec.cache.*` counters.
 
 use crate::artifact::MappedArtifact;
-use crate::case::{Case, CaseKey};
+use crate::case::{Case, CaseKey, TreeKey};
 use crate::store::{env_dir, CacheError, CacheStats, Names, Recipe, Store};
+use rip_bvh::Bvh;
 use rip_obs::Obs;
+use rip_scene::{SceneScale, SCENE_IDS};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Process-wide build-once cache of benchmark cases.
-#[derive(Debug)]
 pub struct CaseCache {
-    store: Store<CaseKey, Case>,
+    trees: Store<TreeKey, Bvh>,
+    /// The cases made so far, each over the tree its key's cell held
+    /// when it was made.
+    cases: Mutex<HashMap<CaseKey, Arc<Case>>>,
 }
 
 impl CaseCache {
@@ -38,10 +47,15 @@ impl CaseCache {
         CaseCache::with_disk_dir(env_dir("RIP_CACHE_DIR", "rip-artifacts"))
     }
 
-    /// A cache with an explicit disk tier (`None` = in-memory only).
+    /// A cache with an explicit disk tier (`None` = in-memory only). The
+    /// directory's artifacts of retired layouts are deleted.
     pub fn with_disk_dir(disk_dir: Option<PathBuf>) -> Self {
+        if let Some(dir) = &disk_dir {
+            delete_retired_artifacts(dir);
+        }
         CaseCache {
-            store: Store::new(disk_dir),
+            trees: Store::new(disk_dir),
+            cases: Mutex::default(),
         }
     }
 
@@ -54,55 +68,82 @@ impl CaseCache {
     /// instead of the process-wide default instance.
     pub fn with_obs(self, obs: Arc<Obs>) -> Self {
         CaseCache {
-            store: self.store.with_obs(obs),
+            trees: self.trees.with_obs(obs),
+            ..self
         }
     }
 
-    /// Counters since construction.
+    /// Counters since construction. Every lease counts once, by how its
+    /// tree was served: a case over an already-made tree is a memory hit.
     pub fn stats(&self) -> CacheStats {
-        self.store.stats()
+        self.trees.stats()
     }
 
-    /// Returns the case for `key`, building it at most once per process
-    /// and consulting the artifact store before building.
+    /// Returns the case for `key`, making its tree at most once per
+    /// process and consulting the artifact store before building.
     ///
-    /// This never fails: a missing, unreadable, corrupt, or mismatched
-    /// artifact is quarantined as needed and the case is rebuilt from
-    /// source. (A panic inside the scene/BVH build itself still unwinds —
-    /// that is the caller's unit boundary, isolated by
+    /// This never fails: a missing, unreadable, or corrupt artifact is
+    /// quarantined as needed and the tree is rebuilt from source. (A
+    /// panic inside the scene/BVH build itself still unwinds — that is
+    /// the caller's unit boundary, isolated by
     /// [`ShardedRunner::try_run`](crate::runner::ShardedRunner::try_run).)
     pub fn get_or_build(&self, key: CaseKey) -> Arc<Case> {
-        self.store.get(key, &key)
+        let bvh = self.trees.get(key.tree(), &key.tree());
+        let mut cases = self.cases();
+        match cases.get(&key) {
+            Some(case) if Arc::ptr_eq(&case.bvh, &bvh) => Arc::clone(case),
+            _ => {
+                let case = Arc::new(Case::new(key, bvh));
+                cases.insert(key, Arc::clone(&case));
+                case
+            }
+        }
     }
 
-    /// Drops the in-process entry for `key`, so the next
-    /// [`CaseCache::get_or_build`] re-resolves it (from the artifact
-    /// store if present, else a fresh build). Returns whether an entry
-    /// was dropped. On-disk artifacts are untouched — they are pure
-    /// derived data and stay valid across epochs.
+    /// Drops the in-process case for `key` and its tree, so the next
+    /// [`CaseCache::get_or_build`] re-resolves the tree (from the
+    /// artifact store if present, else a fresh build). Returns whether an
+    /// entry was dropped. Other viewports' cases over the dropped tree
+    /// are remade over its successor when next leased. On-disk artifacts
+    /// are untouched — they are pure derived data and stay valid across
+    /// epochs.
     ///
     /// This is the hook behind `rip-serve`'s epoch-based registry
     /// reload: the registry invalidates, rebuilds via `get_or_build`,
     /// and bumps its epoch; requests already holding the old `Arc`'d
     /// case keep tracing against it unperturbed.
     pub fn invalidate(&self, key: CaseKey) -> bool {
-        self.store.invalidate(&key)
+        let case = self.cases().remove(&key).is_some();
+        self.trees.invalidate(&key.tree()) || case
     }
 
-    /// The already-built case for `key`, if any — a pure read: never
+    /// The already-made case for `key`, if any — a pure read: never
     /// builds, never touches hit counters. Service layers use this to
     /// snapshot the current epoch before attempting a risky rebuild.
     pub fn peek(&self, key: CaseKey) -> Option<Arc<Case>> {
-        self.store.peek(&key)
+        let bvh = self.trees.peek(&key.tree())?;
+        let cases = self.cases();
+        cases
+            .get(&key)
+            .filter(|case| Arc::ptr_eq(&case.bvh, &bvh))
+            .cloned()
     }
 
-    /// Re-registers `case` as the in-process entry for `key`, replacing
-    /// whatever is there. This is the reload circuit breaker's undo
-    /// path: when a rebuild fails after [`CaseCache::invalidate`], the
-    /// previous case goes back so readers keep being served the last
-    /// good epoch instead of re-attempting the failing build.
+    /// Re-registers `case` as the in-process entry for `key`, and its
+    /// tree as the entry for `key.tree()`, replacing whatever is there.
+    /// This is the reload circuit breaker's undo path: when a rebuild
+    /// fails after [`CaseCache::invalidate`], the previous case goes back
+    /// so readers keep being served the last good epoch instead of
+    /// re-attempting the failing build.
     pub fn restore(&self, key: CaseKey, case: Arc<Case>) {
-        self.store.restore(key, case);
+        self.trees.restore(key.tree(), Arc::clone(&case.bvh));
+        self.cases().insert(key, case);
+    }
+
+    /// The case map, even if another thread panicked while holding its
+    /// lock: no operation on it can leave it half-updated.
+    fn cases(&self) -> MutexGuard<'_, HashMap<CaseKey, Arc<Case>>> {
+        self.cases.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -112,8 +153,17 @@ impl Default for CaseCache {
     }
 }
 
-impl Recipe for CaseKey {
-    type Value = Case;
+impl std::fmt::Debug for CaseCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CaseCache")
+            .field("trees", &self.trees)
+            .field("cases", &self.cases().len())
+            .finish()
+    }
+}
+
+impl Recipe for TreeKey {
+    type Value = Bvh;
     const NAMES: Names = Names {
         cat: "exec.cache",
         arg: "case",
@@ -124,52 +174,87 @@ impl Recipe for CaseKey {
     };
 
     fn label(&self) -> String {
-        CaseKey::label(self)
+        TreeKey::label(self)
     }
 
-    fn paths(&self, dir: &Path) -> Vec<PathBuf> {
-        let stem = format!(
-            "{}_s{}b{}",
-            self.label(),
-            rip_scene::serial::FORMAT_VERSION,
-            rip_bvh::serial::FORMAT_VERSION,
-        );
-        vec![
-            dir.join(format!("{stem}.scene")),
-            dir.join(format!("{stem}.bvh")),
-        ]
+    fn path(&self, dir: &Path) -> PathBuf {
+        let version = rip_bvh::serial::FORMAT_VERSION;
+        dir.join(format!("{}_b{version}.bvh", self.label()))
     }
 
     /// The BVH's buffers stay borrowed from the mapping (owned aligned
     /// buffer by default, a page mapping under the `mmap` feature) for
-    /// the case's whole lifetime, so a disk hit copies no buffer. It
+    /// the tree's whole lifetime, so a disk hit copies no buffer. It
     /// still reads every byte once: the checksums and structural checks
-    /// scan it. The view must name the key's scene and viewport.
-    fn decode(&self, paths: &[PathBuf], files: &[MappedArtifact]) -> Result<Case, CacheError> {
-        let scene = rip_scene::serial::decode_shared(files[0].bytes())
-            .map_err(CacheError::corrupt(&paths[0]))?;
-        let bvh = rip_bvh::serial::decode_shared(files[1].bytes())
-            .map_err(CacheError::corrupt(&paths[1]))?;
-        if scene.id != self.id
-            || scene.camera.width() != self.width
-            || scene.camera.height() != self.height
-        {
-            return Err(CacheError::KeyMismatch {
-                label: self.label(),
-            });
-        }
-        Ok(Case::from_parts(scene, bvh))
+    /// scan it.
+    fn decode(&self, path: &Path, file: &MappedArtifact) -> Result<Bvh, CacheError> {
+        rip_bvh::serial::decode_shared(file.bytes()).map_err(CacheError::corrupt(path))
     }
 
-    fn build(&self) -> Case {
-        Case::build(*self)
+    fn build(&self) -> Bvh {
+        TreeKey::build(*self)
     }
 
-    fn write(&self, case: &Case, index: usize, out: &mut BufWriter<File>) -> io::Result<()> {
-        match index {
-            0 => rip_scene::serial::write_to(&case.scene, out),
-            _ => rip_bvh::serial::write_to(&case.bvh, out),
+    fn write(&self, bvh: &Bvh, out: &mut BufWriter<File>) -> io::Result<()> {
+        rip_bvh::serial::write_to(bvh, out)
+    }
+}
+
+/// Deletes the case artifacts of retired layouts in `dir`: see
+/// [`is_retired`]. Nothing else is touched, and a file that cannot be
+/// deleted is left for the next cache.
+fn delete_retired_artifacts(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|entry| entry.path()) {
+        let retired = path
+            .file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(is_retired);
+        if retired && std::fs::remove_file(&path).is_ok() {
+            Obs::global()
+                .event("exec.cache", "retired")
+                .arg("path", path.display().to_string())
+                .stderr(format!(
+                    "[rip-exec] deleted retired artifact {}",
+                    path.display()
+                ))
+                .emit();
         }
+    }
+}
+
+/// Whether `name` follows the case store's naming grammar under a
+/// retired layout: a per-viewport case file
+/// `<scene>_<scale>_<w>x<h>_s<n>b<m>.{scene,bvh}`, or a tree file
+/// `<scene>_<scale>_b<n>.bvh` of another BVH format version.
+fn is_retired(name: &str) -> bool {
+    let number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let pair = |s: &str, sep| {
+        s.split_once(sep)
+            .is_some_and(|(a, b)| number(a) && number(b))
+    };
+    let tree = |code: &str, scale| {
+        SCENE_IDS.iter().any(|id| id.code().to_lowercase() == code)
+            && SceneScale::parse(scale).is_some()
+    };
+    let Some((stem, ext)) = name.rsplit_once('.') else {
+        return false;
+    };
+    match (stem.split('_').collect::<Vec<_>>().as_slice(), ext) {
+        ([code, scale, viewport, versions], "scene" | "bvh") => {
+            tree(code, scale)
+                && pair(viewport, 'x')
+                && versions.strip_prefix('s').is_some_and(|v| pair(v, 'b'))
+        }
+        ([code, scale, version], "bvh") => {
+            tree(code, scale)
+                && version
+                    .strip_prefix('b')
+                    .is_some_and(|v| number(v) && v != rip_bvh::serial::FORMAT_VERSION.to_string())
+        }
+        _ => false,
     }
 }
 
@@ -254,64 +339,98 @@ mod tests {
     }
 
     #[test]
-    fn stored_artifacts_are_the_encoded_case() {
+    fn stored_artifact_is_the_encoded_tree() {
         let dir = temp_store("encoded");
         let cache = CaseCache::with_disk_dir(Some(dir.clone()));
         let case = cache.get_or_build(tiny_key(21));
-        let paths = tiny_key(21).paths(&dir);
         assert_eq!(
-            std::fs::read(&paths[0]).unwrap(),
-            rip_scene::serial::encode(&case.scene)
-        );
-        assert_eq!(
-            std::fs::read(&paths[1]).unwrap(),
+            std::fs::read(tiny_key(21).tree().path(&dir)).unwrap(),
             rip_bvh::serial::encode(&case.bvh)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn disk_tier_stores_geometry_once() {
-        let dir = temp_store("geometry-once");
-        let bvh_bytes = {
+    fn viewports_of_one_scene_share_one_tree() {
+        let dir = temp_store("one-tree");
+        let (a, b) = {
             let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-            rip_bvh::serial::encode(&cache.get_or_build(tiny_key(23)).bvh).len() as u64
+            let a = cache.get_or_build(tiny_key(23));
+            let b = cache.get_or_build(tiny_key(24));
+            assert_eq!((cache.stats().builds, cache.stats().memory_hits), (1, 1));
+            (a, b)
         };
-        let stored: u64 = tiny_key(23)
-            .paths(&dir)
-            .iter()
-            .map(|path| std::fs::metadata(path).unwrap().len())
-            .sum();
         assert!(
-            stored <= bvh_bytes + 1024,
-            "the case's files hold {stored} bytes; the BVH alone is {bvh_bytes}"
+            Arc::ptr_eq(&a.bvh, &b.bvh),
+            "both viewports must share the tree"
         );
+        assert_ne!(a.scene, b.scene);
+        let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(
+            files,
+            [tiny_key(23).tree().path(&dir)],
+            "one .bvh file per tree"
+        );
+        // A fresh cache (fresh process stand-in) leasing a third viewport
+        // loads the same tree from disk.
         let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-        let case = cache.get_or_build(tiny_key(23));
+        let c = cache.get_or_build(tiny_key(25));
         assert_eq!((cache.stats().disk_hits, cache.stats().builds), (1, 0));
-        assert!(case.bvh.is_shared(), "a warm lease must borrow the mapping");
+        assert!(c.bvh.is_shared(), "a warm lease must borrow the mapping");
+        assert_eq!(c.scene, Case::build(tiny_key(25)).scene);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_view_of_another_key_forces_a_rebuild() {
-        let dir = temp_store("foreign-view");
-        let (own, foreign) = (
-            tiny_key(24),
-            CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 25),
+    fn invalidating_a_key_drops_its_case_and_tree() {
+        let cache = CaseCache::in_memory_only();
+        let old = cache.get_or_build(tiny_key(16));
+        cache.get_or_build(tiny_key(24));
+        assert!(cache.invalidate(tiny_key(16)));
+        assert!(cache.peek(tiny_key(16)).is_none());
+        assert!(
+            cache.peek(tiny_key(24)).is_none(),
+            "no case may outlive its tree's cell"
         );
+        let new = cache.get_or_build(tiny_key(24));
+        assert_eq!(cache.stats().builds, 2);
+        assert!(!Arc::ptr_eq(&old.bvh, &new.bvh));
+        cache.restore(tiny_key(16), Arc::clone(&old));
+        assert!(Arc::ptr_eq(&cache.peek(tiny_key(16)).unwrap(), &old));
+        assert!(Arc::ptr_eq(&cache.get_or_build(tiny_key(24)).bvh, &old.bvh));
+    }
+
+    #[test]
+    fn retired_artifacts_are_deleted() {
+        let dir = temp_store("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let version = rip_bvh::serial::FORMAT_VERSION;
+        let retired = ["sb_tiny_32x32_s2b3.scene", "lr_paper_1024x1024_s3b3.bvh"];
+        let kept = [
+            format!("sb_tiny_b{version}.bvh"),
+            format!("sb_tiny_32x32_any_t{}.ript", rip_bvh::ript::FORMAT_VERSION),
+            "notes_s2b3.scene.txt".to_string(),
+        ];
+        for name in retired
+            .iter()
+            .copied()
+            .chain(kept.iter().map(String::as_str))
         {
-            let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-            cache.get_or_build(own);
-            cache.get_or_build(foreign);
+            std::fs::write(dir.join(name), b"bytes").unwrap();
         }
-        // Both files are intact, but the view names another viewport.
-        std::fs::copy(&foreign.paths(&dir)[0], &own.paths(&dir)[0]).unwrap();
-        let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-        let case = cache.get_or_build(own);
-        assert_eq!((cache.stats().disk_hits, cache.stats().builds), (0, 1));
-        assert!(cache.stats().quarantines >= 1);
-        assert_eq!(case.scene.camera.width(), 24);
+        CaseCache::with_disk_dir(Some(dir.clone()));
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut expected = kept.to_vec();
+        expected.sort();
+        assert_eq!(left, expected);
+        assert!(is_retired(&format!("sb_tiny_b{}.bvh", version + 1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -353,8 +472,9 @@ mod tests {
     fn distinct_keys_do_not_collide() {
         let cache = CaseCache::in_memory_only();
         let a = cache.get_or_build(tiny_key(16));
-        let b = cache.get_or_build(CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 24));
-        assert_eq!(cache.stats().builds, 2);
+        let b = cache.get_or_build(tiny_key(24));
+        assert_eq!(cache.stats().builds, 1);
         assert_ne!(a.scene, b.scene);
+        assert_eq!((a.scene.camera.width(), b.scene.camera.width()), (16, 24));
     }
 }

@@ -1,23 +1,23 @@
-//! Benchmark cases: a scene's view plus its acceleration structure.
+//! Benchmark cases: one tree per scene and scale, seen through a viewport.
 //!
-//! A case holds each triangle once, in its BVH: the tree stores the
-//! scene's triangles in scene order, and [`Bvh::bounds`] is the scene's
-//! bounding box. Beside it the case keeps only the mesh-free
-//! [`SceneView`] (scene id and camera), which is all that ray generation
-//! reads. [`Case::from_scene`] drops the indexed mesh before the BVH
-//! build starts, so the two copies never coexist.
+//! A BVH depends only on the scene and the scale (`TreeKey`); the
+//! viewport changes only the camera, and the camera is a pure function of
+//! the scene's bounds ([`SceneId::view`]). So a case is a shared tree plus
+//! a [`SceneView`] derived from the tree's bounds, which are the scene's:
+//! the tree stores the scene's triangles in scene order, each once, and
+//! every viewport of one scene and scale shares it.
 //!
 //! The [`CaseCache`](crate::cache::CaseCache) builds, persists, and
-//! shares cases across experiments.
+//! shares the trees and the cases over them across experiments.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::pool::{global_budget, JobPool};
 use rip_bvh::{Bvh, BvhBuilder, JobMap, RayBatch};
 use rip_render::{AoConfig, AoWorkload};
-use rip_scene::{Scene, SceneId, SceneScale, SceneView};
+use rip_scene::{SceneId, SceneScale, SceneView};
 
-/// Identity of a built case: everything that determines its bytes.
+/// Identity of a case: its tree plus a viewport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CaseKey {
     /// Which benchmark scene.
@@ -44,28 +44,63 @@ impl CaseKey {
     /// Stable lowercase label for file names and telemetry, e.g.
     /// `sb_tiny_48x48`.
     pub fn label(&self) -> String {
+        format!("{}_{}x{}", self.tree().label(), self.width, self.height)
+    }
+
+    /// The key of the tree this case is seen through.
+    pub(crate) fn tree(&self) -> TreeKey {
+        TreeKey {
+            id: self.id,
+            scale: self.scale,
+        }
+    }
+}
+
+/// Identity of a built BVH: the scene and the scale, which alone
+/// determine its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct TreeKey {
+    pub(crate) id: SceneId,
+    pub(crate) scale: SceneScale,
+}
+
+impl TreeKey {
+    /// Stable lowercase label for file names and telemetry, e.g.
+    /// `sb_tiny`.
+    pub(crate) fn label(&self) -> String {
         let scale = match self.scale {
             SceneScale::Tiny => "tiny",
             SceneScale::Quick => "quick",
             SceneScale::Paper => "paper",
         };
-        format!(
-            "{}_{}_{}x{}",
-            self.id.code().to_lowercase(),
-            scale,
-            self.width,
-            self.height
-        )
+        format!("{}_{scale}", self.id.code().to_lowercase())
+    }
+
+    /// Builds the tree from scratch: procedural scene synthesis, then a
+    /// BVH build over the scene's triangles. The mesh is dropped before
+    /// the build starts, and the collected triangles move into the tree
+    /// instead of being copied. The build's subtree jobs run on the
+    /// process-wide job budget, so the tree is the same at any `--jobs`;
+    /// a build nested in a saturated map runs them inline.
+    pub(crate) fn build(self) -> Bvh {
+        let triangles = self.id.build_mesh(self.scale).triangles().collect();
+        let jobs = CaseBuildJobs {
+            scene: self.id,
+            pool: JobPool::new(global_budget()),
+        };
+        BvhBuilder::new().build_on(triangles, &jobs)
     }
 }
 
 /// A built benchmark case.
 #[derive(Clone, Debug)]
 pub struct Case {
-    /// Scene id and camera: what ray generation reads.
+    /// Scene id and camera: what ray generation reads, derived from the
+    /// tree's bounds.
     pub scene: SceneView,
-    /// The acceleration structure, which holds the scene's triangles.
-    pub bvh: Bvh,
+    /// The acceleration structure, which holds the scene's triangles and
+    /// is shared by every viewport of the scene and scale.
+    pub bvh: Arc<Bvh>,
     /// Lazily generated AO batch, shared across clones: the workload is a
     /// pure function of the case, so a sweep running many configurations
     /// over one case pays for ray generation once.
@@ -73,36 +108,16 @@ pub struct Case {
 }
 
 impl Case {
-    /// Builds the case for `key` from scratch: procedural scene synthesis
-    /// followed by BVH construction.
+    /// Builds the case for `key` from scratch, tree and all.
     pub fn build(key: CaseKey) -> Self {
-        let scene = key.id.build_with_viewport(key.scale, key.width, key.height);
-        Case::from_scene(scene)
+        Case::new(key, Arc::new(key.tree().build()))
     }
 
-    /// Builds the BVH for an already-synthesized scene. The triangles are
-    /// collected and the mesh dropped before the build starts; the
-    /// collected triangles then move into the tree instead of being
-    /// copied. The build's subtree jobs run on the process-wide job
-    /// budget, so the tree is the same at any `--jobs`; a build nested in
-    /// a saturated map runs them inline.
-    pub fn from_scene(scene: Scene) -> Self {
-        let (view, mesh) = scene.into_parts();
-        let triangles = mesh.triangles().collect();
-        drop(mesh);
-        let jobs = CaseBuildJobs {
-            scene: view.id,
-            pool: JobPool::new(global_budget()),
-        };
-        let bvh = BvhBuilder::new().build_on(triangles, &jobs);
-        Case::from_parts(view, bvh)
-    }
-
-    /// Assembles a case from a scene view and the BVH built over that
-    /// scene's triangles (the artifact cache's load path).
-    pub fn from_parts(scene: SceneView, bvh: Bvh) -> Self {
+    /// The case for `key` over `bvh`, the tree of `key.tree()`: its view
+    /// is derived from the tree's bounds.
+    pub fn new(key: CaseKey, bvh: Arc<Bvh>) -> Self {
         Case {
-            scene,
+            scene: key.id.view(bvh.bounds(), key.width, key.height),
             bvh,
             ao_batch: Arc::new(OnceLock::new()),
         }
@@ -166,6 +181,7 @@ mod tests {
     fn key_labels_are_stable() {
         let key = CaseKey::square(SceneId::CrytekSponza, SceneScale::Quick, 256);
         assert_eq!(key.label(), "sp_quick_256x256");
+        assert_eq!(key.tree().label(), "sp_quick");
         let rect = CaseKey {
             id: SceneId::Sibenik,
             scale: SceneScale::Tiny,

@@ -6,9 +6,10 @@
 //!   budget and *ordered* result collection, so parallel runs produce
 //!   byte-identical output to serial runs.
 //! - [`cache`]: a process-wide [`CaseCache`] mapping
-//!   `(scene, scale, viewport)` to a built [`Case`], backed by an on-disk
-//!   artifact store of serialized meshes and BVH node buffers; corrupt
-//!   artifacts are quarantined to `*.quarantine` and rebuilt from source.
+//!   `(scene, scale, viewport)` to a [`Case`] over the one BVH of its
+//!   `(scene, scale)`, backed by an on-disk artifact store of serialized
+//!   BVHs; corrupt artifacts are quarantined to `*.quarantine` and
+//!   rebuilt from source.
 //! - [`runner`]: a [`ShardedRunner`] fanning
 //!   `(scene, config)` work units across the pool with per-unit timing and
 //!   progress telemetry on stderr (stdout stays deterministic), plus a

@@ -1,8 +1,8 @@
 //! The build-once, two-tier store behind [`CaseCache`](crate::CaseCache)
 //! and [`TraceStore`](crate::TraceStore).
 //!
-//! Both keep derived data that is costly to make and cheap to load: built
-//! cases (scene view + BVH) and recorded RIPT traces. A [`Store`] serves either
+//! Both keep derived data that is costly to make and cheap to load: the
+//! BVHs that cases share and recorded RIPT traces. A [`Store`] serves either
 //! from two tiers:
 //!
 //! 1. **In-process**: a key → `Arc<value>` map with one `OnceLock` cell per
@@ -10,17 +10,17 @@
 //!    every later request shares it. A request that waited on another
 //!    thread's build counts as a memory hit, so the counters are the same
 //!    at any worker count.
-//! 2. **On-disk**: the artifact's files in a directory named by an
+//! 2. **On-disk**: one file per key in a directory named by an
 //!    environment variable ([`env_dir`]: an empty value disables the
-//!    tier, unset means a directory under the system temp dir). Files are
-//!    mapped through [`MappedArtifact`] and decoded in place.
+//!    tier, unset means a directory under the system temp dir). The file
+//!    is mapped through [`MappedArtifact`] and decoded in place.
 //!
 //! A memory miss runs one flow: load from disk; on failure classify the
 //! [`CacheError`]; move a corrupt or mismatched file aside as
 //! `<name>.quarantine`, so its bytes are kept for diagnosis but never
 //! decoded again; build from source; persist through [`write_atomic`].
 //! Artifact IO never aborts a run: the worst case is one build. Each kind
-//! of artifact supplies only a [`Recipe`]: its file paths, decode plus
+//! of artifact supplies only a [`Recipe`]: its file path, decode plus
 //! validation, build and writer.
 //!
 //! Telemetry goes to stderr and to the `<cat>.*` counters and events of
@@ -137,21 +137,15 @@ pub(crate) trait Recipe {
     const NAMES: Names;
     /// The key's label in file names, events and stderr lines.
     fn label(&self) -> String;
-    /// The files that hold the artifact in `dir`, in [`Recipe::write`]
-    /// order.
-    fn paths(&self, dir: &Path) -> Vec<PathBuf>;
-    /// Decodes `files`, mapped from `paths`, and checks that they hold
-    /// this key's artifact.
-    fn decode(
-        &self,
-        paths: &[PathBuf],
-        files: &[MappedArtifact],
-    ) -> Result<Self::Value, CacheError>;
+    /// The file that holds the artifact in `dir`.
+    fn path(&self, dir: &Path) -> PathBuf;
+    /// Decodes `file`, mapped from `path`, and checks that it holds this
+    /// key's artifact.
+    fn decode(&self, path: &Path, file: &MappedArtifact) -> Result<Self::Value, CacheError>;
     /// Builds the artifact from source.
     fn build(&self) -> Self::Value;
-    /// Streams file `index` of `value`.
-    fn write(&self, value: &Self::Value, index: usize, out: &mut BufWriter<File>)
-        -> io::Result<()>;
+    /// Streams `value` as the artifact file.
+    fn write(&self, value: &Self::Value, out: &mut BufWriter<File>) -> io::Result<()>;
 }
 
 /// The disk directory `$var` names: none when it is set but empty,
@@ -256,9 +250,9 @@ impl<K: Eq + Hash, V> Store<K, V> {
     fn load_or_build<R: Recipe<Value = V>>(&self, recipe: &R) -> V {
         let names = &R::NAMES;
         let label = recipe.label();
-        let paths = self.dir.as_deref().map(|dir| recipe.paths(dir));
-        if let Some(paths) = &paths {
-            match self.load(recipe, &label, paths) {
+        let path = self.dir.as_deref().map(|dir| recipe.path(dir));
+        if let Some(path) = &path {
+            match self.load(recipe, &label, path) {
                 Ok(value) => {
                     self.count(&self.disk_hits, names.cat, "disk_hit");
                     return value;
@@ -273,7 +267,7 @@ impl<K: Eq + Hash, V> Store<K, V> {
                         .arg("error", error.to_string())
                         .stderr(format!("[rip-exec] {error}; quarantining and rebuilding"))
                         .emit();
-                    self.quarantine::<R>(&label, paths, &error);
+                    self.quarantine::<R>(&label, path);
                 }
             }
         }
@@ -286,7 +280,7 @@ impl<K: Eq + Hash, V> Store<K, V> {
         let value = recipe.build();
         let built_ms = start.elapsed().as_millis() as u64;
         drop(span);
-        let stored = paths.and_then(|paths| self.persist(recipe, &value, &paths));
+        let stored = path.and_then(|path| self.persist(recipe, &value, &path));
         let event = self
             .event::<R>(names.build, &label)
             .arg_u64("built_ms", built_ms);
@@ -303,23 +297,20 @@ impl<K: Eq + Hash, V> Store<K, V> {
         value
     }
 
-    /// Maps and decodes `key`'s files, classifying every failure.
+    /// Maps and decodes `key`'s file, classifying every failure.
     fn load<R: Recipe<Value = V>>(
         &self,
         recipe: &R,
         label: &str,
-        paths: &[PathBuf],
+        path: &Path,
     ) -> Result<V, CacheError> {
-        let files = paths
-            .iter()
-            .map(|path| MappedArtifact::open(path))
-            .collect::<Result<Vec<_>, _>>()?;
-        let backend = files[0].backend();
+        let file = MappedArtifact::open(path)?;
+        let backend = file.backend();
         if backend == "mmap" {
             self.obs.add(&format!("{}.mmap_load", R::NAMES.cat), 1);
         }
         let start = Instant::now();
-        let value = recipe.decode(paths, &files)?;
+        let value = recipe.decode(path, &file)?;
         let load_ms = start.elapsed().as_millis() as u64;
         self.event::<R>(&format!("{}_hit", R::NAMES.stem), label)
             .arg("backend", backend)
@@ -332,56 +323,39 @@ impl<K: Eq + Hash, V> Store<K, V> {
         Ok(value)
     }
 
-    /// Moves the file(s) `error` implicates aside as `<name>.quarantine`.
-    /// A key mismatch implicates every file, since any could be the
-    /// imposter.
-    fn quarantine<R: Recipe>(&self, label: &str, paths: &[PathBuf], error: &CacheError) {
-        let targets = match error {
-            CacheError::Corrupt { path, .. } => std::slice::from_ref(path),
-            _ => paths,
+    /// Moves the file at `path` aside as `<name>.quarantine`.
+    fn quarantine<R: Recipe>(&self, label: &str, path: &Path) {
+        let mut quarantined = path.as_os_str().to_owned();
+        quarantined.push(".quarantine");
+        let event = match std::fs::rename(path, &quarantined) {
+            Ok(()) => {
+                self.count(&self.quarantines, R::NAMES.cat, "quarantine");
+                self.event::<R>("quarantine", label).stderr(format!(
+                    "[rip-exec] quarantined {} -> {}",
+                    path.display(),
+                    Path::new(&quarantined).display()
+                ))
+            }
+            Err(e) => {
+                // Last resort: the bad bytes must never be decoded
+                // again, even if they cannot be kept.
+                let _ = std::fs::remove_file(path);
+                self.event::<R>("quarantine_failed", label).stderr(format!(
+                    "[rip-exec] cannot quarantine {} ({e}); removed it instead",
+                    path.display()
+                ))
+            }
         };
-        for path in targets {
-            let mut quarantined = path.as_os_str().to_owned();
-            quarantined.push(".quarantine");
-            let event = match std::fs::rename(path, &quarantined) {
-                Ok(()) => {
-                    self.count(&self.quarantines, R::NAMES.cat, "quarantine");
-                    self.event::<R>("quarantine", label).stderr(format!(
-                        "[rip-exec] quarantined {} -> {}",
-                        path.display(),
-                        Path::new(&quarantined).display()
-                    ))
-                }
-                Err(e) => {
-                    // Last resort: the bad bytes must never be decoded
-                    // again, even if they cannot be kept.
-                    let _ = std::fs::remove_file(path);
-                    self.event::<R>("quarantine_failed", label).stderr(format!(
-                        "[rip-exec] cannot quarantine {} ({e}); removed it instead",
-                        path.display()
-                    ))
-                }
-            };
-            event.arg("path", path.display().to_string()).emit();
-        }
+        event.arg("path", path.display().to_string()).emit();
     }
 
-    /// Writes every file of `value`; returns the store directory on
-    /// success.
-    fn persist<R: Recipe<Value = V>>(
-        &self,
-        recipe: &R,
-        value: &V,
-        paths: &[PathBuf],
-    ) -> Option<&Path> {
+    /// Writes `value` to `path`; returns the store directory on success.
+    fn persist<R: Recipe<Value = V>>(&self, recipe: &R, value: &V, path: &Path) -> Option<&Path> {
         let dir = self.dir.as_deref()?;
         let written = std::fs::create_dir_all(dir)
             .map_err(|e| (dir, e))
             .and_then(|()| {
-                paths.iter().enumerate().try_for_each(|(index, path)| {
-                    write_atomic(path, |out| recipe.write(value, index, out))
-                        .map_err(|e| (path.as_path(), e))
-                })
+                write_atomic(path, |out| recipe.write(value, out)).map_err(|e| (path, e))
             });
         match written {
             Ok(()) => Some(dir),

@@ -155,25 +155,20 @@ impl Recipe for Capture<'_> {
         self.label.to_string()
     }
 
-    fn paths(&self, dir: &Path) -> Vec<PathBuf> {
+    fn path(&self, dir: &Path) -> PathBuf {
         let tag = match self.kind {
             TraversalKind::AnyHit => "any",
             TraversalKind::ClosestHit => "closest",
         };
         let version = rip_bvh::ript::FORMAT_VERSION;
-        vec![dir.join(format!("{}_{tag}_t{version}.ript", self.label))]
+        dir.join(format!("{}_{tag}_t{version}.ript", self.label))
     }
 
     /// The decoded set must [`attach`](RayTraceSet::attach) to the live
     /// workload — a label collision or a changed scene/ray generator is a
     /// [`CacheError::KeyMismatch`], not a silent wrong replay.
-    fn decode(
-        &self,
-        paths: &[PathBuf],
-        files: &[MappedArtifact],
-    ) -> Result<RayTraceSet, CacheError> {
-        let set =
-            RayTraceSet::decode_shared(files[0].bytes()).map_err(CacheError::corrupt(&paths[0]))?;
+    fn decode(&self, path: &Path, file: &MappedArtifact) -> Result<RayTraceSet, CacheError> {
+        let set = RayTraceSet::decode_shared(file.bytes()).map_err(CacheError::corrupt(path))?;
         if set.kind() != self.kind || set.attach(self.bvh, self.batch).is_err() {
             return Err(CacheError::KeyMismatch {
                 label: self.label(),
@@ -186,7 +181,7 @@ impl Recipe for Capture<'_> {
         RayTraceSet::capture_parallel(self.bvh, self.batch, self.kind, self.threads)
     }
 
-    fn write(&self, set: &RayTraceSet, _: usize, out: &mut BufWriter<File>) -> io::Result<()> {
+    fn write(&self, set: &RayTraceSet, out: &mut BufWriter<File>) -> io::Result<()> {
         set.write_to(out)
     }
 }
@@ -321,8 +316,7 @@ mod tests {
             batch: &batch,
             threads: 1,
         };
-        let path = &request.paths(&dir)[0];
-        assert_eq!(std::fs::read(path).unwrap(), set.encode());
+        assert_eq!(std::fs::read(request.path(&dir)).unwrap(), set.encode());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

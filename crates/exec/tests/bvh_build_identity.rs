@@ -3,7 +3,7 @@
 //! nested in a map that already holds every budget permit.
 
 use rip_bvh::{serial, Bvh, BvhBuilder, SplitMethod};
-use rip_exec::{set_global_budget, Case, JobPool};
+use rip_exec::{set_global_budget, Case, CaseKey, JobPool};
 use rip_math::{Triangle, Vec3};
 use rip_scene::{SceneId, SceneScale};
 
@@ -30,8 +30,7 @@ fn pooled_build(method: SplitMethod, tris: &[Triangle], jobs: usize) -> Bvh {
 /// case build.
 fn assert_identical_at_every_width(id: SceneId) {
     budget();
-    let scene = id.build_with_viewport(SceneScale::Quick, 16, 16);
-    let tris: Vec<Triangle> = scene.mesh.triangles().collect();
+    let tris: Vec<Triangle> = id.build_mesh(SceneScale::Quick).triangles().collect();
     assert!(tris.len() > 32_768, "{id:?} has {} triangles", tris.len());
     for method in [SplitMethod::BinnedSah, SplitMethod::Median] {
         let expected = serial_build(method, &tris);
@@ -43,7 +42,7 @@ fn assert_identical_at_every_width(id: SceneId) {
             );
         }
     }
-    let case = Case::from_scene(scene);
+    let case = Case::build(CaseKey::square(id, SceneScale::Quick, 16));
     assert!(serial::encode(&case.bvh) == serial_build(SplitMethod::BinnedSah, &tris));
 }
 

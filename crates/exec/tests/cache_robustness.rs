@@ -1,6 +1,6 @@
-//! Robustness of the on-disk artifact tier: damaged, stale, or
-//! mismatched artifacts must always fall back to a clean rebuild —
-//! never a panic, never a stale load.
+//! Robustness of the on-disk artifact tier: damaged or stale artifacts
+//! must always fall back to a clean rebuild — never a panic, never a
+//! stale load.
 
 use rip_exec::{CaseCache, CaseKey};
 use rip_scene::{SceneId, SceneScale};
@@ -17,23 +17,19 @@ fn temp_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// Populates `dir` with artifacts for [`key`] and returns the paths of
-/// the `.scene` and `.bvh` files that were written.
-fn populate(dir: &Path) -> (PathBuf, PathBuf) {
+/// Populates `dir` with the artifact for [`key`] and returns the path of
+/// the one `.bvh` file that was written.
+fn populate(dir: &Path) -> PathBuf {
     let cache = CaseCache::with_disk_dir(Some(dir.to_path_buf()));
     cache.get_or_build(key());
     assert_eq!(cache.stats().builds, 1);
-    let mut scene = None;
-    let mut bvh = None;
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("scene") => scene = Some(path),
-            Some("bvh") => bvh = Some(path),
-            _ => {}
-        }
-    }
-    (scene.expect("scene artifact"), bvh.expect("bvh artifact"))
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one artifact per case: {files:?}");
+    assert!(files[0].extension().is_some_and(|e| e == "bvh"));
+    files[0].clone()
 }
 
 /// A fresh cache (stand-in for a fresh process) over the same store;
@@ -49,20 +45,9 @@ fn assert_rebuilds(dir: &Path, why: &str) {
 }
 
 #[test]
-fn truncated_scene_artifact_triggers_rebuild() {
-    let dir = temp_store("trunc-scene");
-    let (scene_path, _) = populate(&dir);
-    let bytes = std::fs::read(&scene_path).unwrap();
-    // Cut mid-buffer: the header still promises the full payload.
-    std::fs::write(&scene_path, &bytes[..bytes.len() / 3]).unwrap();
-    assert_rebuilds(&dir, "a truncated scene artifact");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn truncated_bvh_artifact_triggers_rebuild() {
     let dir = temp_store("trunc-bvh");
-    let (_, bvh_path) = populate(&dir);
+    let bvh_path = populate(&dir);
     let bytes = std::fs::read(&bvh_path).unwrap();
     std::fs::write(&bvh_path, &bytes[..bytes.len() - 7]).unwrap();
     assert_rebuilds(&dir, "a truncated BVH artifact");
@@ -70,59 +55,30 @@ fn truncated_bvh_artifact_triggers_rebuild() {
 }
 
 #[test]
-fn empty_artifact_files_trigger_rebuild() {
+fn empty_artifact_file_triggers_rebuild() {
     let dir = temp_store("empty");
-    let (scene_path, bvh_path) = populate(&dir);
-    std::fs::write(&scene_path, []).unwrap();
-    std::fs::write(&bvh_path, []).unwrap();
-    assert_rebuilds(&dir, "zero-byte artifacts");
+    std::fs::write(populate(&dir), []).unwrap();
+    assert_rebuilds(&dir, "a zero-byte artifact");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn format_version_bump_triggers_rebuild() {
     // Simulate artifacts from a *future* format: patch the version field
-    // (bytes 4..8, after the 4-byte magic) in both files. The decoder must
-    // reject them and the cache must rebuild, exactly as it would after a
-    // real FORMAT_VERSION bump invalidated old artifacts on disk.
+    // (bytes 4..8, after the 4-byte magic). The decoder must reject it
+    // and the cache must rebuild, exactly as it would after a real
+    // FORMAT_VERSION bump invalidated old artifacts on disk.
     let dir = temp_store("version");
-    let (scene_path, bvh_path) = populate(&dir);
-    for path in [&scene_path, &bvh_path] {
-        let mut bytes = std::fs::read(path).unwrap();
-        bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(path, bytes).unwrap();
-    }
+    let path = populate(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
     assert_rebuilds(&dir, "a foreign format version");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn artifact_for_a_different_key_triggers_rebuild() {
-    // Valid, decodable artifacts that describe the *wrong* case: build a
-    // different scene, then copy its files over our key's paths. The
-    // post-decode key check must notice and rebuild.
-    let dir = temp_store("wrong-key");
-    let (scene_path, bvh_path) = populate(&dir);
-    let other_dir = temp_store("wrong-key-src");
-    {
-        let cache = CaseCache::with_disk_dir(Some(other_dir.clone()));
-        cache.get_or_build(CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 16));
-    }
-    for entry in std::fs::read_dir(&other_dir).unwrap() {
-        let path = entry.unwrap().path();
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("scene") => std::fs::copy(&path, &scene_path).map(|_| ()).unwrap(),
-            Some("bvh") => std::fs::copy(&path, &bvh_path).map(|_| ()).unwrap(),
-            _ => {}
-        }
-    }
-    assert_rebuilds(&dir, "artifacts belonging to a different key");
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&other_dir);
-}
-
-#[test]
-fn header_bomb_artifacts_fail_fast_without_allocation() {
+fn header_bomb_artifact_fails_fast_without_allocation() {
     // Headers promising astronomically more data than the file holds must
     // be rejected by the capacity guards — decoding returns Err instead of
     // attempting a multi-gigabyte allocation, and the cache rebuilds. In
@@ -130,21 +86,18 @@ fn header_bomb_artifacts_fail_fast_without_allocation() {
     // count at bytes 8..12; it is bounds-checked against the real file
     // length before the section table is even read.
     let dir = temp_store("bomb");
-    let (scene_path, bvh_path) = populate(&dir);
-    for path in [&scene_path, &bvh_path] {
-        let mut bomb = std::fs::read(path).unwrap();
-        bomb[8..12].copy_from_slice(&u32::MAX.to_ne_bytes());
-        std::fs::write(path, &bomb).unwrap();
-    }
-    assert_rebuilds(&dir, "header-bomb artifacts");
+    let path = populate(&dir);
+    let mut bomb = std::fs::read(&path).unwrap();
+    bomb[8..12].copy_from_slice(&u32::MAX.to_ne_bytes());
+    std::fs::write(&path, &bomb).unwrap();
+    assert_rebuilds(&dir, "a header-bomb artifact");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn garbage_artifacts_of_plausible_size_trigger_rebuild() {
+fn garbage_artifact_of_plausible_size_triggers_rebuild() {
     let dir = temp_store("garbage");
-    let (scene_path, bvh_path) = populate(&dir);
-    let scene_len = std::fs::metadata(&scene_path).unwrap().len() as usize;
+    let bvh_path = populate(&dir);
     let bvh_len = std::fs::metadata(&bvh_path).unwrap().len() as usize;
     // Deterministic pseudo-random filler with the original file sizes.
     let fill = |n: usize, mut s: u32| -> Vec<u8> {
@@ -155,9 +108,8 @@ fn garbage_artifacts_of_plausible_size_trigger_rebuild() {
             })
             .collect()
     };
-    std::fs::write(&scene_path, fill(scene_len, 7)).unwrap();
     std::fs::write(&bvh_path, fill(bvh_len, 11)).unwrap();
-    assert_rebuilds(&dir, "garbage artifacts");
+    assert_rebuilds(&dir, "a garbage artifact");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -166,9 +118,8 @@ fn rebuild_after_corruption_rewrites_good_artifacts() {
     // After a rebuild the store must hold fresh, loadable artifacts again:
     // the *next* process gets a disk hit, not another build.
     let dir = temp_store("self-heal");
-    let (scene_path, _) = populate(&dir);
-    std::fs::write(&scene_path, b"RSCN damaged beyond recognition").unwrap();
-    assert_rebuilds(&dir, "a damaged scene artifact");
+    std::fs::write(populate(&dir), b"RIPA damaged beyond recognition").unwrap();
+    assert_rebuilds(&dir, "a damaged artifact");
     let cache = CaseCache::with_disk_dir(Some(dir.clone()));
     cache.get_or_build(key());
     assert_eq!(

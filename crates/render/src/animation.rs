@@ -30,9 +30,9 @@ use rip_math::{Triangle, Vec3};
 /// ```
 #[derive(Clone, Debug)]
 pub struct AnimatedScene {
-    base: Vec<Triangle>,
-    /// Indices of the dynamic triangles within `base`.
-    dynamic: Vec<usize>,
+    /// The dynamic triangles: each one's index in the tree and its rest
+    /// pose (frame 0). The static triangles live only in the tree.
+    dynamic: Vec<(usize, Triangle)>,
     /// Orbit amplitude in world units.
     amplitude: f32,
     frame: u32,
@@ -56,21 +56,20 @@ impl AnimatedScene {
             dynamic_fraction > 0.0 && dynamic_fraction < 1.0,
             "dynamic fraction must be in (0, 1)"
         );
-        let base = bvh.triangles().to_vec();
-        assert!(!base.is_empty(), "scene has no triangles");
+        let tris = bvh.triangles();
+        assert!(!tris.is_empty(), "scene has no triangles");
         let bounds = bvh.bounds();
         let pivot = bounds.center();
         // Nearest-to-centre triangles become the dynamic set.
-        let mut by_distance: Vec<usize> = (0..base.len()).collect();
+        let mut by_distance: Vec<usize> = (0..tris.len()).collect();
         by_distance.sort_by(|&a, &b| {
-            let da = (base[a].centroid() - pivot).length_squared();
-            let db = (base[b].centroid() - pivot).length_squared();
+            let da = (tris[a].centroid() - pivot).length_squared();
+            let db = (tris[b].centroid() - pivot).length_squared();
             da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let count = ((base.len() as f32 * dynamic_fraction) as usize).max(1);
-        let dynamic = by_distance[..count].to_vec();
+        let count = ((tris.len() as f32 * dynamic_fraction) as usize).max(1);
+        let dynamic = by_distance[..count].iter().map(|&i| (i, tris[i])).collect();
         AnimatedScene {
-            base,
             dynamic,
             amplitude: amplitude * bounds.diagonal_length(),
             frame: 0,
@@ -88,31 +87,31 @@ impl AnimatedScene {
         self.dynamic.len()
     }
 
-    /// The current frame's BVH.
+    /// The current frame's BVH, which holds the frame's triangles.
     pub fn bvh(&self) -> &Bvh {
         &self.bvh
     }
 
-    /// The current frame's triangles.
-    pub fn triangles(&self, frame: u32) -> Vec<Triangle> {
-        let phase = frame as f32 * 0.35;
-        let offset =
-            Vec3::new(phase.sin(), 0.15 * (phase * 2.0).sin(), phase.cos()) * self.amplitude;
-        let mut tris = self.base.clone();
-        for &i in &self.dynamic {
-            let t = &mut tris[i];
-            // Rigid translation orbiting the pivot.
-            *t = Triangle::new(t.a + offset, t.b + offset, t.c + offset);
-        }
-        tris
-    }
-
-    /// Advances to the next frame, refitting the BVH in place (node ids
-    /// stay valid across frames).
+    /// Advances to the next frame: moves the dynamic triangles in the
+    /// tree to the frame's pose and refits it in place (node ids stay
+    /// valid across frames).
     pub fn advance_frame(&mut self) {
         self.frame += 1;
-        let tris = self.triangles(self.frame);
-        self.bvh.refit(&tris).expect("triangle count is stable");
+        let offset = self.offset(self.frame);
+        let dynamic = &self.dynamic;
+        self.bvh.refit(|tris| {
+            for &(i, rest) in dynamic {
+                // Rigid translation orbiting the pivot.
+                tris[i] = Triangle::new(rest.a + offset, rest.b + offset, rest.c + offset);
+            }
+        });
+    }
+
+    /// The dynamic triangles' displacement from their rest pose at
+    /// `frame`.
+    fn offset(&self, frame: u32) -> Vec3 {
+        let phase = frame as f32 * 0.35;
+        Vec3::new(phase.sin(), 0.15 * (phase * 2.0).sin(), phase.cos()) * self.amplitude
     }
 }
 
@@ -124,22 +123,56 @@ mod tests {
     use rip_scene::{SceneId, SceneScale};
 
     fn tiny_bvh(id: SceneId) -> Bvh {
-        let scene = id.build_with_viewport(SceneScale::Tiny, 16, 16);
-        Bvh::build(&scene.mesh.triangles().collect::<Vec<_>>())
+        Bvh::build(
+            &id.build_mesh(SceneScale::Tiny)
+                .triangles()
+                .collect::<Vec<_>>(),
+        )
     }
 
     fn animated() -> AnimatedScene {
         AnimatedScene::new(&tiny_bvh(SceneId::FireplaceRoom), 0.08, 0.02)
     }
 
+    /// A frame's triangles as a full copy of the scene with the dynamic
+    /// subset displaced from its rest pose.
+    fn expected_frame(base: &[Triangle], a: &AnimatedScene, frame: u32) -> Vec<Triangle> {
+        let offset = a.offset(frame);
+        let mut tris = base.to_vec();
+        for &(i, _) in &a.dynamic {
+            let t = &mut tris[i];
+            *t = Triangle::new(t.a + offset, t.b + offset, t.c + offset);
+        }
+        tris
+    }
+
+    #[test]
+    fn frame_triangles_are_the_rest_pose_displaced() {
+        let base = tiny_bvh(SceneId::FireplaceRoom).triangles().to_vec();
+        let mut a = animated();
+        assert!(
+            a.bvh().triangles() == base.as_slice(),
+            "frame 0 is the scene"
+        );
+        for frame in 1..=4 {
+            a.advance_frame();
+            assert!(
+                a.bvh().triangles() == expected_frame(&base, &a, frame).as_slice(),
+                "frame {frame}"
+            );
+        }
+    }
+
     #[test]
     fn dynamic_subset_moves_static_does_not() {
-        let a = animated();
-        let f0 = a.triangles(0);
-        let f3 = a.triangles(3);
+        let base = tiny_bvh(SceneId::FireplaceRoom).triangles().to_vec();
+        let mut a = animated();
+        for _ in 0..3 {
+            a.advance_frame();
+        }
         let mut moved = 0;
         let mut still = 0;
-        for (t0, t3) in f0.iter().zip(&f3) {
+        for (t0, t3) in base.iter().zip(a.bvh().triangles()) {
             if (t0.a - t3.a).length() > 1e-6 {
                 moved += 1;
             } else {
@@ -156,8 +189,7 @@ mod tests {
         for _ in 0..4 {
             a.advance_frame();
             a.bvh().validate().unwrap();
-            let tris = a.triangles(a.frame());
-            let reference = Bvh::build(&tris);
+            let reference = Bvh::build(a.bvh().triangles());
             // Same results as a from-scratch rebuild for a ray batch.
             for i in 0..20 {
                 let o = a.bvh().bounds().center()
@@ -174,17 +206,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn frame_zero_matches_base_scene() {
-        let a = animated();
-        assert_eq!(a.frame(), 0);
-        let f0 = a.triangles(0);
-        // Frame 0 has zero offset only if sin(0)=0... phase 0 ⇒ offset =
-        // (0, 0, amplitude) along z: frame 0 geometry equals base only for
-        // the static part.
-        assert_eq!(f0.len(), a.bvh().triangle_count());
     }
 
     #[test]

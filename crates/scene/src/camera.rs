@@ -82,39 +82,6 @@ impl Camera {
         }
     }
 
-    /// Raw basis vectors and viewport for serialization (crate-internal).
-    /// Order: position, lower_left, horizontal, vertical.
-    pub(crate) fn to_raw(self) -> ([Vec3; 4], u32, u32) {
-        (
-            [
-                self.position,
-                self.lower_left,
-                self.horizontal,
-                self.vertical,
-            ],
-            self.width,
-            self.height,
-        )
-    }
-
-    /// Rebuilds a camera from [`Camera::to_raw`] output (crate-internal).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the viewport is empty.
-    pub(crate) fn from_raw(basis: [Vec3; 4], width: u32, height: u32) -> Self {
-        assert!(width > 0 && height > 0, "viewport must be non-empty");
-        let [position, lower_left, horizontal, vertical] = basis;
-        Camera {
-            position,
-            lower_left,
-            horizontal,
-            vertical,
-            width,
-            height,
-        }
-    }
-
     /// Viewport width in pixels.
     pub fn width(&self) -> u32 {
         self.width

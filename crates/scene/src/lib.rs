@@ -26,7 +26,6 @@ pub mod noise;
 pub mod obj;
 pub mod primitives;
 pub mod procedural;
-pub mod serial;
 mod suite;
 
 pub use camera::Camera;

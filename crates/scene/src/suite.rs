@@ -1,7 +1,7 @@
 //! The benchmark scene suite mirroring Table 1 of the paper.
 
 use crate::{procedural, Camera, TriangleMesh};
-use rip_math::Vec3;
+use rip_math::{Aabb, Vec3};
 
 /// Identifier for one of the seven benchmark scenes (Table 1).
 ///
@@ -85,19 +85,6 @@ pub struct Scene {
     pub camera: Camera,
 }
 
-impl Scene {
-    /// Splits the scene into its mesh-free view and its geometry, so a
-    /// caller that moves the triangles into an acceleration structure
-    /// can drop the mesh and keep only what ray generation reads.
-    pub fn into_parts(self) -> (SceneView, TriangleMesh) {
-        let view = SceneView {
-            id: self.id,
-            camera: self.camera,
-        };
-        (view, self.mesh)
-    }
-}
-
 impl AsRef<Camera> for Scene {
     fn as_ref(&self) -> &Camera {
         &self.camera
@@ -105,7 +92,8 @@ impl AsRef<Camera> for Scene {
 }
 
 /// A scene without its geometry: which benchmark it is and the camera
-/// its rays start from. Held beside a BVH that stores the triangles.
+/// its rays start from. Held beside a BVH that stores the triangles;
+/// [`SceneId::view`] derives it from the tree's bounds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SceneView {
     /// Which benchmark this is.
@@ -217,22 +205,30 @@ impl SceneId {
     /// Builds the scene with an explicit viewport resolution.
     pub fn build_with_viewport(self, scale: SceneScale, width: u32, height: u32) -> Scene {
         let mesh = self.build_mesh(scale);
-        let bounds = mesh.bounds();
+        let camera = self.view(mesh.bounds(), width, height).camera;
+        Scene {
+            id: self,
+            mesh,
+            camera,
+        }
+    }
+
+    /// The scene's view at a `width`×`height` viewport: the camera is a
+    /// pure function of the bounds of the scene's geometry, so a tree
+    /// whose root box is the mesh's gives the same view as the mesh.
+    pub fn view(self, bounds: Aabb, width: u32, height: u32) -> SceneView {
         let center = bounds.center();
         // Interior viewpoint: stand inside the volume near a corner at
         // standing height, look across the room.
-        let eye =
-            bounds.min + bounds.diagonal() * Vec3::new(0.18, 0.45, 0.22) + Vec3::new(0.0, 0.0, 0.0);
+        let eye = bounds.min + bounds.diagonal() * Vec3::new(0.18, 0.45, 0.22);
         let target = Vec3::new(
             center.x,
             bounds.min.y + bounds.diagonal().y * 0.35,
             center.z,
         );
-        let camera = Camera::look_at(eye, target, Vec3::Y, 65.0, width, height);
-        Scene {
+        SceneView {
             id: self,
-            mesh,
-            camera,
+            camera: Camera::look_at(eye, target, Vec3::Y, 65.0, width, height),
         }
     }
 }

@@ -25,12 +25,10 @@ fn temp_store(tag: &str) -> PathBuf {
     dir
 }
 
-/// Canonical byte form of a case, for cross-epoch equality checks.
-fn digest(case: &rip_exec::Case) -> (Vec<u8>, Vec<u8>) {
-    (
-        rip_scene::serial::encode(&case.scene),
-        rip_bvh::serial::encode(&case.bvh),
-    )
+/// Canonical form of a case, for cross-epoch equality checks: its view
+/// and its tree's encoded bytes.
+fn digest(case: &rip_exec::Case) -> (rip_scene::SceneView, Vec<u8>) {
+    (case.scene, rip_bvh::serial::encode(&case.bvh))
 }
 
 #[test]

@@ -7,13 +7,12 @@
 //! 1. **Corruption matrix** — every [`faultinject`] damage mode
 //!    (`bit_flip` across header, section table and payload;
 //!    `header_bomb` on the section count; `truncate` at several cut
-//!    points) applied to scene and BVH artifacts must end in a
+//!    points) applied to a case's BVH artifact must end in a
 //!    quarantine + rebuild through the real [`CaseCache`], never a
 //!    panic and never a stale load.
 //! 2. **Round-trip properties** — encode → write → [`MappedArtifact`]
 //!    → `decode_shared` → re-encode reproduces the original byte
-//!    stream exactly, for procedural scene views and for BVHs/wide
-//!    BVHs over every generator recipe.
+//!    stream exactly, for BVHs over every generator recipe.
 //! 3. **Cross-backend digest** — the committed `artifact_case.snap`
 //!    digest of disk-loaded cases must reproduce under both the owned
 //!    and the `mmap` backends (CI runs this suite with the `mmap`
@@ -29,7 +28,7 @@
 use proptest::prelude::*;
 use rip_bvh::Bvh;
 use rip_exec::{CaseCache, CaseKey, MappedArtifact};
-use rip_scene::{SceneId, SceneScale, SCENE_IDS};
+use rip_scene::{SceneId, SceneScale, SceneView};
 use rip_testkit::{faultinject, gen};
 use std::path::{Path, PathBuf};
 
@@ -100,42 +99,36 @@ const CORRUPTIONS: [Corruption; 7] = [
     }),
 ];
 
-/// Every (damage mode × artifact kind) cell must quarantine and rebuild
-/// through the real cache — no panic, no stale geometry.
+/// Every damage mode must quarantine and rebuild through the real cache
+/// — no panic, no stale geometry.
 #[test]
 fn corruption_matrix_always_quarantines_and_rebuilds() {
-    for ext in ["scene", "bvh"] {
-        for (label, damage) in CORRUPTIONS {
-            let dir = temp_store(&format!("{ext}-{label}"));
-            {
-                let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-                cache.get_or_build(key());
-            }
-            let paths = faultinject::artifacts_with_ext(&dir, ext);
-            assert_eq!(paths.len(), 1, "{ext}/{label}: expected one artifact");
-            let len = std::fs::metadata(&paths[0]).unwrap().len() as usize;
-            damage(&paths[0], len);
-
+    for (label, damage) in CORRUPTIONS {
+        let dir = temp_store(label);
+        {
             let cache = CaseCache::with_disk_dir(Some(dir.clone()));
-            let case = cache.get_or_build(key());
-            assert_eq!(
-                cache.stats().disk_hits,
-                0,
-                "{ext}/{label}: a damaged artifact was served as a hit"
-            );
-            assert_eq!(
-                cache.stats().builds,
-                1,
-                "{ext}/{label}: expected a clean rebuild"
-            );
-            assert!(
-                cache.stats().quarantines >= 1,
-                "{ext}/{label}: damaged artifact must be quarantined"
-            );
-            case.bvh.validate().unwrap();
-            assert!(case.bvh.triangle_count() > 0);
-            let _ = std::fs::remove_dir_all(&dir);
+            cache.get_or_build(key());
         }
+        let paths = faultinject::artifacts_with_ext(&dir, "bvh");
+        assert_eq!(paths.len(), 1, "{label}: expected one artifact");
+        let len = std::fs::metadata(&paths[0]).unwrap().len() as usize;
+        damage(&paths[0], len);
+
+        let cache = CaseCache::with_disk_dir(Some(dir.clone()));
+        let case = cache.get_or_build(key());
+        assert_eq!(
+            cache.stats().disk_hits,
+            0,
+            "{label}: a damaged artifact was served as a hit"
+        );
+        assert_eq!(cache.stats().builds, 1, "{label}: expected a clean rebuild");
+        assert!(
+            cache.stats().quarantines >= 1,
+            "{label}: damaged artifact must be quarantined"
+        );
+        case.bvh.validate().unwrap();
+        assert!(case.bvh.triangle_count() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -170,22 +163,6 @@ fn roundtrip_through_map(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scene-view artifacts survive encode → map → decode bit-exactly,
-    /// for every scene id and a spread of viewports.
-    #[test]
-    fn scene_roundtrip_is_bit_exact(
-        scene_ix in 0usize..SCENE_IDS.len(),
-        viewport in 4u32..24,
-    ) {
-        let (view, _) = SCENE_IDS[scene_ix]
-            .build_with_viewport(SceneScale::Tiny, viewport, viewport)
-            .into_parts();
-        let bytes = rip_scene::serial::encode(&view);
-        roundtrip_through_map(&format!("scene-{scene_ix}-{viewport}"), &bytes, |b| {
-            rip_scene::serial::encode(&rip_scene::serial::decode_shared(b).unwrap())
-        });
-    }
-
     /// Binary-BVH artifacts round-trip bit-exactly over every generator
     /// recipe, and the decoded tree still passes full validation.
     #[test]
@@ -204,22 +181,6 @@ proptest! {
         });
     }
 
-    /// Compressed wide-BVH artifacts round-trip bit-exactly through the
-    /// mapped path as well.
-    #[test]
-    fn wide_roundtrip_is_bit_exact(
-        recipe_ix in 0usize..gen::ALL_RECIPES.len(),
-        seed in 0u64..1_000,
-    ) {
-        let tris = gen::ALL_RECIPES[recipe_ix].triangles(96, seed);
-        let wide = rip_bvh::WideBvh::from_binary(&Bvh::build(&tris));
-        let bytes = rip_bvh::serial::encode_wide(&wide);
-        roundtrip_through_map(&format!("wide-{recipe_ix}-{seed}"), &bytes, |b| {
-            rip_bvh::serial::encode_wide(
-                &rip_bvh::serial::decode_wide_shared(b).unwrap(),
-            )
-        });
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -229,8 +190,8 @@ proptest! {
 /// One digest line per key over the canonical re-encoded bytes of a
 /// case that was persisted by one cache and then *loaded from disk* by a
 /// fresh one — i.e. a case whose BVH borrows the mapped artifact. The
-/// view and the BVH get one digest each, so the BVH's can be compared
-/// with the encoded tree alone.
+/// view and the BVH get one digest each: the view's covers every primary
+/// ray its camera casts, the BVH's the encoded tree.
 fn mapped_case_digest() -> String {
     let keys = [
         CaseKey::square(SceneId::FireplaceRoom, SceneScale::Tiny, 20),
@@ -269,12 +230,31 @@ fn mapped_case_digest() -> String {
         out.push_str(&format!(
             "{} view {:016x} bvh {:016x}\n",
             key.label(),
-            digest(&rip_scene::serial::encode(&case.scene)),
+            view_digest(&case.scene),
             digest(&rip_bvh::serial::encode(&case.bvh)),
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
     out
+}
+
+/// FNV-1a over the view's scene code and the bits of every primary ray
+/// its camera casts.
+fn view_digest(view: &SceneView) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.write(view.id.code().as_bytes());
+    let camera = &view.camera;
+    for y in 0..camera.height() {
+        for x in 0..camera.width() {
+            let ray = camera.primary_ray(x, y);
+            for v in [ray.origin, ray.direction] {
+                for c in [v.x, v.y, v.z] {
+                    fnv.write(&c.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    fnv.0
 }
 
 /// The committed case digest reproduces under whichever artifact backend

@@ -47,7 +47,6 @@ fn snapshot_directory_covers_every_experiment() {
     // tests/tree_digest.rs) share the directory but are not experiments.
     let digests = [
         "wide_simd_hits.snap",
-        "wide_bvh_serial.snap",
         "artifact_case.snap",
         "tree_digest.snap",
     ];

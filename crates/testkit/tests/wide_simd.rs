@@ -4,11 +4,10 @@
 //! `rip-bvh` traverses the compressed 4-wide BVH either with explicit
 //! SSE2 lanes (feature `simd`, forwarded here as `rip-testkit/simd`) or
 //! with a portable scalar emulation. The contract is that the choice is
-//! *unobservable*: same hit bits, same statistics, same serialized bytes.
-//! CI runs this suite under both configurations; the committed digest
-//! snapshots ([`HITS_SNAPSHOT`], [`SERIAL_SNAPSHOT`]) are what make the
-//! comparison **cross**-config — both builds must reproduce the same
-//! digests or one of them moved.
+//! *unobservable*: same hit bits, same statistics. CI runs this suite
+//! under both configurations; the committed digest snapshot
+//! ([`HITS_SNAPSHOT`]) is what makes the comparison **cross**-config —
+//! both builds must reproduce the same digest or one of them moved.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -17,7 +16,7 @@
 //! ```
 //! (then rerun with the other feature setting to confirm both agree).
 
-use rip_bvh::{serial, simd, Bvh, RayBatch, TraversalKernel, TraversalKind, WideBvh, WideKernel};
+use rip_bvh::{simd, Bvh, RayBatch, TraversalKernel, TraversalKind, WideBvh, WideKernel};
 use rip_core::{Predicted, PredictorConfig};
 use rip_math::{Ray, Triangle};
 use rip_testkit::{diff, gen};
@@ -25,8 +24,6 @@ use std::path::PathBuf;
 
 /// Committed digest of the wide kernel's hits over the pinned workloads.
 const HITS_SNAPSHOT: &str = "wide_simd_hits.snap";
-/// Committed digest of the serialized wide BVHs for the same scenes.
-const SERIAL_SNAPSHOT: &str = "wide_bvh_serial.snap";
 
 fn snapshot_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(
@@ -105,19 +102,6 @@ fn hits_digest() -> String {
     out
 }
 
-/// One digest line per scene: the full serialized wide-BVH byte stream.
-fn serial_digest() -> String {
-    let mut out = String::new();
-    for (name, tris, _) in workloads() {
-        let wide = WideBvh::from_binary(&Bvh::build(&tris));
-        let bytes = serial::encode_wide(&wide);
-        let mut fnv = Fnv::new();
-        fnv.write(&bytes);
-        out.push_str(&format!("{name} {} bytes {:016x}\n", bytes.len(), fnv.0));
-    }
-    out
-}
-
 fn check_snapshot(name: &str, actual: &str) {
     let path = snapshot_path(name);
     if std::env::var_os("RIP_UPDATE_SNAPSHOTS").is_some() {
@@ -159,23 +143,6 @@ fn wide_kernel_agrees_with_references_under_this_backend() {
 #[test]
 fn wide_hits_match_committed_digest() {
     check_snapshot(HITS_SNAPSHOT, &hits_digest());
-}
-
-/// Serialized wide BVHs are byte-stable: re-encoding a decoded tree is
-/// identical, and the bytes match the committed digest in both configs.
-#[test]
-fn wide_serialization_is_byte_stable() {
-    for (name, tris, _) in workloads() {
-        let wide = WideBvh::from_binary(&Bvh::build(&tris));
-        let bytes = serial::encode_wide(&wide);
-        let decoded = serial::decode_wide(&bytes).expect("round-trip decode");
-        assert_eq!(
-            bytes,
-            serial::encode_wide(&decoded),
-            "{name}: save → load → save changed bytes"
-        );
-    }
-    check_snapshot(SERIAL_SNAPSHOT, &serial_digest());
 }
 
 /// `Predicted<WideKernel>` transparency holds under the compiled backend:
